@@ -10,6 +10,7 @@ serially or across a worker pool.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -131,12 +132,21 @@ class CampaignConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         for name in ("algebraic_tol", "dec_tol", "oracle_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"tolerance {name} must be positive")
-        if self.entry_range < 0.0:
-            raise ConfigError("entry_range must be nonnegative")
-        if self.boost_cap < 0.0:
-            raise ConfigError("boost_cap must be nonnegative")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(
+                    f"tolerance {name} must be positive and finite, got {value!r}"
+                )
+        # dphi entries and rapidities are drawn uniformly on spans this wide.
+        for name, span in (
+            ("entry_range", 2.0 * self.entry_range),
+            ("boost_cap", self.boost_cap),
+        ):
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(span)):
+                raise ConfigError(
+                    f"{name} must be nonnegative with a finite sampling span, got {value!r}"
+                )
         if self.rank_override is not None and not (
             0 <= self.rank_override <= min(self.m_plus_1, self.n)
         ):

@@ -26,7 +26,7 @@ from .multilinear import (
     canonical_frame,
     causal_classify,
 )
-from .sampling import sample_timelike_directions
+from .sampling import BOOST_CAP, sample_timelike_directions
 from .strain import PointGeometry, charpoly_coefficients, strain, rank_of_map
 from .stress import (
     _elementary_tensors,
@@ -40,8 +40,6 @@ from .stress import (
 DEC_TOL = 1e-9
 # ||T|| below this fraction of its a-priori scale makes a check vacuous.
 VACUOUS_RTOL = 1e-10
-# Default rapidity cap for sampled timelike directions.
-BOOST_CAP = 5.0
 
 
 class CheckStatus(str, Enum):

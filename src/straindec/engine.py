@@ -5,9 +5,12 @@ evaluates the same formulas on stacked arrays so full-size campaigns finish in
 seconds rather than hours.  The parity suite pins the two paths together.
 
 Determinism: chunk boundaries are a fixed constant (never derived from the
-worker count), each sample consumes its own generator from
-``sampling.derive_rng``, and chunk results are folded in index order, so a
-campaign's output is identical serial or parallel, run to run.
+worker count), and chunk results are folded in index order.  Each sample still
+owns PCG64(SeedSequence(seed, spawn_key=(index,))) from ``sampling.derive_rng``;
+``sampling.draw_chunk_arrays`` reads those streams for a whole chunk in the
+documented per-sample order, and replays any slot with a retried metric or a
+rejected geometry through the scalar draw path.  So a campaign's output is
+identical serial or parallel, run to run, and to the one-sample-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -16,22 +19,14 @@ import itertools
 
 import numpy as np
 
-from .errors import SamplerStarvationError
-from .lagrangians import _always_inside, resolve_lagrangian
+from .dec import VACUOUS_RTOL
+from .lagrangians import resolve_lagrangian
 from .multilinear import ZERO_FLOOR, LorentzianMetric, canonical_frame
-from .sampling import (
-    derive_rng,
-    draw_direction_params,
-    draw_geometry_arrays,
-)
-from .strain import RANK_RTOL, charpoly_coefficients
+from .sampling import MAX_DOMAIN_TRIES, draw_chunk_arrays  # noqa: F401 (re-export)
+from .strain import RANK_RTOL, batch_charpoly_coefficients
 
 # Samples per engine chunk; fixed so chunk boundaries cannot depend on jobs.
 CHUNK_SIZE = 512
-# Rejection attempts per sample slot for restricted-domain Lagrangians.
-MAX_DOMAIN_TRIES = 100
-# ||T|| below this fraction of its scale makes a check vacuous (mirrors dec).
-VACUOUS_RTOL = 1e-10
 
 CHECK_NAMES = (
     "dec_energy",
@@ -109,25 +104,6 @@ def fold_chunk_results(results, max_fixtures: int) -> dict:
     return out
 
 
-def _batch_trace(a: np.ndarray) -> np.ndarray:
-    return np.einsum("bii->b", a)
-
-
-def _batch_charpoly(d: np.ndarray) -> np.ndarray:
-    """Batched characteristic-coefficient recursion, one matmul per degree."""
-    b, dim, _ = d.shape
-    eye = np.eye(dim)
-    s = np.empty((b, dim))
-    dm = np.zeros_like(d)
-    c = np.ones(b)
-    for k in range(1, dim + 1):
-        m = dm + c[:, None, None] * eye
-        dm = d @ m
-        c = -_batch_trace(dm) / k
-        s[:, k - 1] = (-1) ** k * c
-    return s
-
-
 def _principal_minor_sums(a: np.ndarray, degree: int) -> np.ndarray:
     """Batched sum of principal degree-minors for a (B, dim, dim) stack."""
     dim = a.shape[1]
@@ -173,50 +149,17 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     lagr = resolve_lagrangian(
         config["lagrangian"]["name"], config["lagrangian"].get("parameters", {}), m1
     )
-    restricted = lagr.domain_predicate is not _always_inside
     out = empty_chunk_result()
     batch = stop - start
     if batch <= 0:
         return out
     dim = m1
 
-    gs = np.empty((batch, dim, dim))
-    hs = np.empty((batch, n, n))
-    dps = np.empty((batch, n, dim))
-    raps = np.empty((batch, ndir))
-    normals = np.empty((batch, ndir, dim - 1))
+    gs, hs, dps, raps, normals, drawn = draw_chunk_arrays(
+        seed, start, stop, m1, n, ndir, entry_range, boost_cap, rank_override, lagr
+    )
     samp = out["sampling"]
-    for k, index in enumerate(range(start, stop)):
-        rng = derive_rng(seed, index)
-        slot_tries = 0
-        while True:
-            g, h, dphi, retries = draw_geometry_arrays(
-                rng, m1, n, entry_range, rank_override
-            )
-            samp["metric_retries"] += retries
-            samp["domain_draws"] += 1
-            if not restricted:
-                samp["domain_accepted"] += 1
-                break
-            pull = dphi.T @ h @ dphi
-            pull = 0.5 * (pull + pull.T)
-            s = charpoly_coefficients(np.linalg.inv(g) @ pull)
-            if bool(np.all(lagr.domain_predicate(s))):
-                samp["domain_accepted"] += 1
-                break
-            slot_tries += 1
-            if slot_tries >= MAX_DOMAIN_TRIES:
-                rate = samp["domain_accepted"] / samp["domain_draws"]
-                raise SamplerStarvationError(
-                    f"sample {index}: domain of {lagr.name} rejected "
-                    f"{MAX_DOMAIN_TRIES} consecutive draws "
-                    f"(chunk acceptance rate {rate:.4f})",
-                    acceptance_rate=rate,
-                )
-        gs[k] = g
-        hs[k] = h
-        dps[k] = dphi
-        raps[k], normals[k] = draw_direction_params(rng, ndir, dim - 1, boost_cap)
+    samp.update(drawn)
 
     eye = np.eye(dim)
     ginv = np.linalg.inv(gs)
@@ -224,7 +167,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     pull = 0.5 * (pull + pull.transpose(0, 2, 1))
     d = ginv @ pull
 
-    s = _batch_charpoly(d)
+    s = batch_charpoly_coefficients(d)
     s_full = np.concatenate([np.ones((batch, 1)), s], axis=1)
     pw = [np.broadcast_to(eye, (batch, dim, dim))]
     for _ in range(dim - 1):
@@ -496,7 +439,17 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
         }
         return fx
 
-    for k in range(batch):
+    # Only samples with some failed check can yield a fixture.
+    flagged = (
+        (nonvac & ~(energy_ok & flux_ok).all(axis=1))
+        | rank_fail.any(axis=1)
+        | ~lemma_ok
+        | ~hyper_ok
+        | ~coroll_ok
+        | ~route_ok
+        | ~(wedge_ok & cs_ok).all(axis=1)
+    )
+    for k in np.flatnonzero(flagged).tolist():
         if len(fixtures) >= max_fixtures:
             break
         if nonvac[k]:

@@ -144,6 +144,21 @@ def charpoly_coefficients(d) -> np.ndarray:
     return s
 
 
+def batch_charpoly_coefficients(d: np.ndarray) -> np.ndarray:
+    """``charpoly_coefficients`` over a (B, dim, dim) stack, one matmul per degree."""
+    b, dim, _ = d.shape
+    eye = np.eye(dim)
+    s = np.empty((b, dim))
+    dm = np.zeros_like(d)
+    c = np.ones(b)
+    for k in range(1, dim + 1):
+        m = dm + c[:, None, None] * eye
+        dm = d @ m
+        c = -np.einsum("bii->b", dm) / k
+        s[:, k - 1] = (-1) ** k * c
+    return s
+
+
 def invariants_charpoly(d) -> InvariantVector:
     """Invariant vector of a strain matrix by the characteristic-coefficient route."""
     d = _as_square(d, "matrix")

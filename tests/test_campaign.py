@@ -83,6 +83,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="tolerance"):
             _wave_config(**{name: 0.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["algebraic_tol", "dec_tol", "oracle_tol"])
+    def test_nonfinite_tolerances_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            _wave_config(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["entry_range", "boost_cap"])
+    def test_nonfinite_sampling_ranges_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            _wave_config(**{name: value})
+
+    def test_sampling_span_must_be_finite(self):
+        # 2 * 1e308 overflows: the dphi span [-1e308, 1e308] is not finite.
+        with pytest.raises(ConfigError, match="entry_range"):
+            _wave_config(entry_range=1e308)
+
+    def test_nonfinite_values_rejected_from_json(self):
+        data = _wave_config().to_dict()
+        data["tolerances"]["dec"] = float("nan")
+        with pytest.raises(ConfigError, match="dec_tol"):
+            CampaignConfig.from_dict(data)
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ConfigError, match="seed"):
             _wave_config(seed=2**64)

@@ -314,6 +314,58 @@ class TestChunking:
         assert 0.0 <= info.value.acceptance_rate < 0.05
 
 
+class TestFixtureScan:
+    """Fixtures come from exactly the failed checks, in sample and check order."""
+
+    CONFIGS = [
+        # Negative tolerances fail the DEC, rank, hyperplane, route, wedge and
+        # Cauchy-Schwarz checks; a huge DEC tolerance fails the corollary.
+        _config(
+            lagrangian={
+                "name": "linear_combination",
+                "parameters": {"coefficients": [1.0, -5.0, 0.0]},
+            },
+            rank_override=1,
+            tolerances={"algebraic": -1.0, "dec": -1.0, "oracle": 1e-6},
+        ),
+        _config(tolerances={"algebraic": 1e-9, "dec": 1e300, "oracle": 1e-6}),
+        _config(
+            m_plus_1=2,
+            n=2,
+            tolerances={"algebraic": 0.0, "dec": 1e-9, "oracle": 1e-6},
+        ),
+        _config(
+            lagrangian={
+                "name": "linear_combination",
+                "parameters": {"coefficients": [1.0, -5.0, 0.0]},
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_one_fixture_per_failure(self, config):
+        config = dict(config, max_fixtures=10**6)
+        got = run_chunk(config, 0, 60)
+        for name in CHECK_NAMES:
+            kinds = [fx for fx in got["fixtures"] if fx["kind"] == name]
+            assert len(kinds) == got["counts"][name]["fail"]
+        order = [fx["sample_index"] for fx in got["fixtures"]]
+        assert order == sorted(order)
+
+    def test_all_failing_kinds_covered(self):
+        kinds = set()
+        for config in self.CONFIGS:
+            kinds |= {fx["kind"] for fx in run_chunk(config, 0, 60)["fixtures"]}
+        assert kinds == set(CHECK_NAMES) - {"convexity_lemma"}
+
+    @pytest.mark.parametrize("cap", [0, 1, 7, 50])
+    def test_cap_truncates_the_same_sequence(self, cap):
+        config = self.CONFIGS[0]
+        full = run_chunk(dict(config, max_fixtures=10**6), 0, 30)["fixtures"]
+        capped = run_chunk(dict(config, max_fixtures=cap), 0, 30)["fixtures"]
+        assert capped == full[:cap]
+
+
 class TestFold:
     def _chunk(self, fail=0, min_e=None, fixtures=()):
         out = empty_chunk_result()

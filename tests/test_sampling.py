@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from straindec import (
+    ConditioningError,
     LorentzianMetric,
     RiemannianMetric,
+    SamplerStarvationError,
+    charpoly_coefficients,
     derive_rng,
     rank_of_map,
+    resolve_lagrangian,
     sample_geometry,
     sample_timelike_directions,
 )
+from straindec import sampling
+from straindec.lagrangians import _always_inside
 from straindec.sampling import (
+    MAX_DOMAIN_TRIES,
     assemble_directions,
+    draw_chunk_arrays,
     draw_direction_params,
     draw_geometry_arrays,
 )
@@ -132,3 +140,123 @@ class TestDirections:
         xs = assemble_directions(basis, np.array([1.0]), np.zeros((1, 2)))
         want = np.array([[np.cosh(1.0), np.sinh(1.0), 0.0]])
         np.testing.assert_allclose(xs, want, atol=1e-12)
+
+
+class _Starved(Exception):
+    def __init__(self, rate):
+        super().__init__(rate)
+        self.rate = rate
+
+
+def _scalar_chunk(seed, start, stop, m1, n, ndir, entry_range, boost_cap,
+                  rank_override, lagr):
+    """The one-sample-at-a-time draw loop that draw_chunk_arrays must equal."""
+    restricted = lagr is not None and lagr.domain_predicate is not _always_inside
+    counters = {"domain_draws": 0, "domain_accepted": 0, "metric_retries": 0}
+    rows = []
+    for index in range(start, stop):
+        rng = derive_rng(seed, index)
+        tries = 0
+        while True:
+            g, h, dphi, retries = draw_geometry_arrays(
+                rng, m1, n, entry_range, rank_override,
+                condition_bound=sampling.DEFAULT_CONDITION_BOUND,
+            )
+            counters["metric_retries"] += retries
+            counters["domain_draws"] += 1
+            if not restricted:
+                break
+            pull = dphi.T @ h @ dphi
+            pull = 0.5 * (pull + pull.T)
+            s = charpoly_coefficients(np.linalg.inv(g) @ pull)
+            if bool(np.all(lagr.domain_predicate(s))):
+                break
+            tries += 1
+            if tries >= MAX_DOMAIN_TRIES:
+                raise _Starved(counters["domain_accepted"] / counters["domain_draws"])
+        counters["domain_accepted"] += 1
+        rows.append((g, h, dphi) + draw_direction_params(rng, ndir, m1 - 1, boost_cap))
+    return [np.stack(col) for col in zip(*rows)], counters
+
+
+def _assert_chunk_matches(seed, start, stop, m1, n, ndir=3, entry_range=1.0,
+                          boost_cap=5.0, rank_override=None, lagr=None):
+    *arrays, counters = draw_chunk_arrays(
+        seed, start, stop, m1, n, ndir, entry_range, boost_cap, rank_override, lagr
+    )
+    want, want_counters = _scalar_chunk(
+        seed, start, stop, m1, n, ndir, entry_range, boost_cap, rank_override, lagr
+    )
+    for got, ref in zip(arrays, want, strict=True):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert counters == want_counters
+    return counters
+
+
+class TestChunkDraw:
+    @pytest.mark.parametrize("m1", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_scalar_stream(self, m1, n):
+        _assert_chunk_matches(61, 0, 40, m1, n, lagr=resolve_lagrangian("wave_map", {}, m1))
+
+    @pytest.mark.parametrize("m1", [1, 2, 3, 4, 5])
+    def test_rank_overrides(self, m1):
+        n = 3
+        for rank in range(min(m1, n) + 1):
+            _assert_chunk_matches(62, 0, 30, m1, n, rank_override=rank)
+
+    def test_born_infeld_with_many_rejections(self):
+        lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
+        counters = _assert_chunk_matches(63, 0, 120, 3, 3, entry_range=1.5, lagr=lagr)
+        assert counters["domain_accepted"] < 0.8 * counters["domain_draws"]
+
+    def test_minimal_surface(self):
+        lagr = resolve_lagrangian("minimal_surface", {}, 3)
+        counters = _assert_chunk_matches(64, 0, 80, 3, 2, lagr=lagr)
+        assert counters["domain_accepted"] < counters["domain_draws"]
+
+    def test_chunk_not_starting_at_zero(self):
+        lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
+        _assert_chunk_matches(65, 1000, 1064, 3, 2, entry_range=1.5, lagr=lagr)
+
+    def test_metric_retries_replay_the_scalar_loop(self, monkeypatch):
+        # A bound this tight rejects many first metric candidates.
+        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 2.0)
+        counters = _assert_chunk_matches(66, 0, 60, 3, 2)
+        assert counters["metric_retries"] > 0
+
+    def test_conditioning_error_matches_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 1.0)
+        with pytest.raises(ConditioningError):
+            draw_chunk_arrays(66, 0, 4, 3, 2, 3)
+        with pytest.raises(ConditioningError):
+            _scalar_chunk(66, 0, 4, 3, 2, 3, 1.0, 5.0, None, None)
+
+    def test_starvation_rate_matches_scalar_loop(self):
+        # Sample 30 starves; accepted slots both before and after it take the
+        # fast path, and only those before it may count toward the rate.
+        lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 1)
+        with pytest.raises(SamplerStarvationError) as info:
+            draw_chunk_arrays(14, 0, 64, 1, 3, 3, 2.5, 5.0, None, lagr)
+        with pytest.raises(_Starved) as want:
+            _scalar_chunk(14, 0, 64, 1, 3, 3, 2.5, 5.0, None, lagr)
+        assert "sample 30:" in str(info.value)
+        assert 0.0 < info.value.acceptance_rate == want.value.rate
+
+    def test_empty_chunk(self):
+        lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
+        *arrays, counters = draw_chunk_arrays(1, 5, 5, 3, 2, 4, lagrangian=lagr)
+        shapes = [(0, 3, 3), (0, 2, 2), (0, 2, 3), (0, 4), (0, 4, 2)]
+        assert [a.shape for a in arrays] == shapes
+        assert counters == {"domain_draws": 0, "domain_accepted": 0, "metric_retries": 0}
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            draw_chunk_arrays(1, 0, 4, 0, 2, 3)
+        with pytest.raises(ValueError):
+            draw_chunk_arrays(1, 0, 4, 2, 2, 0)
+        with pytest.raises(ValueError):
+            draw_chunk_arrays(1, 0, 4, 2, 2, 3, boost_cap=-1.0)
+        with pytest.raises(ValueError):
+            draw_chunk_arrays(1, 0, 4, 2, 2, 3, rank_override=3)
