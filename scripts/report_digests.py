@@ -8,7 +8,10 @@ both commits and comparing the output line by line:
 
 The campaigns cover the example config, the determinism criterion's config, a
 born_infeld cell with many domain rejections, minimal_surface, rank overrides,
-a violation search that records fixtures, and a one-dimensional source.
+a violation search that records fixtures, and a one-dimensional source.  Four
+single chunks (``engine.run_chunk`` on samples 0-59, with the failure-forcing
+configs of ``tests/test_engine.py::TestFixtureScan``) cover every fixture kind
+but convexity_lemma, which no config fails.
 """
 
 import hashlib
@@ -16,7 +19,8 @@ import sys
 from pathlib import Path
 
 from straindec import CampaignConfig, run_campaign
-from straindec.campaign import load_config, report_bytes
+from straindec.campaign import dump_json, load_config, report_bytes
+from straindec.engine import run_chunk
 
 
 def _config(name, params, m1=3, n=3, **kwargs):
@@ -44,10 +48,49 @@ def campaigns():
     yield "m_plus_1_is_1", _config("wave_map", {}, m1=1, n=2)
 
 
+def _chunk_config(**overrides):
+    base = {
+        "m_plus_1": 3,
+        "n": 3,
+        "num_directions_per_sample": 4,
+        "seed": 97,
+        "entry_range": 1.0,
+        "boost_cap": 5.0,
+        "rank_override": None,
+        "max_fixtures": 100,
+        "lagrangian": {"name": "skyrme", "parameters": {"c1": 1.0, "c2": 1.0}},
+        "tolerances": {"algebraic": 1e-9, "dec": 1e-9, "oracle": 1e-6},
+    }
+    base.update(overrides)
+    return base
+
+
+def chunks():
+    """Raw chunk configs whose tolerances force every check kind but one to fail."""
+    flipped = {
+        "name": "linear_combination",
+        "parameters": {"coefficients": [1.0, -5.0, 0.0]},
+    }
+    yield "chunk_negative_tolerances", _chunk_config(
+        lagrangian=flipped, rank_override=1,
+        tolerances={"algebraic": -1.0, "dec": -1.0, "oracle": 1e-6},
+    )
+    yield "chunk_huge_dec_tolerance", _chunk_config(
+        tolerances={"algebraic": 1e-9, "dec": 1e300, "oracle": 1e-6}
+    )
+    yield "chunk_zero_algebraic_tolerance", _chunk_config(
+        m_plus_1=2, n=2, tolerances={"algebraic": 0.0, "dec": 1e-9, "oracle": 1e-6}
+    )
+    yield "chunk_sign_flipped", _chunk_config(lagrangian=flipped)
+
+
 def main() -> int:
     for label, config in campaigns():
         digest = hashlib.sha256(report_bytes(run_campaign(config).to_dict())).hexdigest()
         print(f"{digest}  {label}")
+    for label, config in chunks():
+        blob = dump_json(run_chunk(config, 0, 60)).encode("utf-8")
+        print(f"{hashlib.sha256(blob).hexdigest()}  {label}")
     return 0
 
 

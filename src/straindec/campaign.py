@@ -20,30 +20,18 @@ import numpy as np
 
 from . import engine
 from .dec import (
-    CheckStatus,
+    CheckStack,
     DECVerdict,
-    VACUOUS_RTOL,
-    check_convexity_lemma,
-    check_pointwise_corollary,
-    check_rank_condition,
-    dec_witness,
+    dec_verdict,
+    require_corollary_flags,
+    require_timelike,
 )
 from .errors import ConfigError
 from .lagrangians import resolve_lagrangian
-from .multilinear import LorentzianMetric, RiemannianMetric, canonical_frame
-from .strain import (
-    PointGeometry,
-    invariants_charpoly,
-    invariants_newton,
-    invariants_wedge,
-    strain,
-)
-from .stress import (
-    stress_elementary,
-    stress_general,
-    stress_scale_general,
-    wedge_decomposition,
-)
+from .multilinear import LorentzianMetric, RiemannianMetric
+from .sampling import MAX_BOOST_CAP
+from .strain import PointGeometry
+from .stress import check_degree
 
 SCHEMA_VERSION = 1
 
@@ -147,6 +135,11 @@ class CampaignConfig:
                 raise ConfigError(
                     f"{name} must be nonnegative with a finite sampling span, got {value!r}"
                 )
+        if self.boost_cap > MAX_BOOST_CAP:
+            raise ConfigError(
+                f"boost_cap {self.boost_cap!r} exceeds {MAX_BOOST_CAP:.2f}, beyond which "
+                "normalizing a boosted direction loses more than half of its digits"
+            )
         if self.rank_override is not None and not (
             0 <= self.rank_override <= min(self.m_plus_1, self.n)
         ):
@@ -158,7 +151,12 @@ class CampaignConfig:
         if self.max_fixtures < 0:
             raise ConfigError("max_fixtures must be nonnegative")
         # Fail early if the catalog cannot rebuild this Lagrangian.
-        resolve_lagrangian(self.lagrangian_name, self.lagrangian_parameters, self.m_plus_1)
+        try:
+            resolve_lagrangian(
+                self.lagrangian_name, self.lagrangian_parameters, self.m_plus_1
+            )
+        except ValueError as exc:
+            raise ConfigError(f"lagrangian {self.lagrangian_name}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -344,30 +342,25 @@ class ReplayResult:
 
 
 _DEC_KINDS = ("dec", "dec_energy", "dec_flux")
-_FIXTURE_KINDS = _DEC_KINDS + (
-    "rank_condition",
-    "convexity_lemma",
-    "supporting_hyperplane",
-    "pointwise_corollary",
-    "invariant_routes",
-    "wedge_identity",
-    "cauchy_schwarz",
-)
+_DEGREE_KINDS = ("rank_condition", "wedge_identity", "cauchy_schwarz")
 
 
 def replay_fixture(source) -> ReplayResult:
     """Recompute a persisted fixture and compare against its recorded verdict.
 
-    Accepts a path or an in-memory fixture dict.  Replay is deterministic: the
-    same fixture always reproduces bitwise-identical recomputed values; the
-    comparison with the recorded block is at status level since the original
-    may have been produced by the batched engine.
+    Accepts a path or an in-memory fixture dict.  The fixture's geometry runs
+    through the engine's kernels on a batch of one, and only those its kind
+    needs; the recomputed block comes from the engine's record function for
+    that kind.  Replay is deterministic: the same fixture always reproduces
+    bitwise-identical recomputed values; the comparison with the recorded
+    block is at status level since the chunk and the single sample may round
+    differently.
     """
     data = source if isinstance(source, dict) else read_json(source)
     context = "fixture" if isinstance(source, dict) else f"fixture {source}"
     _check_schema_version(data, context)
     kind = _require(data, "kind", context)
-    if kind not in _FIXTURE_KINDS:
+    if kind not in engine.FIXTURES:
         raise ConfigError(f"{context} has unknown kind {kind!r}")
     geom = load_geometry(
         {
@@ -381,127 +374,35 @@ def replay_fixture(source) -> ReplayResult:
         str(lagr_info["name"]), dict(lagr_info.get("parameters", {})), geom.dim
     )
     tol = data.get("tolerances", {})
-    tol_dec = float(tol.get("dec", 1e-9))
-    tol_alg = float(tol.get("algebraic", 1e-9))
-    recorded = dict(data.get("recorded", {}))
-
-    def status_match(recomputed: dict) -> bool:
-        return all(
-            recorded[key] == recomputed[key]
-            for key in recorded
-            if key in recomputed and isinstance(recomputed[key], (bool, str, int))
+    stack = CheckStack.at(
+        geom, lagr, float(tol.get("dec", 1e-9)), float(tol.get("algebraic", 1e-9))
+    )
+    index = 0
+    if kind in _DEC_KINDS or kind == "convexity_lemma":
+        direction = require_timelike(
+            geom.metric, _require(data, "direction", context), kind == "convexity_lemma"
         )
-
-    verdict = None
-    if kind in _DEC_KINDS:
-        direction = np.array(_require(data, "direction", context), dtype=float)
-        t = stress_general(geom, lagr)
-        scale = stress_scale_general(geom, lagr)
-        tnorm = float(np.linalg.norm(t.tensor))
-        witness = dec_witness(geom.metric, t.tensor, direction, tol_dec)
-        if tnorm <= VACUOUS_RTOL * scale:
-            energy = flux = CheckStatus.VACUOUS
-        else:
-            energy = CheckStatus.PASS if witness.energy_ok else CheckStatus.FAIL
-            flux = CheckStatus.PASS if witness.flux_ok else CheckStatus.FAIL
-        verdict = DECVerdict(
-            lagrangian_name=lagr.name,
-            energy_positivity=energy,
-            flux_causality=flux,
-            witnesses=(witness,),
-            tensor_norm=tnorm,
-            tensor_scale=scale,
-        )
-        recomputed = {
-            "energy": witness.energy,
-            "energy_scale": witness.energy_scale,
-            "flux_quadratic": witness.flux_quadratic,
-            "flux_scale": witness.flux_scale,
-            "flux_class": witness.flux_class.value,
-            "energy_ok": witness.energy_ok,
-            "flux_ok": witness.flux_ok,
-        }
-    elif kind == "rank_condition":
-        check = check_rank_condition(geom, int(_require(data, "degree", context)), tol_dec)
-        recomputed = {
-            "rank": check.rank,
-            "stress_norm": check.stress_norm,
-            "scale": check.scale,
-            "consistent": check.consistent,
-        }
-    elif kind == "convexity_lemma":
-        direction = np.array(_require(data, "direction", context), dtype=float)
-        check = check_convexity_lemma(geom, lagr, direction, tol_dec)
-        recomputed = {
-            "component_classes": [c.value for c in check.component_classes],
-            "combined_class": check.combined_class.value,
-            "premise": check.premise,
-            "conclusion": check.conclusion,
-            "holds": check.holds,
-        }
-    elif kind == "supporting_hyperplane":
-        s = invariants_charpoly(strain(geom).matrix).s
-        f = float(lagr.evaluate(s))
-        dot = float(np.asarray(lagr.gradient(s)) @ s)
-        margin = (f - dot) / max(1.0, abs(f), abs(dot))
-        recomputed = {
-            "value": f,
-            "gradient_dot_s": dot,
-            "margin": margin,
-            "holds": margin >= -tol_dec,
-        }
+        stack.directions = direction[None, None]
+    elif kind in _DEGREE_KINDS:
+        index = int(_require(data, "degree", context)) - 1
+        check_degree(index + 1, geom.dim)
     elif kind == "pointwise_corollary":
-        check = check_pointwise_corollary(geom, lagr, tol_dec)
-        recomputed = {
-            "dphi_norm": check.dphi_norm,
-            "tensor_norm": check.tensor_norm,
-            "scale": check.scale,
-            "holds": check.holds,
-        }
-    elif kind == "invariant_routes":
-        d = strain(geom).matrix
-        routes = {
-            "s_charpoly": invariants_charpoly(d).s,
-            "s_newton": invariants_newton(d).s,
-            "s_wedge": invariants_wedge(d).s,
-        }
-        ref = routes["s_charpoly"]
-        residual = 0.0
-        for key in ("s_newton", "s_wedge"):
-            other = routes[key]
-            denom = np.maximum(1.0, np.maximum(np.abs(ref), np.abs(other)))
-            residual = max(residual, float(np.max(np.abs(ref - other) / denom)))
-        recomputed = {
-            "residual": residual,
-            "holds": residual <= tol_alg,
-            **{k: v.tolist() for k, v in routes.items()},
-        }
-    else:  # wedge_identity or cauchy_schwarz
-        degree = int(_require(data, "degree", context))
-        frame = canonical_frame(geom.metric)
-        decomp = wedge_decomposition(geom, degree, frame)
-        t = stress_elementary(geom, degree).tensor
-        e0 = frame.vector(0)
-        t00 = float(e0 @ t @ e0)
-        if kind == "wedge_identity":
-            denom = max(
-                1.0,
-                abs(t00),
-                0.5 * (abs(decomp.perp_sum) + abs(decomp.parallel_sum)),
-            )
-            residual = abs(t00 - decomp.energy) / denom
-            recomputed = {"residual": residual, "holds": residual <= tol_alg}
-        else:
-            momentum = np.array(
-                [float(e0 @ t @ frame.vector(i)) for i in range(1, geom.dim)]
-            )
-            excess = (float(np.sum(momentum**2)) - t00**2) / max(1.0, t00**2)
-            recomputed = {"excess": excess, "holds": excess <= tol_alg}
-
+        require_corollary_flags(lagr)
+    verdict = dec_verdict(stack, lagr.name) if kind in _DEC_KINDS else None
+    recomputed = engine.FIXTURES[kind](stack, 0, index)["recorded"]
+    if not any(isinstance(value, bool) for value in recomputed.values()):
+        # A record without a status of its own shows the check's verdict.
+        recomputed["holds"] = bool(getattr(stack, kind).reshape(1, -1)[0, index])
+    recorded = dict(data.get("recorded", {}))
+    matches = all(
+        recorded[key] == recomputed[key]
+        for key in recorded
+        if key in recomputed and isinstance(recomputed[key], (bool, str, int))
+    )
     return ReplayResult(
         kind=kind,
         verdict=verdict,
-        matches=status_match(recomputed),
+        matches=matches,
         recorded=recorded,
         recomputed=recomputed,
     )

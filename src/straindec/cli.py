@@ -225,13 +225,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StrainDecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (StrainDecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

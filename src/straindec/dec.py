@@ -9,12 +9,19 @@ stress-energy tensor T satisfies, at every point and for every timelike X,
 
 All comparisons are relative: a-priori norm bounds supply the scales, and a
 tensor counts as vacuously zero when its norm is negligible against them.
+
+``CheckStack`` evaluates every pointwise check of a campaign on a stack of
+geometries with the batched kernels (``batch_dec_witness``, ``batch_flux``
+and those of strain and stress).  The campaign engine runs it on whole
+chunks; fixture replay and the single-point functions here run it on a batch
+of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -23,17 +30,31 @@ from .multilinear import (
     CausalClass,
     LorentzianMetric,
     ZERO_FLOOR,
-    canonical_frame,
-    causal_classify,
+    canonical_frames,
+    causal_class,
+    frobenius,
+    metric_pairing,
 )
 from .sampling import BOOST_CAP, sample_timelike_directions
-from .strain import PointGeometry, charpoly_coefficients, strain, rank_of_map
+from .strain import (
+    PointGeometry,
+    batch_charpoly_coefficients,
+    batch_invariants_newton,
+    batch_invariants_wedge,
+    batch_rank,
+    batch_route_residual,
+    batch_strain,
+)
 from .stress import (
-    _elementary_tensors,
-    stress_elementary,
-    stress_general,
-    stress_scale,
-    stress_scale_general,
+    batch_combination,
+    batch_combination_scale,
+    batch_elementary_scales,
+    batch_elementary_tensors,
+    batch_wedge_checks,
+    check_degree,
+    check_dimensions,
+    lagrangian_terms,
+    require_domain,
 )
 
 # Relative tolerance for energy / flux sign decisions.
@@ -46,6 +67,81 @@ class CheckStatus(str, Enum):
     PASS = "pass"
     FAIL = "fail"
     VACUOUS = "vacuous_T_zero"
+
+
+@dataclass(frozen=True)
+class FluxStack:
+    """Raised fluxes Y = g^{-1} V of lowered fluxes V = T X, classified against X.
+
+    Arrays are (B, K).  ``quadratic`` is V . Y = (T g^{-1} T)(X, X),
+    ``scale`` is ||g|| |Y|^2 and ``band`` = tol * scale the null band,
+    ``orientation`` is g(X, Y), positive when Y points to the past of X, and
+    ``zero`` marks |Y| <= ZERO_FLOOR.
+    """
+
+    y: np.ndarray
+    quadratic: np.ndarray
+    scale: np.ndarray
+    band: np.ndarray
+    orientation: np.ndarray
+    zero: np.ndarray
+
+    @cached_property
+    def past_or_zero(self) -> np.ndarray:
+        return self.zero | ((self.quadratic <= self.band) & (self.orientation > 0.0))
+
+    @cached_property
+    def ok(self) -> np.ndarray:
+        """Flux causality: quadratic <= band, and Y past-pointing or zero."""
+        return (self.quadratic <= self.band) & (self.zero | (self.orientation > 0.0))
+
+    def causal_class(self, k: int, i: int) -> CausalClass:
+        past = self.orientation[k, i] > 0.0
+        return causal_class(self.zero[k, i], self.quadratic[k, i], self.band[k, i], past)
+
+
+def batch_flux(g: np.ndarray, x: np.ndarray, v: np.ndarray, tol: float) -> FluxStack:
+    """Classify the raised fluxes of lowered fluxes ``v`` (B, K, dim) against ``x``.
+
+    ``x`` is (B, K, dim), or (B, dim) for one reference direction per metric;
+    see ``metric_pairing``.
+    """
+    y = np.einsum("bkl,bdl->bdk", np.linalg.inv(g), v)
+    ynorm2 = np.einsum("bdk,bdk->bd", y, y)
+    scale = frobenius(g)[:, None] * ynorm2
+    return FluxStack(
+        y=y,
+        quadratic=np.einsum("bdk,bdk->bd", v, y),
+        scale=scale,
+        band=tol * scale,
+        orientation=metric_pairing(x, g, y),
+        zero=np.sqrt(ynorm2) <= ZERO_FLOOR,
+    )
+
+
+@dataclass(frozen=True)
+class WitnessStack:
+    """Energy and flux along unit directions: (B, K) arrays and their FluxStack."""
+
+    directions: np.ndarray
+    energy: np.ndarray
+    energy_scale: np.ndarray
+    energy_ok: np.ndarray
+    flux: FluxStack
+
+
+def batch_dec_witness(g, tensors, directions, tol: float = DEC_TOL) -> WitnessStack:
+    """Both halves of the energy condition for stacked tensors along (B, K, dim) directions.
+
+    The directions must be timelike; they are normalized to g(X, X) = -1
+    first.  Energy passes when T(X, X) >= -tol * ||T|| |X|^2; flux causality
+    is ``FluxStack.ok``.
+    """
+    x = directions / np.sqrt(-metric_pairing(directions, g, directions))[:, :, None]
+    v = np.einsum("bkl,bdl->bdk", tensors, x)
+    energy = np.einsum("bdk,bdk->bd", x, v)
+    scale = frobenius(tensors)[:, None] * np.einsum("bdk,bdk->bd", x, x)
+    return WitnessStack(x, energy, scale, energy >= -tol * scale, batch_flux(g, x, v, tol))
 
 
 @dataclass(frozen=True)
@@ -78,44 +174,152 @@ class DECWitness:
         )
 
 
+def _witness(w: WitnessStack, k: int, i: int) -> DECWitness:
+    return DECWitness(
+        direction=w.directions[k, i],
+        energy=float(w.energy[k, i]),
+        energy_scale=float(w.energy_scale[k, i]),
+        flux=w.flux.y[k, i],
+        flux_quadratic=float(w.flux.quadratic[k, i]),
+        flux_scale=float(w.flux.scale[k, i]),
+        flux_class=w.flux.causal_class(k, i),
+        energy_ok=bool(w.energy_ok[k, i]),
+        flux_ok=bool(w.flux.ok[k, i]),
+    )
+
+
 def dec_witness(
     metric: LorentzianMetric, tensor: np.ndarray, direction, tol: float = DEC_TOL
 ) -> DECWitness:
     """Evaluate both halves of the energy condition along one timelike direction.
 
-    Energy passes when T(X, X) >= -tol * ||T|| ||X||^2.  Flux passes when the
-    quadratic (T g^{-1} T)(X, X) stays below tol * ||g|| ||Y||^2 and Y
-    classifies as past-causal or zero relative to X.
+    ``batch_dec_witness`` on a batch of one.  Energy passes when T(X, X) >=
+    -tol * ||T|| ||X||^2.  Flux passes when the quadratic (T g^{-1} T)(X, X)
+    stays below tol * ||g|| ||Y||^2 and Y is past-causal or zero relative to X.
     """
-    g = metric.entries
+    x = require_timelike(metric, direction)[None, None]
+    tensor = np.asarray(tensor, dtype=float)[None]
+    return _witness(batch_dec_witness(metric.entries[None], tensor, x, tol), 0, 0)
+
+
+def require_timelike(metric: LorentzianMetric, direction, unit: bool = False) -> np.ndarray:
+    """``direction`` as an array; ValueError unless g(X, X) < 0, or = -1 if ``unit``."""
     x = np.asarray(direction, dtype=float)
-    xx = float(x @ g @ x)
-    if xx >= 0.0:
+    xx = metric.inner(x, x)
+    if unit and abs(xx + 1.0) > 1e-8:
+        raise ValueError("direction must be unit timelike, g(X, X) = -1")
+    if not xx < 0.0:
         raise ValueError("witness direction is not timelike")
-    x = x / np.sqrt(-xx)
-    tensor = np.asarray(tensor, dtype=float)
-    tx = tensor @ x
-    energy = float(x @ tx)
-    y = metric.inverse() @ tx
-    quad = float(tx @ y)
-    energy_scale = float(np.linalg.norm(tensor)) * float(x @ x)
-    flux_scale = float(np.linalg.norm(g)) * float(y @ y)
-    flux_class = causal_classify(metric, x, y, tol)
-    energy_ok = energy >= -tol * energy_scale
-    flux_ok = quad <= tol * flux_scale and (
-        flux_class.is_past_causal or flux_class is CausalClass.ZERO
+    return x
+
+
+class CheckStack:
+    """Every pointwise check on a stack of B geometries, each kernel run on first use.
+
+    ``g``, ``h`` and ``dphi`` are (B, m+1, m+1), (B, n, n) and (B, n, m+1)
+    stacks.  The DEC witnesses and the combination lemma read ``directions``,
+    a (B, K, m+1) stack of timelike vectors that the caller sets first; the
+    lemma uses the first direction of each sample.  A check's pass mask is the
+    attribute named after it (``dec_energy`` .. ``cauchy_schwarz``), shaped
+    (B, K) for the witnesses, (B, m+1) per degree and (B,) otherwise.
+    """
+
+    directions: np.ndarray
+
+    def __init__(self, g, h, dphi, lagr=None, tol=DEC_TOL, algebraic_tol=DEC_TOL):
+        self.g, self.h, self.dphi, self.lagr = g, h, dphi, lagr
+        self.tol, self.algebraic_tol = tol, algebraic_tol
+
+    @classmethod
+    def at(cls, geom: PointGeometry, lagr=None, tol=DEC_TOL, algebraic_tol=DEC_TOL):
+        """A batch of one; a Lagrangian must fit the geometry and its invariants."""
+        if lagr is not None:
+            check_dimensions(lagr, geom.dim)
+        entries = (geom.metric.entries, geom.target_metric.entries, geom.dphi)
+        stack = cls(*(a[None] for a in entries), lagr, tol, algebraic_tol)
+        _, pull, d, stack.s = geom.stack
+        stack.strain = pull, d
+        if lagr is not None:
+            require_domain(lagr, stack.s[0])
+        return stack
+
+    # (pullbacks, strains), invariants, and (dF/ds, F, grad F . s).
+    strain = cached_property(lambda st: batch_strain(st.g, st.h, st.dphi))
+    s = cached_property(lambda st: batch_charpoly_coefficients(st.strain[1]))
+    terms = cached_property(lambda st: lagrangian_terms(st.lagr, st.s))
+    # Elementary tensors T_j, the combined tensor T, and their scales.
+    elementary = cached_property(
+        lambda st: batch_elementary_tensors(st.g, *st.strain, st.s)
     )
-    return DECWitness(
-        direction=x,
-        energy=energy,
-        energy_scale=energy_scale,
-        flux=y,
-        flux_quadratic=quad,
-        flux_scale=flux_scale,
-        flux_class=flux_class,
-        energy_ok=energy_ok,
-        flux_ok=flux_ok,
+    elementary_scales = cached_property(
+        lambda st: batch_elementary_scales(st.g, *st.strain, st.s)
     )
+    elementary_norms = cached_property(lambda st: frobenius(st.elementary))
+    tensor = cached_property(lambda st: batch_combination(st.g, st.elementary, st.terms))
+    tensor_norm = cached_property(lambda st: frobenius(st.tensor))
+    scale = cached_property(
+        lambda st: batch_combination_scale(st.g, st.elementary_scales, st.s, st.terms)
+    )
+    vacuous = cached_property(lambda st: st.tensor_norm <= VACUOUS_RTOL * st.scale)
+    witness = cached_property(
+        lambda st: batch_dec_witness(st.g, st.tensor, st.directions, st.tol)
+    )
+    # Rank condition: T_j vanishes exactly for degrees above the rank of dphi.
+    rank = cached_property(lambda st: batch_rank(st.dphi))
+    vanished = cached_property(
+        lambda st: st.elementary_norms <= st.tol * st.elementary_scales
+    )
+    # (frames, rows redone by the scalar sweep), and the algebraic identities:
+    # (Newton, principal-minor) invariants against ``s``, and (wedge-identity
+    # residuals, Cauchy-Schwarz excesses) in the canonical frames.
+    frames = cached_property(lambda st: canonical_frames(st.g))
+    routes = cached_property(lambda st: (
+        batch_invariants_newton(st.strain[1]), batch_invariants_wedge(st.strain[1])
+    ))
+    route_residual = cached_property(lambda st: batch_route_residual(st.s, *st.routes))
+    wedge = cached_property(
+        lambda st: batch_wedge_checks(st.strain[0], st.frames[0], st.elementary)
+    )
+
+    @cached_property
+    def components(self) -> FluxStack:
+        """Fluxes of the weighted pieces dF/ds_j T_j X at the first direction."""
+        x0 = self.witness.directions[:, 0]
+        v = np.einsum("bjkl,bl->bjk", self.elementary, x0) * self.terms[0][:, :, None]
+        return batch_flux(self.g, x0, v, self.tol)
+
+    @cached_property
+    def hyperplane_margin(self) -> np.ndarray:
+        """(F - grad F . s) / max(1, |F|, |grad F . s|), >= 0 on a supporting hyperplane."""
+        _, fval, dot = self.terms
+        return (fval - dot) / np.maximum(1.0, np.maximum(np.abs(fval), np.abs(dot)))
+
+    def corollary(self, dphi_floor: float = ZERO_FLOOR):
+        """(T numerically zero, dphi below the floor); the first must imply the second."""
+        dphi_norm = frobenius(self.dphi)
+        return self.tensor_norm <= self.tol * self.scale, dphi_norm <= dphi_floor
+
+    @cached_property
+    def pointwise_corollary(self) -> np.ndarray:
+        tensor_zero, dphi_small = self.corollary()
+        return ~tensor_zero | dphi_small
+
+    # The combination lemma: component fluxes all past-causal or zero must
+    # make the combined flux so.
+    premise = cached_property(lambda st: st.components.past_or_zero.all(axis=1))
+    conclusion = cached_property(lambda st: st.witness.flux.past_or_zero[:, 0])
+
+    # Pass masks, named after the checks.
+    dec_energy = cached_property(lambda st: st.witness.energy_ok)
+    dec_flux = cached_property(lambda st: st.witness.flux.ok)
+    rank_condition = cached_property(
+        lambda st: st.vanished == (np.arange(1, st.g.shape[1] + 1) > st.rank[:, None])
+    )
+    convexity_lemma = cached_property(lambda st: ~st.premise | st.conclusion)
+    supporting_hyperplane = cached_property(lambda st: st.hyperplane_margin >= -st.tol)
+    invariant_routes = cached_property(lambda st: st.route_residual <= st.algebraic_tol)
+    wedge_identity = cached_property(lambda st: st.wedge[0] <= st.algebraic_tol)
+    cauchy_schwarz = cached_property(lambda st: st.wedge[1] <= st.algebraic_tol)
 
 
 @dataclass(frozen=True)
@@ -141,6 +345,32 @@ class DECVerdict:
         )
 
 
+def dec_verdict(stack: CheckStack, lagrangian_name: str) -> DECVerdict:
+    """Verdict on sample 0 of a stack over all of its directions."""
+    witnesses = tuple(
+        _witness(stack.witness, 0, i) for i in range(stack.directions.shape[1])
+    )
+    if stack.vacuous[0]:
+        energy = flux = CheckStatus.VACUOUS
+    else:
+        energy = (
+            CheckStatus.PASS
+            if all(w.energy_ok for w in witnesses)
+            else CheckStatus.FAIL
+        )
+        flux = (
+            CheckStatus.PASS if all(w.flux_ok for w in witnesses) else CheckStatus.FAIL
+        )
+    return DECVerdict(
+        lagrangian_name=lagrangian_name,
+        energy_positivity=energy,
+        flux_causality=flux,
+        witnesses=witnesses,
+        tensor_norm=float(stack.tensor_norm[0]),
+        tensor_scale=float(stack.scale[0]),
+    )
+
+
 def check_dec(
     geom: PointGeometry,
     lagr: LagrangianSpec,
@@ -157,32 +387,11 @@ def check_dec(
     """
     if num_directions < 1:
         raise ValueError("need at least one direction")
-    t = stress_general(geom, lagr)
-    scale = stress_scale_general(geom, lagr)
-    tnorm = float(np.linalg.norm(t.tensor))
-    frame = canonical_frame(geom.metric)
+    stack = CheckStack.at(geom, lagr, tol)
     rng = np.random.default_rng(seed)
-    xs = sample_timelike_directions(frame.basis, rng, num_directions, boost_cap)
-    witnesses = tuple(dec_witness(geom.metric, t.tensor, x, tol) for x in xs)
-    if tnorm <= VACUOUS_RTOL * scale:
-        energy = flux = CheckStatus.VACUOUS
-    else:
-        energy = (
-            CheckStatus.PASS
-            if all(w.energy_ok for w in witnesses)
-            else CheckStatus.FAIL
-        )
-        flux = (
-            CheckStatus.PASS if all(w.flux_ok for w in witnesses) else CheckStatus.FAIL
-        )
-    return DECVerdict(
-        lagrangian_name=lagr.name,
-        energy_positivity=energy,
-        flux_causality=flux,
-        witnesses=witnesses,
-        tensor_norm=tnorm,
-        tensor_scale=scale,
-    )
+    xs = sample_timelike_directions(stack.frames[0][0], rng, num_directions, boost_cap)
+    stack.directions = xs[None]
+    return dec_verdict(stack, lagr.name)
 
 
 @dataclass(frozen=True)
@@ -208,11 +417,10 @@ def check_rank_condition(
     rank a vanishing tensor is merely non-generic, so that case reports
     consistent = False together with a warning rather than a hard failure.
     """
-    rank = rank_of_map(geom.dphi)
-    t = stress_elementary(geom, degree)
-    scale = stress_scale(geom, degree)
-    tnorm = float(np.linalg.norm(t.tensor))
-    vanished = tnorm <= tol * scale
+    check_degree(degree, geom.dim)
+    stack = CheckStack.at(geom, tol=tol)
+    rank = int(stack.rank[0])
+    vanished = bool(stack.vanished[0, degree - 1])
     expected = degree > rank
     warning = None
     if vanished and not expected:
@@ -223,8 +431,8 @@ def check_rank_condition(
     return RankConditionCheck(
         degree=degree,
         rank=rank,
-        stress_norm=tnorm,
-        scale=scale,
+        stress_norm=float(stack.elementary_norms[0, degree - 1]),
+        scale=float(stack.elementary_scales[0, degree - 1]),
         vanished=vanished,
         expected_vanishing=expected,
         consistent=vanished == expected,
@@ -262,43 +470,19 @@ def check_convexity_lemma(
     audits the supporting-hyperplane inequality F(s) >= grad F(s) . s used to
     control the metric term.
     """
-    x = np.asarray(direction, dtype=float)
-    g = geom.metric.entries
-    if abs(float(x @ g @ x) + 1.0) > 1e-8:
-        raise ValueError("direction must be unit timelike, g(X, X) = -1")
-    if lagr.dim != geom.dim:
-        raise ValueError(
-            f"lagrangian dimension {lagr.dim} does not match geometry {geom.dim}"
-        )
-    st = strain(geom)
-    s = charpoly_coefficients(st.matrix)
-    grad = np.asarray(lagr.gradient(s), dtype=float)
-    s_full = np.concatenate(([1.0], s))
-    tensors = _elementary_tensors(g, st.pullback, st.matrix, s_full)
-    gi = geom.metric.inverse()
-
-    classes = []
-    for j in range(geom.dim):
-        y = gi @ (grad[j] * tensors[j] @ x)
-        classes.append(causal_classify(geom.metric, x, y, tol))
-    combined = stress_general(geom, lagr).tensor
-    y = gi @ (combined @ x)
-    combined_class = causal_classify(geom.metric, x, y, tol)
-
-    premise = all(c.is_past_causal or c is CausalClass.ZERO for c in classes)
-    conclusion = combined_class.is_past_causal or combined_class is CausalClass.ZERO
-    f = float(lagr.evaluate(s))
-    dot = float(grad @ s)
-    hscale = max(1.0, abs(f), abs(dot))
-    hmargin = (f - dot) / hscale
+    x = require_timelike(geom.metric, direction, unit=True)
+    stack = CheckStack.at(geom, lagr, tol)
+    stack.directions = x[None, None]
     return ConvexityCombinationCheck(
-        component_classes=tuple(classes),
-        combined_class=combined_class,
-        premise=premise,
-        conclusion=conclusion,
-        holds=(not premise) or conclusion,
-        hyperplane_margin=hmargin,
-        hyperplane_ok=hmargin >= -tol,
+        component_classes=tuple(
+            stack.components.causal_class(0, j) for j in range(geom.dim)
+        ),
+        combined_class=stack.witness.flux.causal_class(0, 0),
+        premise=bool(stack.premise[0]),
+        conclusion=bool(stack.conclusion[0]),
+        holds=bool(stack.convexity_lemma[0]),
+        hyperplane_margin=float(stack.hyperplane_margin[0]),
+        hyperplane_ok=bool(stack.supporting_hyperplane[0]),
     )
 
 
@@ -314,6 +498,19 @@ class PointwiseCorollaryCheck:
     holds: bool
 
 
+def corollary_applies(lagr: LagrangianSpec) -> bool:
+    """The pointwise corollary holds only for defocusing, zeroed, nondegenerate F."""
+    flags = lagr.flags
+    return flags.defocusing and flags.zeroed and flags.nondegenerate
+
+
+def require_corollary_flags(lagr: LagrangianSpec) -> None:
+    if not corollary_applies(lagr):
+        raise ValueError(
+            "pointwise corollary needs a defocusing, zeroed, nondegenerate Lagrangian"
+        )
+
+
 def check_pointwise_corollary(
     geom: PointGeometry,
     lagr: LagrangianSpec,
@@ -325,21 +522,13 @@ def check_pointwise_corollary(
     Requires a Lagrangian declared defocusing, zeroed, and nondegenerate; the
     implication is false without those flags.
     """
-    flags = lagr.flags
-    if not (flags.defocusing and flags.zeroed and flags.nondegenerate):
-        raise ValueError(
-            "pointwise corollary needs a defocusing, zeroed, nondegenerate Lagrangian"
-        )
-    t = stress_general(geom, lagr)
-    scale = stress_scale_general(geom, lagr)
-    tnorm = float(np.linalg.norm(t.tensor))
-    dnorm = float(np.linalg.norm(geom.dphi))
-    tensor_zero = tnorm <= tol * scale
-    dphi_small = dnorm <= dphi_floor
+    require_corollary_flags(lagr)
+    stack = CheckStack.at(geom, lagr, tol)
+    tensor_zero, dphi_small = (bool(m[0]) for m in stack.corollary(dphi_floor))
     return PointwiseCorollaryCheck(
-        dphi_norm=dnorm,
-        tensor_norm=tnorm,
-        scale=scale,
+        dphi_norm=float(np.linalg.norm(geom.dphi)),
+        tensor_norm=float(stack.tensor_norm[0]),
+        scale=float(stack.scale[0]),
         tensor_zero=tensor_zero,
         dphi_small=dphi_small,
         holds=(not tensor_zero) or dphi_small,

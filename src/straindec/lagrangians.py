@@ -20,6 +20,7 @@ respectively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,6 +81,12 @@ def _always_inside(v) -> np.ndarray:
     return np.ones(np.shape(v)[:-1], dtype=bool)
 
 
+def _require_finite(name: str, *values) -> None:
+    # NaN fails every ordered comparison, so range checks alone let it through.
+    if not all(math.isfinite(float(v)) for v in values):
+        raise ValueError(f"{name} parameters must be finite, got {values}")
+
+
 def linear_combination(
     coefficients,
     dim: int | None = None,
@@ -96,6 +103,7 @@ def linear_combination(
     audit tests.
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=float)).ravel()
+    _require_finite(name, *c.tolist())
     if dim is None:
         dim = c.size
     if dim < 1:
@@ -165,6 +173,7 @@ def born_infeld(b: float, dim: int, delta: float = DOMAIN_DELTA) -> LagrangianSp
     The argument of the root is det(b I + D) written in invariants; the domain
     keeps it at least ``delta`` away from the branch point.
     """
+    _require_finite("born_infeld", b, delta)
     if b <= 0.0:
         raise ValueError("born_infeld scale b must be positive")
     if dim < 1:
@@ -206,6 +215,7 @@ def minimal_surface(dim: int, delta: float = DOMAIN_DELTA) -> LagrangianSpec:
     """
     if dim < 2:
         raise ValueError("minimal_surface needs invariant dimension at least 2")
+    _require_finite("minimal_surface", delta)
     index = dim - 2
 
     def ev(v):

@@ -183,12 +183,58 @@ def exterior_power(a, degree: int) -> np.ndarray:
     return np.linalg.det(a[rows, cols])
 
 
+def principal_minor_sums(a: np.ndarray, subsets) -> np.ndarray:
+    """Sum of det a[:, I, I] over the index subsets I of a (B, dim, dim) stack.
+
+    The minors are added one subset at a time, in the order given.
+    """
+    total = np.zeros(a.shape[0])
+    for subset in subsets:
+        idx = np.array(subset, dtype=int)
+        total += np.linalg.det(a[:, idx[:, None], idx[None, :]])
+    return total
+
+
 def principal_minor_sum(a, degree: int) -> float:
     """Sum of all principal j-by-j minors of ``a`` (the compound trace)."""
     a = _as_square(a, "matrix")
-    idx = np.array(_multi_indices(a.shape[0], degree))
-    sub = a[idx[:, :, None], idx[:, None, :]]
-    return float(np.sum(np.linalg.det(sub)))
+    return float(principal_minor_sums(a[None], _multi_indices(a.shape[0], degree))[0])
+
+
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes.
+
+    The formula of ``np.linalg.norm(a, axis=(-2, -1))``, so values are
+    identical, without its argument handling, which dominates at batch 1.
+    """
+    return np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
+
+
+def congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a^T m a for stacks a (B, p, q) and m (B, p, p).
+
+    The product order is the one ``np.einsum(..., optimize=True)`` picks, to
+    which campaign report bytes are pinned: (a^T m) a, and for 1x1 factors
+    (a a) m.
+    """
+    if a.shape[-2:] == (1, 1):
+        return (a * a) * m
+    return a.transpose(0, 2, 1) @ m @ a
+
+
+def metric_pairing(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g(x, y) for stacked metrics g (B, dim, dim) and vectors y (B, K, dim).
+
+    ``x`` is either (B, K, dim), paired row by row with ``y``, or (B, dim),
+    one vector per metric paired with every row of ``y``.  As in
+    ``congruence``, x g is formed first, and in dimension 1 the two vectors
+    multiply first.
+    """
+    if g.shape[-1] == 1:
+        return (x[..., 0] if x.ndim == 3 else x) * y[..., 0] * g[:, :1, 0]
+    if x.ndim == 2:
+        return (y @ (x[:, None, :] @ g).transpose(0, 2, 1))[..., 0]
+    return ((x @ g)[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def induced_metric_on_wedge(q, degree: int) -> np.ndarray:
@@ -248,13 +294,53 @@ def orthonormalize(metric: LorentzianMetric, seed_timelike) -> OrthonormalFrame:
     return out
 
 
+def canonical_frames(g: np.ndarray) -> tuple[np.ndarray, int]:
+    """Deterministic orthonormal frames (as columns) of a (B, dim, dim) metric stack.
+
+    A batched modified Gram-Schmidt sweep seeded with the first coordinate
+    direction.  Rows where that direction is not timelike, or whose frame
+    misses orthonormality by more than FRAME_ATOL, are redone by the scalar
+    sweep (``orthonormalize``), seeded with the eigenvector of the single
+    negative eigenvalue when needed.  Returns the frames and the number of
+    rows redone.
+    """
+    batch, dim, _ = g.shape
+    frames = np.empty((batch, dim, dim))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frames[:, :, 0] = 0.0
+        frames[:, 0, 0] = 1.0 / np.sqrt(-g[:, 0, 0])
+        for k in range(1, dim):
+            v = np.zeros((batch, dim))
+            v[:, k] = 1.0
+            for a in range(k):
+                e = frames[:, :, a]
+                ge = np.einsum("bij,bj->bi", g, e)
+                coef = np.einsum("bi,bi->b", v, ge) / np.einsum("bi,bi->b", e, ge)
+                v = v - coef[:, None] * e
+            vg = np.einsum("bi,bij,bj->b", v, g, v)
+            frames[:, :, k] = v / np.sqrt(vg)[:, None]
+    eta = np.eye(dim)
+    eta[0, 0] = -1.0
+    bad = ~np.all(np.abs(congruence(frames, g) - eta) <= FRAME_ATOL, axis=(1, 2))
+    bad |= ~np.all(np.isfinite(frames), axis=(1, 2))
+    redo = np.flatnonzero(bad)
+    for k in redo:
+        frames[k] = _swept_frame(LorentzianMetric(g[k])).basis
+    return frames, len(redo)
+
+
 def canonical_frame(metric: LorentzianMetric) -> OrthonormalFrame:
     """Deterministic orthonormal frame depending only on the metric entries.
 
-    Seeds with the first coordinate direction when it is timelike, otherwise
-    with the eigenvector of the single negative eigenvalue, sign-fixed so its
-    largest-magnitude component is positive.
+    ``canonical_frames`` on a batch of one: seeded with the first coordinate
+    direction when it is timelike, otherwise with the eigenvector of the
+    single negative eigenvalue, sign-fixed so its largest-magnitude component
+    is positive.
     """
+    return OrthonormalFrame(canonical_frames(metric.entries[None])[0][0])
+
+
+def _swept_frame(metric: LorentzianMetric) -> OrthonormalFrame:
     dim = metric.dim
     seed = np.zeros(dim)
     seed[0] = 1.0
@@ -313,13 +399,20 @@ def causal_classify(
     if float(x @ g @ x) >= 0.0:
         raise ValueError("reference vector is not timelike")
     ynorm2 = float(y @ y)
-    if np.sqrt(ynorm2) <= zero_floor:
+    return causal_class(
+        bool(np.sqrt(ynorm2) <= zero_floor),
+        float(y @ g @ y),
+        tol * (float(np.linalg.norm(g)) * ynorm2),
+        float(x @ g @ y) > 0.0,
+    )
+
+
+def causal_class(zero: bool, quadratic: float, band: float, past: bool) -> CausalClass:
+    """The class of a vector v from: v is zero, g(v, v), the null band, g(X, v) > 0."""
+    if zero:
         return CausalClass.ZERO
-    q = float(y @ g @ y)
-    scale = float(np.linalg.norm(g)) * ynorm2
-    toward_past = float(x @ g @ y) > 0.0
-    if abs(q) <= tol * scale:
-        return CausalClass.PAST_NULL if toward_past else CausalClass.FUTURE_NULL
-    if q < 0.0:
-        return CausalClass.PAST_TIMELIKE if toward_past else CausalClass.FUTURE_TIMELIKE
+    if abs(quadratic) <= band:
+        return CausalClass.PAST_NULL if past else CausalClass.FUTURE_NULL
+    if quadratic < 0.0:
+        return CausalClass.PAST_TIMELIKE if past else CausalClass.FUTURE_TIMELIKE
     return CausalClass.SPACELIKE

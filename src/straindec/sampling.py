@@ -13,8 +13,8 @@ generator, takes every uniform it needs from one ``random`` call (the metric
 factor, the target factor, dphi, the rapidities) and then its normals, and
 the conditioning and domain tests run on the whole batch.  A slot whose first
 metric candidate is rejected, or whose geometry falls outside the
-Lagrangian's domain, is replayed from a fresh generator through the scalar
-path (``draw_geometry_arrays``, the scalar domain check,
+Lagrangian's domain, is replayed from a fresh generator one sample at a time
+(``draw_geometry_arrays``, the same domain test on a batch of one,
 ``draw_direction_params``), so retries, counters and starvation errors are
 those of the one-sample-at-a-time loop, and every value is bit for bit the
 same.
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConditioningError, SamplerStarvationError
 from .lagrangians import LagrangianSpec, _always_inside
 from .multilinear import DEFAULT_CONDITION_BOUND, LorentzianMetric, RiemannianMetric
-from .strain import PointGeometry, batch_charpoly_coefficients, charpoly_coefficients
+from .strain import PointGeometry, batch_charpoly_coefficients, batch_strain
 
 # Metric perturbation amplitude: g = L^T eta L with L = I + PERTURBATION * R.
 PERTURBATION = 0.25
@@ -37,6 +37,10 @@ RIDGE = 0.1
 MAX_METRIC_TRIES = 20
 # Default rapidity cap for boosted timelike directions.
 BOOST_CAP = 5.0
+# Largest usable rapidity cap.  cosh(r) ~ e^r / 2, so the roundoff in g(X, X)
+# grows like e^(2r) eps; at ln(1/eps) / 4 normalizing X keeps at least half
+# of the digits.
+MAX_BOOST_CAP = float(np.log(1.0 / np.finfo(float).eps)) / 4.0
 # Rejection attempts per sample slot for restricted-domain Lagrangians.
 MAX_DOMAIN_TRIES = 100
 
@@ -243,10 +247,7 @@ def draw_chunk_arrays(
             counters["domain_draws"] += 1
             if not restricted:
                 break
-            pull = dphi.T @ h @ dphi
-            pull = 0.5 * (pull + pull.T)
-            s = charpoly_coefficients(np.linalg.inv(g) @ pull)
-            if bool(np.all(lagrangian.domain_predicate(s))):
+            if _domain_inside(lagrangian, g[None], h[None], dphi[None])[0]:
                 break
             tries += 1
             if tries >= MAX_DOMAIN_TRIES:
@@ -273,28 +274,37 @@ def draw_chunk_arrays(
 
 def _domain_inside(lagrangian: LagrangianSpec, g, h, dphi) -> np.ndarray:
     """Domain test of the strain invariants of stacked geometries."""
-    pull = dphi.transpose(0, 2, 1) @ h @ dphi
-    pull = 0.5 * (pull + pull.transpose(0, 2, 1))
-    s = batch_charpoly_coefficients(np.linalg.inv(g) @ pull)
+    s = batch_charpoly_coefficients(batch_strain(g, h, dphi)[1])
     return np.asarray(lagrangian.domain_predicate(s), dtype=bool)
 
 
-def assemble_directions(basis, rapidity, normals) -> np.ndarray:
-    """Boost the frame's timelike leg: X = cosh(r) e_0 + sinh(r) (unit u . e_spatial)."""
-    basis = np.asarray(basis, dtype=float)
-    dim = basis.shape[0]
-    rapidity = np.asarray(rapidity, dtype=float)
+def batch_assemble_directions(frames, rapidity, normals) -> np.ndarray:
+    """Boosted timelike legs X = cosh(r) e_0 + sinh(r) (unit u . e_spatial).
+
+    Frames (B, dim, dim) hold e_a as columns; rapidities (B, K) and sphere
+    normals (B, K, dim-1) give K directions per frame.  A zero normal falls
+    back to the first spatial leg.
+    """
+    batch, dim, _ = frames.shape
     if dim == 1:
-        return np.tile(basis[:, 0], (rapidity.size, 1))
-    normals = np.asarray(normals, dtype=float)
-    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+        shape = (batch, rapidity.shape[1], dim)
+        return np.broadcast_to(frames[:, None, :, 0], shape).copy()
+    lengths = np.linalg.norm(normals, axis=2, keepdims=True)
     fallback = np.zeros(dim - 1)
     fallback[0] = 1.0
     unit = np.where(lengths > 0.0, normals / np.where(lengths == 0.0, 1.0, lengths), fallback)
-    return (
-        np.cosh(rapidity)[:, None] * basis[:, 0]
-        + np.sinh(rapidity)[:, None] * (unit @ basis[:, 1:].T)
-    )
+    return np.cosh(rapidity)[:, :, None] * frames[:, None, :, 0] + np.sinh(rapidity)[
+        :, :, None
+    ] * np.einsum("bdk,bik->bdi", unit, frames[:, :, 1:])
+
+
+def assemble_directions(basis, rapidity, normals) -> np.ndarray:
+    """Boost one frame's timelike leg (``batch_assemble_directions`` on a batch of one)."""
+    basis = np.asarray(basis, dtype=float)
+    rapidity = np.asarray(rapidity, dtype=float).reshape(1, -1)
+    normals = np.asarray(normals, dtype=float)
+    normals = normals.reshape(1, rapidity.shape[1], basis.shape[0] - 1)
+    return batch_assemble_directions(basis[None], rapidity, normals)[0]
 
 
 def sample_timelike_directions(

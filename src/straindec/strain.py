@@ -6,11 +6,15 @@ D = g^{-1} (dphi^T h dphi).  Its elementary symmetric invariants s_1 .. s_dim
 are computed by three genuinely different routes (characteristic-coefficient
 recursion, Newton power-sum identities, compound-matrix traces) so that each
 can serve as a cross-check on the others.
+
+Each formula is written once, as a ``batch_*`` kernel over a leading stack
+axis; the single-point functions call it on a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +22,9 @@ from .multilinear import (
     LorentzianMetric,
     RiemannianMetric,
     _as_square,
-    principal_minor_sum,
+    _multi_indices,
+    congruence,
+    principal_minor_sums,
 )
 
 # Relative singular value cutoff for numerical rank decisions.
@@ -30,7 +36,8 @@ class PointGeometry:
     """A single evaluation point: source metric, target metric, differential.
 
     ``dphi`` has shape (target_dim, dim), mapping source tangent vectors to
-    target tangent vectors.
+    target tangent vectors.  A geometry is immutable, so ``stack`` is
+    computed once.
     """
 
     metric: LorentzianMetric
@@ -38,7 +45,7 @@ class PointGeometry:
     dphi: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.dphi, dtype=float)
+        d = np.array(self.dphi, dtype=float)
         expected = (self.target_metric.dim, self.metric.dim)
         if d.shape != expected:
             raise ValueError(f"dphi has shape {d.shape}, expected {expected}")
@@ -54,10 +61,16 @@ class PointGeometry:
     def target_dim(self) -> int:
         return self.target_metric.dim
 
+    @cached_property
+    def stack(self) -> tuple:
+        """Batch-of-one (metric, pullback, strain, invariants) for the batched kernels."""
+        g = self.metric.entries[None]
+        pull, d = batch_strain(g, self.target_metric.entries[None], self.dphi[None])
+        return g, pull, d, batch_charpoly_coefficients(d)
+
     def pullback(self) -> np.ndarray:
         """Pulled-back target metric dphi^T h dphi, symmetrized."""
-        p = self.dphi.T @ self.target_metric.entries @ self.dphi
-        return 0.5 * (p + p.T)
+        return self.stack[1][0].copy()
 
 
 @dataclass(frozen=True)
@@ -90,38 +103,58 @@ class InvariantVector:
         return self.s.shape[0]
 
 
+def batch_pullback(h: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """Pullbacks dphi^T h dphi of (B, n, n) and (B, n, dim) stacks, symmetrized."""
+    pull = congruence(dphi, h)
+    return 0.5 * (pull + pull.transpose(0, 2, 1))
+
+
+def batch_strain(g: np.ndarray, h: np.ndarray, dphi: np.ndarray):
+    """Pullbacks P and strains D = g^{-1} P of stacked geometries."""
+    pull = batch_pullback(h, dphi)
+    return pull, np.linalg.inv(g) @ pull
+
+
 def strain(geom: PointGeometry) -> StrainTensor:
     """Strain endomorphism D = g^{-1} dphi^T h dphi at one point."""
-    pull = geom.pullback()
-    return StrainTensor(matrix=geom.metric.inverse() @ pull, pullback=pull)
+    _, pull, d, _ = geom.stack
+    return StrainTensor(matrix=d[0].copy(), pullback=pull[0].copy())
+
+
+def batch_rank(dphi: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Numerical ranks of a (B, p, q) stack: singular values above rtol * largest."""
+    sv = np.linalg.svd(dphi, compute_uv=False)
+    if sv.shape[1] == 0:
+        return np.zeros(sv.shape[0], dtype=int)
+    top = sv[:, 0]
+    return np.where(top > 0.0, np.sum(sv > rtol * top[:, None], axis=1), 0).astype(int)
 
 
 def rank_of_map(dphi, rtol: float = RANK_RTOL) -> int:
     """Numerical rank of the differential: singular values above rtol * largest."""
-    a = np.atleast_2d(np.asarray(dphi, dtype=float))
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rtol * sv[0]))
+    return int(batch_rank(np.atleast_2d(np.asarray(dphi, dtype=float))[None], rtol)[0])
+
+
+def batch_matrix_powers(d: np.ndarray, count: int) -> list:
+    """d^0 .. d^(count-1) of a (B, dim, dim) stack (at least d^0)."""
+    powers = [np.broadcast_to(np.eye(d.shape[1]), d.shape)]
+    for _ in range(count - 1):
+        powers.append(d @ powers[-1])
+    return powers
+
+
+def batch_power_sums(d: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Traces p_j = tr(d^j), j = 1 .. count (default dim), of a (B, dim, dim) stack."""
+    count = d.shape[1] if count is None else int(count)
+    p = np.empty((d.shape[0], count))
+    for j, power in enumerate(batch_matrix_powers(d, count)[:count]):
+        p[:, j] = np.einsum("bij,bji->b", d, power)
+    return p
 
 
 def power_sums(d, count: int | None = None) -> np.ndarray:
     """Traces of matrix powers p_j = tr(d^j) for j = 1 .. count."""
-    d = _as_square(d, "matrix")
-    n = d.shape[0] if count is None else int(count)
-    p = np.empty(n)
-    m = np.eye(d.shape[0])
-    for j in range(n):
-        m = m @ d
-        p[j] = np.trace(m)
-    return p
-
-
-def _matrix_rank(d: np.ndarray) -> int:
-    sv = np.linalg.svd(d, compute_uv=False)
-    if sv[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    return batch_power_sums(_as_square(d, "matrix")[None], count)[0]
 
 
 def charpoly_coefficients(d) -> np.ndarray:
@@ -131,17 +164,7 @@ def charpoly_coefficients(d) -> np.ndarray:
     c_0 = 1, iterate M_k = d M_{k-1} + c_{k-1} I and c_k = -tr(d M_k) / k;
     then s_k = (-1)^k c_k.  One matrix product per step, no eigensolve.
     """
-    d = _as_square(d, "matrix")
-    dim = d.shape[0]
-    s = np.empty(dim)
-    dm = np.zeros_like(d)
-    c = 1.0
-    for k in range(1, dim + 1):
-        m = dm + c * np.eye(dim)
-        dm = d @ m
-        c = -np.trace(dm) / k
-        s[k - 1] = (-1) ** k * c
-    return s
+    return batch_charpoly_coefficients(_as_square(d, "matrix")[None])[0]
 
 
 def batch_charpoly_coefficients(d: np.ndarray) -> np.ndarray:
@@ -149,59 +172,76 @@ def batch_charpoly_coefficients(d: np.ndarray) -> np.ndarray:
     b, dim, _ = d.shape
     eye = np.eye(dim)
     s = np.empty((b, dim))
-    dm = np.zeros_like(d)
-    c = np.ones(b)
+    m = eye
     for k in range(1, dim + 1):
-        m = dm + c[:, None, None] * eye
         dm = d @ m
-        c = -np.einsum("bii->b", dm) / k
-        s[:, k - 1] = (-1) ** k * c
+        c = np.einsum("bii->b", dm) / -k
+        s[:, k - 1] = c if k % 2 == 0 else -c
+        m = dm + c[:, None, None] * eye
     return s
+
+
+def batch_invariants_newton(d: np.ndarray) -> np.ndarray:
+    """Invariants of a (B, dim, dim) stack by Newton's identities on the power sums.
+
+    Uses j s_j = sum_{i=1..j} (-1)^(i-1) s_{j-i} p_i with s_0 = 1.
+    """
+    b, dim, _ = d.shape
+    p = batch_power_sums(d)
+    sf = np.ones((b, dim + 1))
+    for j in range(1, dim + 1):
+        acc = np.zeros(b)
+        for i in range(1, j + 1):
+            acc += (-1) ** (i - 1) * sf[:, j - i] * p[:, i - 1]
+        sf[:, j] = acc / j
+    return sf[:, 1:]
+
+
+def batch_invariants_wedge(d: np.ndarray) -> np.ndarray:
+    """Invariants of a (B, dim, dim) stack as sums of principal minors."""
+    dim = d.shape[1]
+    return np.stack(
+        [principal_minor_sums(d, _multi_indices(dim, j)) for j in range(1, dim + 1)],
+        axis=1,
+    )
+
+
+def batch_route_residual(s: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """Largest relative disagreement, per row, between ``s`` and the other routes."""
+    residuals = []
+    for other in others:
+        denom = np.maximum(1.0, np.maximum(np.abs(s), np.abs(other)))
+        residuals.append(np.max(np.abs(s - other) / denom, axis=1))
+    return np.maximum.reduce(residuals)
+
+
+def _invariant_vector(d, route) -> InvariantVector:
+    d = _as_square(d, "matrix")
+    return InvariantVector(
+        s=route(d[None])[0], power_sums=power_sums(d), rank_estimate=rank_of_map(d)
+    )
 
 
 def invariants_charpoly(d) -> InvariantVector:
     """Invariant vector of a strain matrix by the characteristic-coefficient route."""
-    d = _as_square(d, "matrix")
-    return InvariantVector(
-        s=charpoly_coefficients(d),
-        power_sums=power_sums(d),
-        rank_estimate=_matrix_rank(d),
-    )
+    return _invariant_vector(d, batch_charpoly_coefficients)
 
 
 def invariants_newton(d) -> InvariantVector:
-    """Invariant vector by Newton's identities on the power sums.
-
-    Uses j s_j = sum_{i=1..j} (-1)^(i-1) s_{j-i} p_i with s_0 = 1.
-    """
-    d = _as_square(d, "matrix")
-    dim = d.shape[0]
-    p = power_sums(d)
-    s_full = np.empty(dim + 1)
-    s_full[0] = 1.0
-    for j in range(1, dim + 1):
-        acc = 0.0
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * s_full[j - i] * p[i - 1]
-        s_full[j] = acc / j
-    return InvariantVector(
-        s=s_full[1:], power_sums=p, rank_estimate=_matrix_rank(d)
-    )
+    """Invariant vector by Newton's identities on the power sums."""
+    return _invariant_vector(d, batch_invariants_newton)
 
 
 def invariants_wedge(d) -> InvariantVector:
     """Invariant vector by compound-matrix traces (sums of principal minors)."""
-    d = _as_square(d, "matrix")
-    dim = d.shape[0]
-    s = np.array([principal_minor_sum(d, j) for j in range(1, dim + 1)])
-    return InvariantVector(s=s, power_sums=power_sums(d), rank_estimate=_matrix_rank(d))
+    return _invariant_vector(d, batch_invariants_wedge)
 
 
 def strain_invariants(geom: PointGeometry) -> InvariantVector:
     """Invariant vector of a geometry's strain, with rank taken from dphi."""
-    st = strain(geom)
+    _, _, d, s = geom.stack
     return InvariantVector(
-        s=charpoly_coefficients(st.matrix),
-        power_sums=power_sums(st.matrix),
+        s=s[0].copy(),
+        power_sums=batch_power_sums(d)[0],
         rank_estimate=rank_of_map(geom.dphi),
     )

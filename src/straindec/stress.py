@@ -1,17 +1,25 @@
 """Stress-energy tensors of invariant Lagrangians, three ways.
 
+The closed forms are written once, as ``batch_*`` kernels over a leading
+stack axis that the campaign engine runs on whole chunks; the single-point
+functions call them on a batch of one.
+
 * ``stress_elementary`` evaluates the closed form for the degree-j elementary
   invariant: T_j = sym(P M_j) - (s_j / 2) g with M_j the polynomial gradient
-  of s_j in the strain.
+  of s_j in the strain (``batch_elementary_tensors``).
 * ``stress_general`` assembles a general Lagrangian's tensor from the
-  elementary ones: T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g.
+  elementary ones: T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g
+  (``batch_combination``).
 * ``stress_variational`` differentiates the Lagrangian density with respect to
   the inverse metric by central differences.  It shares no algebra with the
   closed forms, which is what makes it an oracle for them.
 
-``wedge_decomposition`` splits frame components of T_j into sums of Gram
-minors of the pulled-back metric, the combinatorial form used to reason about
-energy positivity.
+``stress_scale`` and ``stress_scale_general`` give a-priori magnitude scales
+of those tensors for relative vanishing tests.  ``wedge_decomposition``
+splits frame components of T_j into sums of Gram minors of the pulled-back
+metric, the combinatorial form used to reason about energy positivity, and
+``batch_wedge_checks`` measures that split and the Cauchy-Schwarz chain
+against the closed form.
 """
 
 from __future__ import annotations
@@ -23,15 +31,19 @@ import numpy as np
 
 from .errors import DomainError, StepError
 from .lagrangians import LagrangianSpec
-from .multilinear import OrthonormalFrame, _as_square
-from .strain import PointGeometry, charpoly_coefficients, strain
+from .multilinear import (
+    OrthonormalFrame,
+    _as_square,
+    congruence,
+    frobenius,
+    principal_minor_sums,
+)
+from .strain import PointGeometry, batch_matrix_powers, charpoly_coefficients
 
 # Step retries shrink by this factor when a perturbed metric leaves the
 # Lorentzian cone or the Lagrangian domain.
 STEP_SHRINK = 10.0
 DEFAULT_MAX_RETRIES = 3
-
-PROVENANCES = ("closed_form", "combination", "variational_oracle")
 
 
 @dataclass(frozen=True)
@@ -47,55 +59,108 @@ class StressEnergy:
         return self.tensor.shape[0]
 
 
+def check_degree(degree: int, dim: int) -> None:
+    if not 1 <= degree <= dim:
+        raise ValueError(f"invariant degree must lie in [1, {dim}], got {degree}")
+
+
+def check_dimensions(lagr: LagrangianSpec, dim: int) -> None:
+    if lagr.dim != dim:
+        raise ValueError(f"lagrangian dimension {lagr.dim} does not match geometry {dim}")
+
+
+def require_domain(lagr: LagrangianSpec, s: np.ndarray) -> None:
+    """Raise DomainError unless the invariant vector ``s`` lies in the domain."""
+    if not bool(lagr.domain_predicate(s)):
+        raise DomainError(
+            f"strain invariants lie outside the domain of {lagr.name}", vector=np.array(s)
+        )
+
+
+def batch_invariant_gradients(d: np.ndarray, s_full: np.ndarray) -> np.ndarray:
+    """Gradients M_j = sum_{i<j} (-1)^i s_{j-1-i} d^i of s_j in the strain.
+
+    ``d`` is a (B, dim, dim) stack and ``s_full`` its invariants prefixed with
+    s_0 = 1; M_j is at [:, j-1] of the (B, dim, dim, dim) result.
+    """
+    b, dim, _ = d.shape
+    out = np.zeros((b, dim, dim, dim))
+    # Term i of every M_j with j > i, so each sum runs over i in order.
+    for i, power in enumerate(batch_matrix_powers(d, dim)):
+        out[:, i:] += ((-1) ** i * s_full[:, : dim - i, None, None]) * power[:, None]
+    return out
+
+
+def batch_elementary_tensors(g, pull, d, s) -> np.ndarray:
+    """T_j = sym(P M_j) - (s_j / 2) g of stacked geometries, T_j at [:, j-1].
+
+    Takes the metrics, pullbacks, strains and invariants, (B, dim, dim) and
+    (B, dim) stacks, as ``batch_strain`` and ``batch_charpoly_coefficients``
+    give them.
+    """
+    s_full = np.concatenate([np.ones((s.shape[0], 1)), s], axis=1)
+    pm = pull[:, None] @ batch_invariant_gradients(d, s_full)
+    return 0.5 * (pm + pm.transpose(0, 1, 3, 2)) - 0.5 * s[:, :, None, None] * g[:, None]
+
+
+def batch_elementary_scales(g, pull, d, s) -> np.ndarray:
+    """A-priori magnitude scales of the T_j, (B, dim), for relative vanishing tests.
+
+    Bounds ||sym(P M_j)|| + ||s_j g|| / 2 via norms of the pullback and
+    strain, so a tensor is 'numerically zero' when its norm is tiny against
+    this.
+    """
+    b, dim = s.shape
+    s_abs = np.abs(np.concatenate([np.ones((b, 1)), s], axis=1))
+    dn = frobenius(d)[:, None]
+    m_bound = np.zeros((b, dim))
+    power = np.ones((b, 1))
+    # Bound of ||M_j||: term i of every degree j > i, summed over i in order.
+    for i in range(dim):
+        m_bound[:, i:] += s_abs[:, : dim - i] * power
+        power = power * dn
+    return frobenius(pull)[:, None] * m_bound + 0.5 * s_abs[:, 1:] * frobenius(g)[:, None]
+
+
+def lagrangian_terms(lagr: LagrangianSpec, s: np.ndarray):
+    """dF/ds, F and grad F . s at a (B, dim) stack of invariant vectors."""
+    grad = np.asarray(lagr.gradient(s), dtype=float)
+    fval = np.asarray(lagr.evaluate(s), dtype=float)
+    return grad, fval, np.einsum("bj,bj->b", grad, s)
+
+
+def batch_combination(g, tensors, terms) -> np.ndarray:
+    """T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g from elementary tensors."""
+    grad, fval, grad_dot_s = terms
+    t = np.einsum("bj,bjkl->bkl", grad, tensors)
+    return t - 0.5 * (fval - grad_dot_s)[:, None, None] * g
+
+
+def batch_combination_scale(g, scales, s, terms) -> np.ndarray:
+    """A-priori magnitude scale of the combination-formula tensor, per row."""
+    grad, fval, _ = terms
+    total = np.einsum("bj,bj->b", np.abs(grad), scales)
+    return total + 0.5 * (
+        np.abs(fval) + np.einsum("bj,bj->b", np.abs(grad), np.abs(s))
+    ) * frobenius(g)
+
+
 def invariant_gradient_matrix(d, s_full, degree: int) -> np.ndarray:
     """Matrix gradient of s_degree in the strain: sum_i (-1)^i s_{degree-1-i} d^i.
 
     ``s_full`` is the invariant vector prefixed with s_0 = 1.
     """
     d = _as_square(d, "strain matrix")
-    dim = d.shape[0]
-    if not 1 <= degree <= dim:
-        raise ValueError(f"invariant degree must lie in [1, {dim}], got {degree}")
-    m = np.zeros_like(d)
-    power = np.eye(dim)
-    for i in range(degree):
-        m = m + (-1) ** i * s_full[degree - 1 - i] * power
-        if i < degree - 1:
-            power = power @ d
-    return m
-
-
-def _elementary_tensors(
-    g: np.ndarray, pull: np.ndarray, d: np.ndarray, s_full: np.ndarray
-) -> np.ndarray:
-    """Stack of all elementary stress tensors, T_j at index j-1."""
-    dim = d.shape[0]
-    powers = [np.eye(dim)]
-    for _ in range(dim - 1):
-        powers.append(d @ powers[-1])
-    out = np.empty((dim, dim, dim))
-    for j in range(1, dim + 1):
-        m = np.zeros_like(d)
-        for i in range(j):
-            m = m + (-1) ** i * s_full[j - 1 - i] * powers[i]
-        pm = pull @ m
-        out[j - 1] = 0.5 * (pm + pm.T) - 0.5 * s_full[j] * g
-    return out
+    check_degree(degree, d.shape[0])
+    s_full = np.asarray(s_full, dtype=float)[: d.shape[0] + 1]
+    return batch_invariant_gradients(d[None], s_full[None])[0, degree - 1]
 
 
 def stress_elementary(geom: PointGeometry, degree: int) -> StressEnergy:
     """Closed-form stress-energy of the degree-j elementary invariant."""
-    st = strain(geom)
-    if not 1 <= degree <= st.dim:
-        raise ValueError(f"invariant degree must lie in [1, {st.dim}], got {degree}")
-    s = charpoly_coefficients(st.matrix)
-    s_full = np.concatenate(([1.0], s))
-    m = invariant_gradient_matrix(st.matrix, s_full, degree)
-    pm = st.pullback @ m
-    t = 0.5 * (pm + pm.T) - 0.5 * s[degree - 1] * geom.metric.entries
-    return StressEnergy(
-        tensor=t, provenance="closed_form", lagrangian_name=f"s_{degree}"
-    )
+    check_degree(degree, geom.dim)
+    t = batch_elementary_tensors(*geom.stack)[0, degree - 1]
+    return StressEnergy(tensor=t, provenance="closed_form", lagrangian_name=f"s_{degree}")
 
 
 def stress_general(geom: PointGeometry, lagr: LagrangianSpec) -> StressEnergy:
@@ -104,22 +169,11 @@ def stress_general(geom: PointGeometry, lagr: LagrangianSpec) -> StressEnergy:
     T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g, which reduces to the
     closed form when F picks out a single invariant.
     """
-    if lagr.dim != geom.dim:
-        raise ValueError(
-            f"lagrangian dimension {lagr.dim} does not match geometry {geom.dim}"
-        )
-    st = strain(geom)
-    s = charpoly_coefficients(st.matrix)
-    if not bool(lagr.domain_predicate(s)):
-        raise DomainError(
-            f"strain invariants lie outside the domain of {lagr.name}", vector=s
-        )
-    grad = np.asarray(lagr.gradient(s), dtype=float)
-    f = float(lagr.evaluate(s))
-    s_full = np.concatenate(([1.0], s))
-    tensors = _elementary_tensors(geom.metric.entries, st.pullback, st.matrix, s_full)
-    t = np.tensordot(grad, tensors, axes=1)
-    t = t - 0.5 * (f - float(grad @ s)) * geom.metric.entries
+    check_dimensions(lagr, geom.dim)
+    g, pull, d, s = geom.stack
+    require_domain(lagr, s[0])
+    tensors = batch_elementary_tensors(g, pull, d, s)
+    t = batch_combination(g, tensors, lagrangian_terms(lagr, s))[0]
     return StressEnergy(tensor=t, provenance="combination", lagrangian_name=lagr.name)
 
 
@@ -145,21 +199,14 @@ def stress_variational(
     ``richardson=True`` adds one extrapolation level to cancel the leading
     quadratic error term.
     """
-    if lagr.dim != geom.dim:
-        raise ValueError(
-            f"lagrangian dimension {lagr.dim} does not match geometry {geom.dim}"
-        )
+    check_dimensions(lagr, geom.dim)
     g = geom.metric.entries
     gi0 = geom.metric.inverse()
     pull = geom.pullback()
     dim = geom.dim
     sqrt_det_g = float(np.sqrt(abs(np.linalg.det(g))))
 
-    s0 = charpoly_coefficients(gi0 @ pull)
-    if not bool(lagr.domain_predicate(s0)):
-        raise DomainError(
-            f"strain invariants lie outside the domain of {lagr.name}", vector=s0
-        )
+    require_domain(lagr, charpoly_coefficients(gi0 @ pull))
 
     def density(gi: np.ndarray) -> float:
         w = np.linalg.eigvalsh(0.5 * (gi + gi.T))
@@ -206,50 +253,56 @@ def stress_variational(
 
 
 def stress_scale(geom: PointGeometry, degree: int) -> float:
-    """A-priori magnitude scale of T_degree, for relative vanishing tests.
-
-    Bounds ||sym(P M_degree)|| + ||s_degree g|| / 2 via norms of the pullback
-    and strain, so a tensor is 'numerically zero' when its norm is tiny
-    against this.
-    """
-    st = strain(geom)
-    s = charpoly_coefficients(st.matrix)
-    s_full = np.concatenate(([1.0], s))
-    return _scale_elementary(
-        float(np.linalg.norm(st.pullback)),
-        float(np.linalg.norm(st.matrix)),
-        float(np.linalg.norm(geom.metric.entries)),
-        np.abs(s_full),
-        degree,
-    )
-
-
-def _scale_elementary(
-    pull_norm: float, d_norm: float, g_norm: float, s_abs_full: np.ndarray, degree: int
-) -> float:
-    m_bound = 0.0
-    power = 1.0
-    for i in range(degree):
-        m_bound += s_abs_full[degree - 1 - i] * power
-        power *= d_norm
-    return pull_norm * m_bound + 0.5 * s_abs_full[degree] * g_norm
+    """A-priori magnitude scale of T_degree (``batch_elementary_scales``)."""
+    check_degree(degree, geom.dim)
+    return float(batch_elementary_scales(*geom.stack)[0, degree - 1])
 
 
 def stress_scale_general(geom: PointGeometry, lagr: LagrangianSpec) -> float:
     """A-priori magnitude scale of the combination-formula tensor."""
-    st = strain(geom)
-    s = charpoly_coefficients(st.matrix)
-    s_full = np.concatenate(([1.0], s))
-    grad = np.abs(np.asarray(lagr.gradient(s), dtype=float))
-    f = float(lagr.evaluate(s))
-    pn = float(np.linalg.norm(st.pullback))
-    dn = float(np.linalg.norm(st.matrix))
-    gn = float(np.linalg.norm(geom.metric.entries))
-    total = sum(
-        grad[j - 1] * _scale_elementary(pn, dn, gn, np.abs(s_full), j)
-        for j in range(1, geom.dim + 1)
+    g, pull, d, s = geom.stack
+    scales = batch_elementary_scales(g, pull, d, s)
+    return float(batch_combination_scale(g, scales, s, lagrangian_terms(lagr, s))[0])
+
+
+def batch_wedge_split(pf: np.ndarray, degree: int):
+    """Degree-j Gram-minor sums of frame-component pullbacks ``pf`` (B, dim, dim).
+
+    Returns the sums over wedges containing the timelike leg and over purely
+    spacelike wedges, each (B,).
+    """
+    spatial = range(1, pf.shape[1])
+    perp = principal_minor_sums(
+        pf, [(0,) + alpha for alpha in itertools.combinations(spatial, degree - 1)]
     )
-    return total + 0.5 * (abs(f) + float(grad @ np.abs(s))) * gn
+    return perp, principal_minor_sums(pf, itertools.combinations(spatial, degree))
+
+
+def batch_wedge_checks(pull, frames, tensors):
+    """Wedge-identity residuals and Cauchy-Schwarz excesses of every T_j, (B, dim).
+
+    With e_a the frame columns, the residual compares T_j(e_0, e_0) with the
+    Gram-minor split (perp + parallel) / 2, and the excess is
+    (sum_i T_j(e_0, e_i)^2 - T_j(e_0, e_0)^2) / max(1, T_j(e_0, e_0)^2),
+    nonpositive when the Cauchy-Schwarz chain holds.
+    """
+    b, dim, _ = pull.shape
+    pf = congruence(frames, pull)
+    e0 = frames[:, :, 0]
+    t00 = np.einsum("bk,bjkl,bl->bj", e0, tensors, e0)
+    residual = np.empty((b, dim))
+    excess = np.empty((b, dim))
+    for j in range(dim):
+        perp, par = batch_wedge_split(pf, j + 1)
+        denom = np.maximum(
+            1.0, np.maximum(np.abs(t00[:, j]), 0.5 * (np.abs(perp) + np.abs(par)))
+        )
+        residual[:, j] = np.abs(t00[:, j] - 0.5 * (perp + par)) / denom
+        t0i = np.einsum("bk,bkl,bli->bi", e0, tensors[:, j], frames[:, :, 1:])
+        excess[:, j] = (np.sum(t0i**2, axis=1) - t00[:, j] ** 2) / np.maximum(
+            1.0, t00[:, j] ** 2
+        )
+    return residual, excess
 
 
 @dataclass(frozen=True)
@@ -289,20 +342,12 @@ def wedge_decomposition(
     T_j(e_0, e_i) = sum of mixed minors then hold up to roundoff.
     """
     dim = geom.dim
-    if not 1 <= degree <= dim:
-        raise ValueError(f"invariant degree must lie in [1, {dim}], got {degree}")
+    check_degree(degree, dim)
     frame.validate(geom.metric)
-    pf = frame.basis.T @ geom.pullback() @ frame.basis
+    pf = congruence(frame.basis[None], geom.pullback()[None])
+    perp, par = batch_wedge_split(pf, degree)
+    pf = pf[0]
     spatial = range(1, dim)
-
-    perp = 0.0
-    for alpha in itertools.combinations(spatial, degree - 1):
-        rows = (0,) + alpha
-        perp += float(np.linalg.det(pf[np.ix_(rows, rows)]))
-    par = 0.0
-    for alpha in itertools.combinations(spatial, degree):
-        par += float(np.linalg.det(pf[np.ix_(alpha, alpha)]))
-
     etas = list(itertools.combinations(spatial, degree - 1))
     mixed = np.zeros((dim - 1, len(etas)))
     for i in spatial:
@@ -313,5 +358,8 @@ def wedge_decomposition(
             # matching the vanishing of e_i ^ eta.
             mixed[i - 1, k] = float(np.linalg.det(pf[np.ix_(rows, cols)]))
     return WedgeDecomposition(
-        degree=degree, perp_sum=perp, parallel_sum=par, mixed_terms=mixed
+        degree=degree,
+        perp_sum=float(perp[0]),
+        parallel_sum=float(par[0]),
+        mixed_terms=mixed,
     )

@@ -106,6 +106,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dec_tol"):
             CampaignConfig.from_dict(data)
 
+    @pytest.mark.parametrize("cap", [20.0, 40.0, 800.0])
+    def test_boost_cap_beyond_usable_precision_rejected(self, cap):
+        # cosh(r) ~ e^r: past ln(1/eps) / 4 ~ 9.0 normalizing X loses half the digits.
+        with pytest.raises(ConfigError, match="boost_cap"):
+            _wave_config(boost_cap=cap)
+
+    def test_boost_cap_at_the_limit_accepted(self):
+        assert _wave_config(boost_cap=9.0).boost_cap == 9.0
+
+    @pytest.mark.parametrize(
+        "name, params, m1",
+        [
+            ("skyrme", {"c1": float("nan"), "c2": 1.0}, 3),
+            ("linear_combination", {"coefficients": [1.0, float("inf"), 0.0]}, 3),
+            ("born_infeld", {"b": float("nan")}, 2),
+            ("minimal_surface", {"delta": float("inf")}, 3),
+        ],
+    )
+    def test_nonfinite_lagrangian_parameters_rejected(self, name, params, m1):
+        with pytest.raises(ConfigError, match=f"lagrangian {name}"):
+            _wave_config(m_plus_1=m1, lagrangian_name=name, lagrangian_parameters=params)
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ConfigError, match="seed"):
             _wave_config(seed=2**64)

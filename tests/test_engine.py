@@ -22,6 +22,7 @@ from straindec import (
     invariants_charpoly,
     invariants_newton,
     invariants_wedge,
+    replay_fixture,
     resolve_lagrangian,
     strain,
     stress_elementary,
@@ -37,12 +38,41 @@ from straindec.engine import (
     fold_chunk_results,
     run_chunk,
 )
+from straindec.dec import batch_dec_witness, batch_flux
 from straindec.lagrangians import _always_inside
+from straindec.multilinear import (
+    canonical_frames,
+    congruence,
+    frobenius,
+    metric_pairing,
+    principal_minor_sums,
+)
 from straindec.sampling import (
     assemble_directions,
+    batch_assemble_directions,
     derive_rng,
+    draw_chunk_arrays,
     draw_direction_params,
     draw_geometry_arrays,
+)
+from straindec.strain import (
+    batch_charpoly_coefficients,
+    batch_invariants_newton,
+    batch_invariants_wedge,
+    batch_power_sums,
+    batch_pullback,
+    batch_rank,
+    batch_route_residual,
+    batch_strain,
+)
+from straindec.stress import (
+    batch_combination,
+    batch_combination_scale,
+    batch_elementary_scales,
+    batch_elementary_tensors,
+    batch_invariant_gradients,
+    batch_wedge_checks,
+    lagrangian_terms,
 )
 
 
@@ -358,6 +388,14 @@ class TestFixtureScan:
             kinds |= {fx["kind"] for fx in run_chunk(config, 0, 60)["fixtures"]}
         assert kinds == set(CHECK_NAMES) - {"convexity_lemma"}
 
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_every_fixture_replays(self, config):
+        fixtures = run_chunk(dict(config, max_fixtures=10**6), 0, 60)["fixtures"]
+        assert fixtures
+        for fx in fixtures:
+            result = replay_fixture(fx)
+            assert result.matches, (fx["kind"], result.recorded, result.recomputed)
+
     @pytest.mark.parametrize("cap", [0, 1, 7, 50])
     def test_cap_truncates_the_same_sequence(self, cap):
         config = self.CONFIGS[0]
@@ -398,3 +436,73 @@ class TestFold:
     def test_all_check_names_present(self):
         out = empty_chunk_result()
         assert set(out["counts"]) == set(CHECK_NAMES)
+
+
+class TestKernelBatchInvariance:
+    """Row k of a batched kernel equals the kernel on that row alone, bit for bit."""
+
+    BATCH = 64
+
+    def _stack(self, m1):
+        name, params = ("skyrme", {"c1": 1.0, "c2": 1.0}) if m1 > 1 else ("wave_map", {})
+        lagr = resolve_lagrangian(name, params, m1)
+        arrays = draw_chunk_arrays(41, 0, self.BATCH, m1, 3, 4, 1.0, 5.0, None, lagr)
+        return lagr, arrays[:5]
+
+    @staticmethod
+    def _kernels(lagr, g, h, dphi, rap, normals):
+        """Every batched kernel on one stack, keyed by name, batch axis first."""
+        pull, d = batch_strain(g, h, dphi)
+        s = batch_charpoly_coefficients(d)
+        s_full = np.concatenate([np.ones((len(s), 1)), s], axis=1)
+        terms = lagrangian_terms(lagr, s)
+        tensors = batch_elementary_tensors(g, pull, d, s)
+        scales = batch_elementary_scales(g, pull, d, s)
+        tensor = batch_combination(g, tensors, terms)
+        frames, _ = canonical_frames(g)
+        xs = batch_assemble_directions(frames, rap, normals)
+        witness = batch_dec_witness(g, tensor, xs, 1e-9)
+        x0 = witness.directions[:, 0]
+        flux = batch_flux(g, x0, np.einsum("bjkl,bl->bjk", tensors, x0), 1e-9)
+        newton, wedge = batch_invariants_newton(d), batch_invariants_wedge(d)
+        return {
+            "congruence": congruence(dphi, h),
+            "frobenius": frobenius(pull),
+            "metric_pairing": metric_pairing(xs, g, xs),
+            "metric_pairing_shared_x": metric_pairing(x0, g, xs),
+            "principal_minor_sums": principal_minor_sums(d, [(0,), (0, g.shape[1] - 1)]),
+            "batch_pullback": batch_pullback(h, dphi),
+            "batch_strain": d,
+            "batch_charpoly_coefficients": s,
+            "batch_rank": batch_rank(dphi),
+            "batch_power_sums": batch_power_sums(d),
+            "batch_invariants_newton": newton,
+            "batch_invariants_wedge": wedge,
+            "batch_route_residual": batch_route_residual(s, newton, wedge),
+            "batch_invariant_gradients": batch_invariant_gradients(d, s_full),
+            "batch_elementary_tensors": tensors,
+            "batch_elementary_scales": scales,
+            "lagrangian_terms": np.column_stack(terms),
+            "batch_combination": tensor,
+            "batch_combination_scale": batch_combination_scale(g, scales, s, terms),
+            "canonical_frames": frames,
+            "batch_wedge_checks": np.stack(
+                batch_wedge_checks(pull, frames, tensors), axis=1
+            ),
+            "batch_assemble_directions": xs,
+            "batch_dec_witness": np.stack(
+                [witness.directions[..., 0], witness.energy, witness.energy_scale], axis=1
+            ),
+            "batch_flux": np.stack(
+                [flux.quadratic, flux.scale, flux.orientation, flux.y[..., 0]], axis=1
+            ),
+        }
+
+    @pytest.mark.parametrize("m1", [1, 2, 3, 4, 5])
+    def test_row_equals_batch_of_one(self, m1):
+        lagr, arrays = self._stack(m1)
+        full = self._kernels(lagr, *arrays)
+        for k in (0, 1, 17, self.BATCH - 1):
+            row = self._kernels(lagr, *(a[k : k + 1] for a in arrays))
+            for name, value in full.items():
+                assert np.array_equal(value[k : k + 1], row[name]), (name, k)

@@ -133,6 +133,26 @@ class TestLinearCombination:
             evaluate_lagrangian(linear_combination([1.0, 2.0]), np.zeros(3))
 
 
+class TestNonFiniteParameters:
+    # NaN < 0 is False, so a sign check alone would let NaN through.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: skyrme(float("nan"), 1.0, 3),
+            lambda: skyrme(1.0, float("inf"), 3),
+            lambda: born_infeld(float("nan"), 2),
+            lambda: born_infeld(float("inf"), 2),
+            lambda: born_infeld(1.0, 2, delta=float("nan")),
+            lambda: linear_combination([1.0, float("-inf")]),
+            lambda: linear_combination([float("nan")], 3),
+            lambda: minimal_surface(3, delta=float("nan")),
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 class TestGradientsAgainstFiniteDifferences:
     def _specs(self):
         return [
