@@ -37,21 +37,26 @@ SCHEMA_VERSION = 1
 
 _MODES = ("verify", "violation_search")
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "m_plus_1",
-    "n",
-    "lagrangian",
-    "num_samples",
-    "num_directions_per_sample",
-    "seed",
-    "tolerances",
-    "entry_range",
-    "boost_cap",
-    "rank_override",
-    "mode",
-    "max_fixtures",
+# Each CampaignConfig field's config-file key (dotted inside a section) and
+# the conversion of its JSON value.
+_FROM_JSON = {
+    "m_plus_1": ("m_plus_1", int),
+    "n": ("n", int),
+    "lagrangian_name": ("lagrangian.name", str),
+    "lagrangian_parameters": ("lagrangian.parameters", dict),
+    "num_samples": ("num_samples", int),
+    "num_directions_per_sample": ("num_directions_per_sample", int),
+    "seed": ("seed", int),
+    "algebraic_tol": ("tolerances.algebraic", float),
+    "dec_tol": ("tolerances.dec", float),
+    "oracle_tol": ("tolerances.oracle", float),
+    "entry_range": ("entry_range", float),
+    "boost_cap": ("boost_cap", float),
+    "rank_override": ("rank_override", lambda v: None if v is None else int(v)),
+    "mode": ("mode", str),
+    "max_fixtures": ("max_fixtures", int),
 }
+_CONFIG_KEYS = {"schema_version"} | {path.split(".")[0] for path, _ in _FROM_JSON.values()}
 
 
 def dump_json(obj) -> str:
@@ -155,7 +160,7 @@ class CampaignConfig:
             resolve_lagrangian(
                 self.lagrangian_name, self.lagrangian_parameters, self.m_plus_1
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"lagrangian {self.lagrangian_name}: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -184,6 +189,7 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
+        """Convert a config's JSON values; absent optional keys keep the defaults."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -195,27 +201,18 @@ class CampaignConfig:
         tol = data.get("tolerances", {})
         if not isinstance(tol, dict):
             raise ConfigError("config field 'tolerances' must be an object")
-        return cls(
-            m_plus_1=int(_require(data, "m_plus_1", "config")),
-            n=int(_require(data, "n", "config")),
-            lagrangian_name=str(lagr["name"]),
-            lagrangian_parameters=dict(lagr.get("parameters", {})),
-            num_samples=int(_require(data, "num_samples", "config")),
-            num_directions_per_sample=int(data.get("num_directions_per_sample", 8)),
-            seed=int(data.get("seed", 0)),
-            algebraic_tol=float(tol.get("algebraic", 1e-9)),
-            dec_tol=float(tol.get("dec", 1e-9)),
-            oracle_tol=float(tol.get("oracle", 1e-6)),
-            entry_range=float(data.get("entry_range", 1.0)),
-            boost_cap=float(data.get("boost_cap", 5.0)),
-            rank_override=(
-                None
-                if data.get("rank_override") is None
-                else int(data["rank_override"])
-            ),
-            mode=str(data.get("mode", "verify")),
-            max_fixtures=int(data.get("max_fixtures", 100)),
-        )
+        for key in ("m_plus_1", "n", "num_samples"):
+            _require(data, key, "config")
+        sections = {"": data, "lagrangian": lagr, "tolerances": tol}
+        values = {}
+        for name, (path, convert) in _FROM_JSON.items():
+            section, _, key = path.rpartition(".")
+            if key in sections[section]:
+                try:
+                    values[name] = convert(sections[section][key])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"config field {path!r}: {exc}") from exc
+        return cls(**values)
 
 
 def load_config(path) -> CampaignConfig:
@@ -390,13 +387,16 @@ def replay_fixture(source) -> ReplayResult:
         require_corollary_flags(lagr)
     verdict = dec_verdict(stack, lagr.name) if kind in _DEC_KINDS else None
     recomputed = engine.FIXTURES[kind](stack, 0, index)["recorded"]
-    if not any(isinstance(value, bool) for value in recomputed.values()):
-        # A record without a status of its own shows the check's verdict.
-        recomputed["holds"] = bool(getattr(stack, kind).reshape(1, -1)[0, index])
     recorded = dict(data.get("recorded", {}))
+    expected = recorded
+    if not any(isinstance(value, bool) for value in recomputed.values()):
+        # A record without a status of its own shows the check's verdict; the
+        # engine writes such a record only when the check fails.
+        recomputed["holds"] = bool(getattr(stack, kind).reshape(1, -1)[0, index])
+        expected = {"holds": False, **recorded}
     matches = all(
-        recorded[key] == recomputed[key]
-        for key in recorded
+        expected[key] == recomputed[key]
+        for key in expected
         if key in recomputed and isinstance(recomputed[key], (bool, str, int))
     )
     return ReplayResult(

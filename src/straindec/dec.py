@@ -294,15 +294,13 @@ class CheckStack:
         _, fval, dot = self.terms
         return (fval - dot) / np.maximum(1.0, np.maximum(np.abs(fval), np.abs(dot)))
 
-    def corollary(self, dphi_floor: float = ZERO_FLOOR):
-        """(T numerically zero, dphi below the floor); the first must imply the second."""
-        dphi_norm = frobenius(self.dphi)
-        return self.tensor_norm <= self.tol * self.scale, dphi_norm <= dphi_floor
-
-    @cached_property
-    def pointwise_corollary(self) -> np.ndarray:
-        tensor_zero, dphi_small = self.corollary()
-        return ~tensor_zero | dphi_small
+    # (T numerically zero, dphi below ``dphi_floor``); the first must imply the
+    # second.
+    dphi_floor = ZERO_FLOOR
+    corollary = cached_property(lambda st: (
+        st.tensor_norm <= st.tol * st.scale, frobenius(st.dphi) <= st.dphi_floor
+    ))
+    pointwise_corollary = cached_property(lambda st: ~st.corollary[0] | st.corollary[1])
 
     # The combination lemma: component fluxes all past-causal or zero must
     # make the combined flux so.
@@ -353,13 +351,9 @@ def dec_verdict(stack: CheckStack, lagrangian_name: str) -> DECVerdict:
     if stack.vacuous[0]:
         energy = flux = CheckStatus.VACUOUS
     else:
-        energy = (
-            CheckStatus.PASS
-            if all(w.energy_ok for w in witnesses)
-            else CheckStatus.FAIL
-        )
-        flux = (
-            CheckStatus.PASS if all(w.flux_ok for w in witnesses) else CheckStatus.FAIL
+        energy, flux = (
+            CheckStatus.PASS if ok[0].all() else CheckStatus.FAIL
+            for ok in (stack.dec_energy, stack.dec_flux)
         )
     return DECVerdict(
         lagrangian_name=lagrangian_name,
@@ -435,7 +429,7 @@ def check_rank_condition(
         scale=float(stack.elementary_scales[0, degree - 1]),
         vanished=vanished,
         expected_vanishing=expected,
-        consistent=vanished == expected,
+        consistent=bool(stack.rank_condition[0, degree - 1]),
         warning=warning,
     )
 
@@ -524,12 +518,13 @@ def check_pointwise_corollary(
     """
     require_corollary_flags(lagr)
     stack = CheckStack.at(geom, lagr, tol)
-    tensor_zero, dphi_small = (bool(m[0]) for m in stack.corollary(dphi_floor))
+    stack.dphi_floor = dphi_floor
+    tensor_zero, dphi_small = (bool(m[0]) for m in stack.corollary)
     return PointwiseCorollaryCheck(
         dphi_norm=float(np.linalg.norm(geom.dphi)),
         tensor_norm=float(stack.tensor_norm[0]),
         scale=float(stack.scale[0]),
         tensor_zero=tensor_zero,
         dphi_small=dphi_small,
-        holds=(not tensor_zero) or dphi_small,
+        holds=bool(stack.pointwise_corollary[0]),
     )

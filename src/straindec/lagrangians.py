@@ -21,7 +21,7 @@ respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -137,16 +137,7 @@ def linear_combination(
 
 def wave_map(dim: int) -> LagrangianSpec:
     """F(v) = v_1, the wave-map Lagrangian (trace of the strain)."""
-    spec = linear_combination([1.0], dim, name="wave_map")
-    return LagrangianSpec(
-        name="wave_map",
-        dim=dim,
-        evaluate=spec.evaluate,
-        gradient=spec.gradient,
-        domain_predicate=spec.domain_predicate,
-        flags=spec.flags,
-        parameters={},
-    )
+    return replace(linear_combination([1.0], dim, name="wave_map"), parameters={})
 
 
 def skyrme(c1: float, c2: float, dim: int) -> LagrangianSpec:
@@ -155,14 +146,8 @@ def skyrme(c1: float, c2: float, dim: int) -> LagrangianSpec:
         raise ValueError("skyrme needs invariant dimension at least 2")
     if c1 < 0.0 or c2 < 0.0:
         raise ValueError("skyrme couplings must be nonnegative")
-    spec = linear_combination([c1, c2], dim, name="skyrme")
-    return LagrangianSpec(
-        name="skyrme",
-        dim=dim,
-        evaluate=spec.evaluate,
-        gradient=spec.gradient,
-        domain_predicate=spec.domain_predicate,
-        flags=spec.flags,
+    return replace(
+        linear_combination([c1, c2], dim, name="skyrme"),
         parameters={"c1": float(c1), "c2": float(c2)},
     )
 

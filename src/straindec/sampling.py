@@ -7,12 +7,17 @@ Within one sample the draw order is fixed: metric factor(s) first (redrawn
 whole on a conditioning retry), then the target-metric factor, then dphi,
 then direction parameters (rapidities, then sphere normals).
 
-``draw_chunk_arrays`` reads whole chunks of samples in that order without a
-Python loop over the draws themselves: each slot still builds its own
-generator, takes every uniform it needs from one ``random`` call (the metric
-factor, the target factor, dphi, the rapidities) and then its normals, and
-the conditioning and domain tests run on the whole batch.  A slot whose first
-metric candidate is rejected, or whose geometry falls outside the
+Each draw formula is written once, as a kernel over a leading batch axis
+that maps uniforms on [0, 1) to values: ``_metric_candidates`` (g),
+``_metric_accepted`` (the signature and condition test) and
+``_target_and_map`` (h and dphi).  A value uniform on [low, high) is
+low + (high - low) * random(), which is what ``Generator.uniform`` computes.
+``draw_chunk_arrays`` runs the kernels on a whole chunk: each slot still
+builds its own generator, takes every uniform it needs from one ``random``
+call (the metric factor, the target factor, dphi, the rapidities) and then
+its normals, and the conditioning and domain tests run on the whole batch.
+``draw_geometry_arrays`` runs the same kernels on a batch of one.  A slot
+whose first metric candidate is rejected, or whose geometry falls outside the
 Lagrangian's domain, is replayed from a fresh generator one sample at a time
 (``draw_geometry_arrays``, the same domain test on a batch of one,
 ``draw_direction_params``), so retries, counters and starvation errors are
@@ -29,7 +34,7 @@ from .lagrangians import LagrangianSpec, _always_inside
 from .multilinear import DEFAULT_CONDITION_BOUND, LorentzianMetric, RiemannianMetric
 from .strain import PointGeometry, batch_charpoly_coefficients, batch_strain
 
-# Metric perturbation amplitude: g = L^T eta L with L = I + PERTURBATION * R.
+# Metric perturbation amplitude a: g = L^T eta L with L = I + a R.
 PERTURBATION = 0.25
 # SPD ridge added to the random Gram target metric.
 RIDGE = 0.1
@@ -56,61 +61,80 @@ def derive_rng(master_seed: int, index: int) -> np.random.Generator:
     )
 
 
+def _metric_candidates(u: np.ndarray, m_plus_1: int) -> np.ndarray:
+    """Metric candidates g = L^T eta L from (B, (m+1)^2) uniforms for R in L = I + a R."""
+    eta = np.eye(m_plus_1)
+    eta[0, 0] = -1.0
+    r = -1.0 + 2.0 * u.reshape(len(u), m_plus_1, m_plus_1)
+    ell = np.eye(m_plus_1) + PERTURBATION * r
+    g = ell.transpose(0, 2, 1) @ eta @ ell
+    return 0.5 * (g + g.transpose(0, 2, 1))
+
+
+def _metric_accepted(g: np.ndarray) -> np.ndarray:
+    """Signature (-, +, ..., +) and max |eig| <= DEFAULT_CONDITION_BOUND * min |eig|."""
+    w = np.linalg.eigvalsh(g)
+    w_abs = np.abs(w)
+    ok = w[:, 0] < 0.0
+    if g.shape[1] > 1:
+        ok &= w[:, 1] > 0.0
+    return ok & (np.max(w_abs, axis=1) <= DEFAULT_CONDITION_BOUND * np.min(w_abs, axis=1))
+
+
+def _target_and_map(u: np.ndarray, m_plus_1: int, n: int, entry_range, rank_override):
+    """h = A^T A + RIDGE I with A uniform on [-1, 1), and dphi uniform on
+    [-entry_range, entry_range), from (B, n^2 + n (m+1)) uniforms, A's first."""
+    a = -1.0 + 2.0 * u[:, : n * n].reshape(len(u), n, n)
+    h = a.transpose(0, 2, 1) @ a + RIDGE * np.eye(n)
+    h = 0.5 * (h + h.transpose(0, 2, 1))
+    entry_range = float(entry_range)
+    low = -entry_range
+    dphi = low + (entry_range - low) * u[:, n * n :].reshape(len(u), n, m_plus_1)
+    if rank_override is not None:
+        dphi = _truncate_rank(dphi, rank_override)
+    return h, dphi
+
+
 def draw_geometry_arrays(
     rng: np.random.Generator,
     m_plus_1: int,
     n: int,
     entry_range: float = 1.0,
     rank_override: int | None = None,
-    *,
-    perturbation: float = PERTURBATION,
-    ridge: float = RIDGE,
-    condition_bound: float = DEFAULT_CONDITION_BOUND,
-    max_tries: int = MAX_METRIC_TRIES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Raw (g, h, dphi, metric_retries) draws behind ``sample_geometry``.
 
-    Kept separate so the batch engine can consume the exact same stream of
-    draws without building dataclasses per sample.
+    The draw kernels on a batch of one: metric candidates until one passes the
+    conditioning test, at most ``MAX_METRIC_TRIES`` of them, then h and dphi.
     """
     _check_geometry_args(m_plus_1, n, entry_range, rank_override)
-    eta = np.eye(m_plus_1)
-    eta[0, 0] = -1.0
-    retries = 0
-    g = None
-    for _ in range(max_tries):
-        r = rng.uniform(-1.0, 1.0, size=(m_plus_1, m_plus_1))
-        ell = np.eye(m_plus_1) + perturbation * r
-        cand = ell.T @ eta @ ell
-        cand = 0.5 * (cand + cand.T)
-        w = np.linalg.eigvalsh(cand)
-        ok_sig = w[0] < 0.0 and (m_plus_1 == 1 or w[1] > 0.0)
-        if ok_sig and np.max(np.abs(w)) <= condition_bound * np.min(np.abs(w)):
-            g = cand
-            break
-        retries += 1
-    if g is None:
-        raise ConditioningError(
-            f"no metric satisfying the condition bound after {max_tries} draws"
-        )
-    a = rng.uniform(-1.0, 1.0, size=(n, n))
-    h = a.T @ a + ridge * np.eye(n)
-    h = 0.5 * (h + h.T)
-    dphi = rng.uniform(-entry_range, entry_range, size=(n, m_plus_1))
-    if rank_override is not None:
-        dphi = _truncate_rank(dphi, rank_override)
-    return g, h, dphi, retries
+    for retries in range(MAX_METRIC_TRIES):
+        g = _metric_candidates(rng.random((1, m_plus_1 * m_plus_1)), m_plus_1)
+        if _metric_accepted(g)[0]:
+            u = rng.random((1, n * (n + m_plus_1)))
+            h, dphi = _target_and_map(u, m_plus_1, n, entry_range, rank_override)
+            return g[0], h[0], dphi[0], retries
+    raise ConditioningError(
+        f"no metric satisfying the condition bound after {MAX_METRIC_TRIES} draws"
+    )
 
 
 def _check_geometry_args(m_plus_1, n, entry_range, rank_override) -> None:
     if m_plus_1 < 1 or n < 1:
         raise ValueError("dimensions must be at least 1")
-    if entry_range < 0.0:
-        raise ValueError("entry_range must be nonnegative")
+    if not 0.0 <= 2.0 * float(entry_range) < np.inf:
+        raise ValueError("entry_range must be nonnegative with a finite span")
     if rank_override is not None and not 0 <= rank_override <= min(m_plus_1, n):
         raise ValueError(
             f"rank_override {rank_override} outside [0, {min(m_plus_1, n)}]"
         )
+
+
+def _check_direction_args(count: int, boost_cap: float) -> None:
+    if count < 1:
+        raise ValueError("need at least one direction")
+    if not 0.0 <= boost_cap < np.inf:
+        raise ValueError("boost_cap must be nonnegative and finite")
 
 
 def _truncate_rank(dphi: np.ndarray, rank: int) -> np.ndarray:
@@ -128,7 +152,6 @@ def sample_geometry(
     entry_range: float = 1.0,
     rank_override: int | None = None,
     rng: np.random.Generator | None = None,
-    **draw_kwargs,
 ) -> PointGeometry:
     """Draw one random geometry: g = L^T eta L, h = A^T A + ridge I, dphi uniform.
 
@@ -137,9 +160,7 @@ def sample_geometry(
     """
     if rng is None:
         rng = np.random.default_rng()
-    g, h, dphi, _ = draw_geometry_arrays(
-        rng, m_plus_1, n, entry_range, rank_override, **draw_kwargs
-    )
+    g, h, dphi, _ = draw_geometry_arrays(rng, m_plus_1, n, entry_range, rank_override)
     return PointGeometry(
         metric=LorentzianMetric(g), target_metric=RiemannianMetric(h), dphi=dphi
     )
@@ -149,11 +170,8 @@ def draw_direction_params(
     rng: np.random.Generator, count: int, spatial_dim: int, boost_cap: float = BOOST_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw rapidities and sphere normals for ``count`` timelike directions."""
-    if count < 1:
-        raise ValueError("need at least one direction")
-    if boost_cap < 0.0:
-        raise ValueError("boost_cap must be nonnegative")
-    rapidity = rng.uniform(0.0, boost_cap, size=count)
+    _check_direction_args(count, boost_cap)
+    rapidity = boost_cap * rng.random(count)
     normals = rng.normal(size=(count, spatial_dim))
     return rapidity, normals
 
@@ -181,10 +199,7 @@ def draw_chunk_arrays(
     that loop would.
     """
     _check_geometry_args(m_plus_1, n, entry_range, rank_override)
-    if num_directions < 1:
-        raise ValueError("need at least one direction")
-    if boost_cap < 0.0:
-        raise ValueError("boost_cap must be nonnegative")
+    _check_direction_args(num_directions, boost_cap)
     m1, ndir = m_plus_1, num_directions
     batch = stop - start
     restricted = (
@@ -192,38 +207,18 @@ def draw_chunk_arrays(
     )
 
     # Per slot: its own generator, every uniform of a first-try draw, normals.
-    sizes = (m1 * m1, n * n, n * m1, ndir)
+    sizes = (m1 * m1, n * (n + m1), ndir)
     uniforms = np.empty((batch, sum(sizes)))
     normals = np.empty((batch, ndir, m1 - 1))
     for k in range(batch):
         rng = derive_rng(master_seed, start + k)
         rng.random(out=uniforms[k])
         normals[k] = rng.normal(size=(ndir, m1 - 1))
-    u_metric, u_target, u_dphi, u_rap = np.split(uniforms, np.cumsum(sizes)[:-1], axis=1)
-
-    # The scalar formulas on stacks.  Generator.uniform(low, high) is
-    # low + (high - low) * random() on the bounds converted to float.
-    entry_range, boost_cap = float(entry_range), float(boost_cap)
-    eta = np.eye(m1)
-    eta[0, 0] = -1.0
-    ell = np.eye(m1) + PERTURBATION * (-1.0 + 2.0 * u_metric.reshape(batch, m1, m1))
-    g = ell.transpose(0, 2, 1) @ eta @ ell
-    g = 0.5 * (g + g.transpose(0, 2, 1))
-    a = -1.0 + 2.0 * u_target.reshape(batch, n, n)
-    h = a.transpose(0, 2, 1) @ a + RIDGE * np.eye(n)
-    h = 0.5 * (h + h.transpose(0, 2, 1))
-    low = -entry_range
-    dphi = low + (entry_range - low) * u_dphi.reshape(batch, n, m1)
-    if rank_override is not None:
-        dphi = _truncate_rank(dphi, rank_override)
-    rapidity = 0.0 + (boost_cap - 0.0) * u_rap
-
-    w = np.linalg.eigvalsh(g)
-    w_abs = np.abs(w)
-    fast = w[:, 0] < 0.0
-    if m1 > 1:
-        fast &= w[:, 1] > 0.0
-    fast &= np.max(w_abs, axis=1) <= DEFAULT_CONDITION_BOUND * np.min(w_abs, axis=1)
+    u_metric, u_geometry, u_rap = np.split(uniforms, np.cumsum(sizes)[:-1], axis=1)
+    g = _metric_candidates(u_metric, m1)
+    h, dphi = _target_and_map(u_geometry, m1, n, entry_range, rank_override)
+    rapidity = boost_cap * u_rap
+    fast = _metric_accepted(g)
     if restricted:
         ok = np.flatnonzero(fast)
         fast[ok] = _domain_inside(lagrangian, g[ok], h[ok], dphi[ok])
@@ -237,11 +232,8 @@ def draw_chunk_arrays(
         rng = derive_rng(master_seed, index)
         tries = 0
         while True:
-            # The module constants, read now as the batched path reads them.
             g, h, dphi, retries = draw_geometry_arrays(
-                rng, m1, n, entry_range, rank_override,
-                perturbation=PERTURBATION, ridge=RIDGE,
-                condition_bound=DEFAULT_CONDITION_BOUND,
+                rng, m1, n, entry_range, rank_override
             )
             counters["metric_retries"] += retries
             counters["domain_draws"] += 1

@@ -58,6 +58,29 @@ def _violating_config(**overrides):
     return CampaignConfig(**base)
 
 
+def _skyrme_config_dict():
+    return _wave_config(
+        m_plus_1=3, lagrangian_name="skyrme", lagrangian_parameters={"c1": 1.0, "c2": 1.0}
+    ).to_dict()
+
+
+# Every config-file value, dotted inside its section.
+_CONFIG_PATHS = [
+    "m_plus_1", "n", "num_samples", "num_directions_per_sample", "seed",
+    "entry_range", "boost_cap", "rank_override", "mode", "max_fixtures",
+    "tolerances.algebraic", "tolerances.dec", "tolerances.oracle",
+    "lagrangian.name", "lagrangian.parameters",
+]
+# Each value with a JSON null, list or object, except a null rank_override (its
+# default).
+_WRONG_TYPES = [
+    (path, value)
+    for path in _CONFIG_PATHS
+    for value in (None, [1, 2], {"a": 1})
+    if not (path == "rank_override" and value is None)
+]
+
+
 class TestConfigValidation:
     def test_round_trip_through_dict(self):
         config = _wave_config(rank_override=1, mode="violation_search")
@@ -158,6 +181,25 @@ class TestConfigValidation:
         del data["num_samples"]
         with pytest.raises(ConfigError, match="num_samples"):
             CampaignConfig.from_dict(data)
+
+    @pytest.mark.parametrize("path, value", _WRONG_TYPES)
+    def test_wrong_json_type_names_the_field(self, path, value):
+        data = _skyrme_config_dict()
+        section, _, key = path.rpartition(".")
+        (data[section] if section else data)[key] = value
+        with pytest.raises(ConfigError, match=path.split(".")[0]):
+            CampaignConfig.from_dict(data)
+
+    def test_absent_optional_fields_take_the_defaults(self):
+        data = _skyrme_config_dict()
+        for key in ("num_directions_per_sample", "seed", "tolerances", "entry_range",
+                    "boost_cap", "rank_override", "mode", "max_fixtures"):
+            del data[key]
+        del data["lagrangian"]["parameters"]
+        data["lagrangian"]["name"] = "wave_map"
+        assert CampaignConfig.from_dict(data) == CampaignConfig(
+            m_plus_1=3, n=2, lagrangian_name="wave_map", num_samples=100
+        )
 
     def test_schema_version_checked_on_load(self, tmp_path):
         data = _wave_config().to_dict()
@@ -330,6 +372,19 @@ class TestCLI:
         path = tmp_path / "broken.json"
         path.write_text("{\"schema_version\": 1,")
         assert main(["verify", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("path, value", [
+        ("num_samples", None),
+        ("seed", [1]),
+        ("lagrangian", {"name": "skyrme", "parameters": [1, 2]}),
+    ])
+    def test_verify_wrong_json_type_exit_two(self, tmp_path, capsys, path, value):
+        data = _skyrme_config_dict()
+        data[path] = value
+        config = tmp_path / "config.json"
+        write_json(config, data)
+        assert main(["verify", "--config", str(config)]) == 2
+        assert path in capsys.readouterr().err
 
     def test_jobs_env_override(self, tmp_path, monkeypatch, capsys):
         config = _write_config(tmp_path, _wave_config(num_samples=25))

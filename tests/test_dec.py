@@ -298,3 +298,11 @@ class TestPointwiseCorollary:
         check = check_pointwise_corollary(geom, wave_map(2))
         assert check.dphi_small
         assert check.holds
+
+    def test_dphi_floor_decides_small_and_holds(self):
+        # Below a negative floor not even the zero map is small, so a zero
+        # tensor breaks the implication.
+        check = check_pointwise_corollary(
+            _zero_map_geometry(), wave_map(2), dphi_floor=-1.0
+        )
+        assert check.tensor_zero and not check.dphi_small and not check.holds

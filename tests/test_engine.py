@@ -396,6 +396,21 @@ class TestFixtureScan:
             result = replay_fixture(fx)
             assert result.matches, (fx["kind"], result.recorded, result.recomputed)
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["supporting_hyperplane", "invariant_routes", "wedge_identity", "cauchy_schwarz"],
+    )
+    def test_loosened_tolerance_flags_a_changed_verdict(self, kind):
+        # These records carry no status; replay compares the recomputed verdict
+        # with the failure that made the engine record them.
+        fixtures = run_chunk(self.CONFIGS[0], 0, 60)["fixtures"]
+        fx = next(fx for fx in fixtures if fx["kind"] == kind)
+        assert replay_fixture(fx).matches
+        fx = dict(fx, tolerances={"algebraic": 1e300, "dec": 1e300, "oracle": 1e-6})
+        result = replay_fixture(fx)
+        assert result.recomputed["holds"] is True
+        assert result.matches is False
+
     @pytest.mark.parametrize("cap", [0, 1, 7, 50])
     def test_cap_truncates_the_same_sequence(self, cap):
         config = self.CONFIGS[0]

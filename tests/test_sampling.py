@@ -142,6 +142,84 @@ class TestDirections:
         np.testing.assert_allclose(xs, want, atol=1e-12)
 
 
+def _reference_geometry(rng, m_plus_1, n, entry_range, rank_override):
+    """The scalar draw as first written with ``Generator.uniform``; an
+    independent reference for the kernels behind ``draw_geometry_arrays``."""
+    eta = np.eye(m_plus_1)
+    eta[0, 0] = -1.0
+    retries = 0
+    g = None
+    for _ in range(sampling.MAX_METRIC_TRIES):
+        r = rng.uniform(-1.0, 1.0, size=(m_plus_1, m_plus_1))
+        ell = np.eye(m_plus_1) + sampling.PERTURBATION * r
+        cand = ell.T @ eta @ ell
+        cand = 0.5 * (cand + cand.T)
+        w = np.linalg.eigvalsh(cand)
+        ok_sig = w[0] < 0.0 and (m_plus_1 == 1 or w[1] > 0.0)
+        bound = sampling.DEFAULT_CONDITION_BOUND
+        if ok_sig and np.max(np.abs(w)) <= bound * np.min(np.abs(w)):
+            g = cand
+            break
+        retries += 1
+    if g is None:
+        raise ConditioningError("no metric satisfying the condition bound")
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
+    h = a.T @ a + sampling.RIDGE * np.eye(n)
+    h = 0.5 * (h + h.T)
+    dphi = rng.uniform(-entry_range, entry_range, size=(n, m_plus_1))
+    if rank_override is not None:
+        u, sv, vt = np.linalg.svd(dphi, full_matrices=False)
+        sv[rank_override:] = 0.0
+        dphi = (u * sv) @ vt if rank_override else np.zeros(dphi.shape)
+    return g, h, dphi, retries
+
+
+def _reference_directions(rng, count, spatial_dim, boost_cap):
+    return rng.uniform(0.0, boost_cap, size=count), rng.normal(size=(count, spatial_dim))
+
+
+def _assert_draws_match_reference(seed, m1, n, entry_range, rank_override, boost_cap):
+    retries = 0
+    for index in range(12):
+        got_rng, ref_rng = derive_rng(seed, index), derive_rng(seed, index)
+        got = draw_geometry_arrays(got_rng, m1, n, entry_range, rank_override)
+        got += draw_direction_params(got_rng, 5, m1 - 1, boost_cap)
+        ref = _reference_geometry(ref_rng, m1, n, entry_range, rank_override)
+        ref += _reference_directions(ref_rng, 5, m1 - 1, boost_cap)
+        for x, y in zip(got, ref, strict=True):
+            assert np.shape(x) == np.shape(y)
+            assert np.array_equal(x, y)
+        # Both consumed the same number of draws.
+        assert got_rng.random() == ref_rng.random()
+        retries += got[3]
+    return retries
+
+
+class TestScalarDrawReference:
+    @pytest.mark.parametrize("m1", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("rank", ["none", "zero", "full"])
+    def test_matches_uniform_reference(self, m1, n, rank):
+        rank_override = {"none": None, "zero": 0, "full": min(m1, n)}[rank]
+        for entry_range in (0.0, 1.5):
+            for boost_cap in (0.0, 5.0):
+                _assert_draws_match_reference(
+                    71, m1, n, entry_range, rank_override, boost_cap
+                )
+
+    def test_metric_retries_match_reference(self, monkeypatch):
+        # A bound this tight rejects many first metric candidates.
+        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 2.0)
+        assert _assert_draws_match_reference(72, 3, 2, 1.0, None, 5.0) > 0
+
+    def test_conditioning_error_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 1.0)
+        with pytest.raises(ConditioningError):
+            draw_geometry_arrays(derive_rng(73, 0), 3, 2)
+        with pytest.raises(ConditioningError):
+            _reference_geometry(derive_rng(73, 0), 3, 2, 1.0, None)
+
+
 class _Starved(Exception):
     def __init__(self, rate):
         super().__init__(rate)
@@ -160,7 +238,6 @@ def _scalar_chunk(seed, start, stop, m1, n, ndir, entry_range, boost_cap,
         while True:
             g, h, dphi, retries = draw_geometry_arrays(
                 rng, m1, n, entry_range, rank_override,
-                condition_bound=sampling.DEFAULT_CONDITION_BOUND,
             )
             counters["metric_retries"] += retries
             counters["domain_draws"] += 1
