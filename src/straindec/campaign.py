@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,24 +38,42 @@ SCHEMA_VERSION = 1
 
 _MODES = ("verify", "violation_search")
 
+
+def _json_int(value) -> int:
+    """An integral JSON number as an int; a bool or a fractional number is an error."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    return operator.index(value)
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
 # Each CampaignConfig field's config-file key (dotted inside a section) and
 # the conversion of its JSON value.
 _FROM_JSON = {
-    "m_plus_1": ("m_plus_1", int),
-    "n": ("n", int),
+    "m_plus_1": ("m_plus_1", _json_int),
+    "n": ("n", _json_int),
     "lagrangian_name": ("lagrangian.name", str),
-    "lagrangian_parameters": ("lagrangian.parameters", dict),
-    "num_samples": ("num_samples", int),
-    "num_directions_per_sample": ("num_directions_per_sample", int),
-    "seed": ("seed", int),
+    "lagrangian_parameters": ("lagrangian.parameters", _json_object),
+    "num_samples": ("num_samples", _json_int),
+    "num_directions_per_sample": ("num_directions_per_sample", _json_int),
+    "seed": ("seed", _json_int),
     "algebraic_tol": ("tolerances.algebraic", float),
     "dec_tol": ("tolerances.dec", float),
     "oracle_tol": ("tolerances.oracle", float),
     "entry_range": ("entry_range", float),
     "boost_cap": ("boost_cap", float),
-    "rank_override": ("rank_override", lambda v: None if v is None else int(v)),
+    "rank_override": ("rank_override", lambda v: None if v is None else _json_int(v)),
     "mode": ("mode", str),
-    "max_fixtures": ("max_fixtures", int),
+    "max_fixtures": ("max_fixtures", _json_int),
 }
 _CONFIG_KEYS = {"schema_version"} | {path.split(".")[0] for path, _ in _FROM_JSON.values()}
 

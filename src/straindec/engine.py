@@ -11,8 +11,10 @@ Determinism: chunk boundaries are a fixed constant (never derived from the
 worker count), and chunk results are folded in index order.  Each sample still
 owns PCG64(SeedSequence(seed, spawn_key=(index,))) from ``sampling.derive_rng``;
 ``sampling.draw_chunk_arrays`` reads those streams for a whole chunk in the
-documented per-sample order, and replays any slot with a retried metric or a
-rejected geometry through the scalar draw path.  So a campaign's output is
+documented per-sample order, computing the same SeedSequence and PCG64 states
+arithmetically rather than building them per sample (``derive_rng`` is the
+reference, and a chunk reaching index 2**32 uses it), and replays any slot
+with a retried metric or a rejected geometry through the scalar draw path.  So a campaign's output is
 identical serial or parallel, run to run, and to the one-sample-at-a-time loop.
 """
 

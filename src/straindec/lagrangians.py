@@ -228,18 +228,33 @@ def minimal_surface(dim: int, delta: float = DOMAIN_DELTA) -> LagrangianSpec:
     )
 
 
-BUILTIN_NAMES = (
-    "wave_map",
-    "skyrme",
-    "born_infeld",
-    "linear_combination",
-    "minimal_surface",
-)
+# The parameter names each built-in reads; "flags" overrides the declared
+# flags of a linear combination.
+_PARAMETER_NAMES = {
+    "wave_map": (),
+    "skyrme": ("c1", "c2"),
+    "born_infeld": ("b", "delta"),
+    "linear_combination": ("coefficients", "flags"),
+    "minimal_surface": ("delta",),
+}
+BUILTIN_NAMES = tuple(_PARAMETER_NAMES)
 
 
 def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> LagrangianSpec:
-    """Rebuild a built-in Lagrangian from its serialized (name, parameters) form."""
+    """Rebuild a built-in Lagrangian from its serialized (name, parameters) form.
+
+    A parameter name the Lagrangian does not read is an error, so a misspelt
+    optional parameter cannot silently run with its default.
+    """
+    if name not in _PARAMETER_NAMES:
+        raise ConfigError(f"unknown lagrangian {name!r}; built-ins are {BUILTIN_NAMES}")
     p = dict(parameters or {})
+    unknown = sorted(set(p) - set(_PARAMETER_NAMES[name]))
+    if unknown:
+        raise ConfigError(
+            f"lagrangian {name} has unknown parameters {unknown}; "
+            f"it reads {list(_PARAMETER_NAMES[name])}"
+        )
     declared = p.pop("flags", None)
     flags = LagrangianFlags(**declared) if declared is not None else None
     try:
@@ -251,11 +266,9 @@ def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> Lagrangi
             return born_infeld(p["b"], dim, p.get("delta", DOMAIN_DELTA))
         if name == "linear_combination":
             return linear_combination(p["coefficients"], dim, flags=flags)
-        if name == "minimal_surface":
-            return minimal_surface(dim, p.get("delta", DOMAIN_DELTA))
+        return minimal_surface(dim, p.get("delta", DOMAIN_DELTA))
     except KeyError as exc:
         raise ConfigError(f"lagrangian {name} is missing parameter {exc}") from exc
-    raise ConfigError(f"unknown lagrangian {name!r}; built-ins are {BUILTIN_NAMES}")
 
 
 def box_rejection_sampler(

@@ -13,9 +13,16 @@ that maps uniforms on [0, 1) to values: ``_metric_candidates`` (g),
 ``_target_and_map`` (h and dphi).  A value uniform on [low, high) is
 low + (high - low) * random(), which is what ``Generator.uniform`` computes.
 ``draw_chunk_arrays`` runs the kernels on a whole chunk: each slot still
-builds its own generator, takes every uniform it needs from one ``random``
+reads its own stream, takes every uniform it needs from one ``random``
 call (the metric factor, the target factor, dphi, the rapidities) and then
 its normals, and the conditioning and domain tests run on the whole batch.
+The chunk path does not build a ``SeedSequence`` per slot: it computes the
+same seed words and PCG64 states arithmetically (``_spawn_seed_words``,
+``_chunk_generators``) and sets them on one reused generator.  Only the
+spawn-key word differs between the samples of a chunk, so the seed's own
+entropy is mixed once per chunk.  ``derive_rng`` stays the reference the
+tests pin this copy of numpy's seeding against, and a chunk reaching sample
+index 2**32 (whose spawn key has two words) uses it for every slot.
 ``draw_geometry_arrays`` runs the same kernels on a batch of one.  A slot
 whose first metric candidate is rejected, or whose geometry falls outside the
 Lagrangian's domain, is replayed from a fresh generator one sample at a time
@@ -49,16 +56,105 @@ MAX_BOOST_CAP = float(np.log(1.0 / np.finfo(float).eps)) / 4.0
 # Rejection attempts per sample slot for restricted-domain Lagrangians.
 MAX_DOMAIN_TRIES = 100
 
+# numpy's SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+# Sample indices below this have a one-word spawn key.
+_ONE_WORD_INDICES = 2**32
+
 
 def derive_rng(master_seed: int, index: int) -> np.random.Generator:
     """Per-sample generator: a pure function of (master seed, sample index)."""
+    _check_seed_args(master_seed, index)
+    return np.random.default_rng(
+        np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
+    )
+
+
+def _check_seed_args(master_seed: int, index: int) -> None:
     if not 0 <= int(master_seed) < 2**64:
         raise ValueError("master seed must fit in 64 unsigned bits")
     if index < 0:
         raise ValueError("sample index must be nonnegative")
-    return np.random.default_rng(
-        np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
-    )
+
+
+def _hash(value, const: int, mult: int):
+    """SeedSequence's word hash on a Python int or a uint32 array: (hash, next const).
+
+    ``hashmix`` uses it with ``_MULT_A`` and ``generate_state`` with ``_MULT_B``.
+    """
+    next_const = const * mult & _MASK32
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x: int, y):
+    """SeedSequence's ``mix`` of a pool word (Python int) with a hash (int or uint32 array)."""
+    value = (_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y & _MASK32
+    return value ^ value >> 16
+
+
+def _spawn_seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for i in [start, stop), as rows of a uint64 array; needs stop <= 2**32.
+
+    The entropy is the seed's four 32-bit words (zero padded) and then the
+    spawn word.  The seed's words fill and cross-mix the pool once, in Python
+    ints; the spawn word's mixing round and the output hash run as uint32
+    array arithmetic over the chunk.
+    """
+    const = _INIT_A
+    pool = []
+    for i in range(4):
+        word, const = _hash(int(master_seed) >> 32 * i & _MASK32, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    spawn = np.arange(start, stop, dtype=np.uint32)
+    for dst in range(4):
+        word, const = _hash(spawn, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], word)
+    state = np.empty((stop - start, 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        state[:, i], const = _hash(pool[i % 4], const, _MULT_B)
+    # generate_state reads the uint32 words as little-endian uint64 pairs.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _chunk_generators(master_seed: int, start: int, stop: int):
+    """Yield, in index order, a generator in ``derive_rng(master_seed, i)``'s
+    state for each i in [start, stop).
+
+    One ``Generator`` is reused across the chunk, so a yielded generator is
+    valid only until the next one is taken.  Its state is PCG64's seeding of
+    the seed words (``pcg64_srandom_r``): inc = (initseq << 1) | 1, one LCG
+    step from 0, add initstate, one more step.
+    """
+    _check_seed_args(master_seed, start)
+    if stop > _ONE_WORD_INDICES:
+        for index in range(start, stop):
+            yield derive_rng(master_seed, index)
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    for w0, w1, w2, w3 in _spawn_seed_words(master_seed, start, stop).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _metric_candidates(u: np.ndarray, m_plus_1: int) -> np.ndarray:
@@ -192,7 +288,8 @@ def draw_chunk_arrays(
 
     Returns stacked (g, h, dphi, rapidity, normals) and the ``domain_draws``,
     ``domain_accepted`` and ``metric_retries`` counters.  Sample ``start + k``
-    is what ``derive_rng(master_seed, start + k)`` followed by
+    is what ``derive_rng(master_seed, start + k)`` (computed arithmetically by
+    ``_chunk_generators``) followed by
     ``draw_geometry_arrays`` (repeated until the geometry lies in the domain
     of ``lagrangian``, if one is given) and ``draw_direction_params`` yield.
     Raises ``ConditioningError`` or ``SamplerStarvationError`` exactly where
@@ -206,12 +303,11 @@ def draw_chunk_arrays(
         lagrangian is not None and lagrangian.domain_predicate is not _always_inside
     )
 
-    # Per slot: its own generator, every uniform of a first-try draw, normals.
+    # Per slot: its own stream, every uniform of a first-try draw, normals.
     sizes = (m1 * m1, n * (n + m1), ndir)
     uniforms = np.empty((batch, sum(sizes)))
     normals = np.empty((batch, ndir, m1 - 1))
-    for k in range(batch):
-        rng = derive_rng(master_seed, start + k)
+    for k, rng in enumerate(_chunk_generators(master_seed, start, stop)):
         rng.random(out=uniforms[k])
         normals[k] = rng.normal(size=(ndir, m1 - 1))
     u_metric, u_geometry, u_rap = np.split(uniforms, np.cumsum(sizes)[:-1], axis=1)

@@ -190,6 +190,44 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=path.split(".")[0]):
             CampaignConfig.from_dict(data)
 
+    @pytest.mark.parametrize("path, value", [
+        ("num_samples", 2.7),
+        ("seed", -0.5),
+        ("rank_override", 1.9),
+        ("num_samples", True),
+        ("max_fixtures", False),
+        ("m_plus_1", float("nan")),
+        ("n", "2"),
+    ])
+    def test_integer_field_rejects_other_values(self, path, value):
+        data = _skyrme_config_dict()
+        data[path] = value
+        with pytest.raises(ConfigError, match=f"'{path}'"):
+            CampaignConfig.from_dict(data)
+
+    @pytest.mark.parametrize("value", [2, 2.0])
+    def test_integral_numbers_accepted_for_integer_fields(self, value):
+        names = ("m_plus_1", "n", "num_samples", "num_directions_per_sample", "seed",
+                 "rank_override", "max_fixtures")
+        data = _skyrme_config_dict()
+        for name in names:
+            data[name] = value
+        config = CampaignConfig.from_dict(data)
+        assert all(type(getattr(config, name)) is int for name in names)
+        assert all(getattr(config, name) == 2 for name in names)
+
+    def test_unknown_lagrangian_parameter_names_it(self):
+        data = _skyrme_config_dict()
+        data["lagrangian"] = {"name": "born_infeld", "parameters": {"b": 1, "detla": 0.5}}
+        with pytest.raises(ConfigError, match="born_infeld has unknown parameters.*detla"):
+            CampaignConfig.from_dict(data)
+
+    def test_lagrangian_parameters_must_be_an_object(self):
+        data = _skyrme_config_dict()
+        data["lagrangian"]["parameters"] = [["c1", 1.0], ["c2", 1.0]]
+        with pytest.raises(ConfigError, match="lagrangian.parameters"):
+            CampaignConfig.from_dict(data)
+
     def test_absent_optional_fields_take_the_defaults(self):
         data = _skyrme_config_dict()
         for key in ("num_directions_per_sample", "seed", "tolerances", "entry_range",

@@ -201,6 +201,39 @@ class TestResolve:
         )
         assert spec.flags.defocusing  # deliberately mis-declared
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_recorded_parameters_resolve(self, dim):
+        lying = LagrangianFlags(defocusing=True, zeroed=True, nondegenerate=True)
+        built = [
+            wave_map(dim),
+            skyrme(1.0, 2.0, dim),
+            born_infeld(1.5, dim, delta=1e-8),
+            linear_combination([1.0, -5.0], dim),
+            minimal_surface(dim, delta=1e-8),
+        ]
+        recorded = [(spec.parameters, spec) for spec in built]
+        flagged = linear_combination([1.0, -5.0], dim, flags=lying)
+        recorded.append(({**flagged.parameters, "flags": vars(lying)}, flagged))
+        for parameters, spec in recorded:
+            again = resolve_lagrangian(spec.name, parameters, dim)
+            assert again.parameters == spec.parameters
+            assert again.flags == spec.flags
+
+    @pytest.mark.parametrize(
+        "name, params, unknown",
+        [
+            ("wave_map", {"c1": 1.0}, "c1"),
+            ("skyrme", {"c1": 1.0, "c2": 1.0, "zz": 3}, "zz"),
+            ("born_infeld", {"b": 1.0, "detla": 0.5}, "detla"),
+            ("linear_combination", {"coefficient": [1.0]}, "coefficient"),
+            ("minimal_surface", {"b": 1.0}, "'b'"),
+            ("skyrme", {"c1": 1.0, "c2": 1.0, "flags": {}}, "flags"),
+        ],
+    )
+    def test_unknown_parameter_rejected(self, name, params, unknown):
+        with pytest.raises(ConfigError, match=f"{name} has unknown parameters.*{unknown}"):
+            resolve_lagrangian(name, params, 3)
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown lagrangian"):
             resolve_lagrangian("nope", {}, 2)

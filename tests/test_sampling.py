@@ -47,6 +47,42 @@ class TestDeriveRng:
         derive_rng(2**64 - 1, 0)  # top of the range is fine
 
 
+# Seeds and index ranges for the chunk seeding: the ends of the seed range, a
+# seed with two entropy words, and the last indices with a one-word spawn key.
+_SEEDING_SEEDS = [0, 1, 2**40 + 3, 2**64 - 1]
+_SEEDING_RANGES = [(0, 1001), (2**32 - 2, 2**32)]
+
+
+class TestChunkSeeding:
+    """The chunk path's arithmetic copy of numpy's SeedSequence and PCG64 seeding.
+
+    It copies numpy internals, so a numpy release that changes either fails here.
+    """
+
+    @pytest.mark.parametrize("seed", _SEEDING_SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        for start, stop in _SEEDING_RANGES:
+            words = sampling._spawn_seed_words(seed, start, stop)
+            want = np.array([
+                np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+                for i in range(start, stop)
+            ])
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, want)
+
+    @pytest.mark.parametrize("seed", _SEEDING_SEEDS)
+    def test_generator_states_match_derive_rng(self, seed):
+        for start, stop in _SEEDING_RANGES:
+            rngs = sampling._chunk_generators(seed, start, stop)
+            for index, rng in zip(range(start, stop), rngs, strict=True):
+                assert rng.bit_generator.state == derive_rng(seed, index).bit_generator.state
+
+    def test_seed_bounds(self):
+        for seed, start in ((-1, 0), (2**64, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                next(sampling._chunk_generators(seed, start, start + 1))
+
+
 class TestGeometryDraws:
     def test_shapes_and_validity(self):
         g, h, dphi, retries = draw_geometry_arrays(derive_rng(5, 0), 4, 3)
@@ -296,6 +332,12 @@ class TestChunkDraw:
     def test_chunk_not_starting_at_zero(self):
         lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
         _assert_chunk_matches(65, 1000, 1064, 3, 2, entry_range=1.5, lagr=lagr)
+
+    @pytest.mark.parametrize("start, stop", [(2**32 - 5, 2**32), (2**32 - 3, 2**32 + 2)])
+    def test_chunk_at_the_last_one_word_spawn_keys(self, start, stop):
+        # Indices from 2**32 on have a two-word spawn key and take derive_rng.
+        lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
+        _assert_chunk_matches(67, start, stop, 3, 2, entry_range=1.5, lagr=lagr)
 
     def test_metric_retries_replay_the_scalar_loop(self, monkeypatch):
         # A bound this tight rejects many first metric candidates.
