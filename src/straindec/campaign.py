@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +38,15 @@ from .stress import check_degree
 SCHEMA_VERSION = 1
 
 _MODES = ("verify", "violation_search")
+# Largest num_directions_per_sample.  A chunk holds several (CHUNK_SIZE, K,
+# m+1) float64 stacks; at this cap one (512, 1024, 5) stack is 21 MB.  The
+# committed configs and scripts use at most 256.
+MAX_DIRECTIONS_PER_SAMPLE = 1024
+# The fields that hold integers (rank_override may also be None).
+_INT_FIELDS = (
+    "m_plus_1", "n", "num_samples", "num_directions_per_sample", "seed",
+    "rank_override", "max_fixtures",
+)
 
 
 def _json_int(value) -> int:
@@ -135,13 +145,25 @@ class CampaignConfig:
     max_fixtures: int = 100
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if name == "rank_override" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.m_plus_1 < 1 or self.n < 1:
             raise ConfigError("dimensions m_plus_1 and n must be at least 1")
         if self.num_samples < 1:
             raise ConfigError("num_samples must be at least 1")
         if self.num_directions_per_sample < 1:
             raise ConfigError("num_directions_per_sample must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if self.num_directions_per_sample > MAX_DIRECTIONS_PER_SAMPLE:
+            raise ConfigError(
+                f"num_directions_per_sample {self.num_directions_per_sample} exceeds "
+                f"{MAX_DIRECTIONS_PER_SAMPLE}, the cap that bounds a chunk's memory"
+            )
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         for name in ("algebraic_tol", "dec_tol", "oracle_tol"):
             value = getattr(self, name)
@@ -193,7 +215,7 @@ class CampaignConfig:
             },
             "num_samples": self.num_samples,
             "num_directions_per_sample": self.num_directions_per_sample,
-            "seed": int(self.seed),
+            "seed": self.seed,
             "tolerances": {
                 "algebraic": self.algebraic_tol,
                 "dec": self.dec_tol,

@@ -30,6 +30,7 @@ from .multilinear import (
     CausalClass,
     LorentzianMetric,
     ZERO_FLOOR,
+    batch_contract,
     canonical_frames,
     causal_class,
     frobenius,
@@ -106,7 +107,7 @@ def batch_flux(g: np.ndarray, x: np.ndarray, v: np.ndarray, tol: float) -> FluxS
     ``x`` is (B, K, dim), or (B, dim) for one reference direction per metric;
     see ``metric_pairing``.
     """
-    y = np.einsum("bkl,bdl->bdk", np.linalg.inv(g), v)
+    y = batch_contract(np.linalg.inv(g), v)
     ynorm2 = np.einsum("bdk,bdk->bd", y, y)
     scale = frobenius(g)[:, None] * ynorm2
     return FluxStack(
@@ -138,7 +139,7 @@ def batch_dec_witness(g, tensors, directions, tol: float = DEC_TOL) -> WitnessSt
     is ``FluxStack.ok``.
     """
     x = directions / np.sqrt(-metric_pairing(directions, g, directions))[:, :, None]
-    v = np.einsum("bkl,bdl->bdk", tensors, x)
+    v = batch_contract(tensors, x)
     energy = np.einsum("bdk,bdk->bd", x, v)
     scale = frobenius(tensors)[:, None] * np.einsum("bdk,bdk->bd", x, x)
     return WitnessStack(x, energy, scale, energy >= -tol * scale, batch_flux(g, x, v, tol))

@@ -11,6 +11,14 @@ package:
   multi-indices enumerated in lexicographic order.  No factorial normalization
   is applied, so the trace of the degree-j compound equals the j-th elementary
   symmetric polynomial of the eigenvalues on the nose.
+* ``batch_contract`` is the one contraction of (B, k, l) matrices with
+  (B, K, l) vector stacks, out[b, d, k] = sum_l m[b, k, l] x[b, d, l].  It
+  returns the bits of ``np.einsum("bkl,bdl->bdk", m, x)``, which sums each
+  output in two lanes without FMA: the even-l and the odd-l products are added
+  in increasing l, each lane from +0.0, and the two lane sums are then added,
+  so l = 4 gives (p0 + p2) + (p1 + p3) and a zero sum is +0.0.  Its output is
+  C-contiguous, because the ``"bdk,bdk->bd"`` reductions downstream take
+  another summation order on strided input.
 """
 
 from __future__ import annotations
@@ -34,6 +42,15 @@ ZERO_FLOOR = 1e-12
 DEFAULT_CONDITION_BOUND = 1e8
 # Default relative tolerance for borderline causal classification.
 CAUSAL_TOL = 1e-9
+# batch_contract sends stacks of fewer rows (B * K) to np.einsum, which costs
+# less per call there (measured crossover 512-1,024 rows).
+CONTRACT_MIN_ROWS = 1024
+# Rows per block of batch_contract's lane kernel (64 samples of 256
+# directions); bounds its temporaries.
+CONTRACT_BLOCK_ROWS = 16384
+# Deepest contraction whose einsum order the lane kernel reproduces; einsum
+# unrolls longer sums into four vectors at a time.
+CONTRACT_MAX_DEPTH = 7
 
 
 def _as_square(entries, name: str) -> np.ndarray:
@@ -235,6 +252,52 @@ def metric_pairing(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.ndim == 2:
         return (y @ (x[:, None, :] @ g).transpose(0, 2, 1))[..., 0]
     return ((x @ g)[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def batch_contract(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[b, d, k] = sum_l m[b, k, l] x[b, d, l] for float stacks m (B, k, l), x (B, K, l).
+
+    Bit for bit ``np.einsum("bkl,bdl->bdk", m, x)``, returned as a new
+    C-contiguous (B, K, k) array.  einsum sums each output in two lanes
+    without FMA: lane 0 adds the even-l products and lane 1 the odd-l ones,
+    each from +0.0 in increasing l, and the result is lane 0 + lane 1.  So
+    l = 4 gives (p0 + p2) + (p1 + p3), l = 3 gives (p0 + p2) + p1, and a zero
+    sum is +0.0, never -0.0.  A matmul is faster but not equal, since BLAS
+    uses FMA.
+
+    The lane kernel keeps that order with in-place ufuncs on a (b, k, K)
+    layout, so the inner loops run over the K rows of each sample, and works
+    on blocks of CONTRACT_BLOCK_ROWS rows written straight into the output.
+    einsum itself takes stacks of fewer than CONTRACT_MIN_ROWS rows, depths
+    above CONTRACT_MAX_DEPTH and operands whose last axis is strided (einsum
+    then sums in another order); both sides give the same bits.
+    """
+    batch, rows, depth = x.shape
+    if (
+        batch * rows < CONTRACT_MIN_ROWS
+        or depth > CONTRACT_MAX_DEPTH
+        or m.strides[2] != m.itemsize
+        or x.strides[2] != x.itemsize
+    ):
+        return np.einsum("bkl,bdl->bdk", m, x)
+    out = np.empty((batch, rows, m.shape[1]))
+    step = max(1, CONTRACT_BLOCK_ROWS // rows)
+    # einsum warns of no inf or NaN; neither do the ufuncs here.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, batch, step):
+            mb = m[start : start + step]
+            xt = x[start : start + step].transpose(0, 2, 1)
+            lanes = [mb[:, :, l, None] * xt[:, None, l] for l in range(min(depth, 2))]
+            if depth > 2:
+                term = np.empty_like(lanes[0])
+                for l in range(2, depth):
+                    np.multiply(mb[:, :, l, None], xt[:, None, l], out=term)
+                    lanes[l % 2] += term
+            if depth > 1:
+                lanes[0] += lanes[1]
+            # + 0.0 turns a -0.0 sum into einsum's +0.0 and changes nothing else.
+            np.add(lanes[0].transpose(0, 2, 1), 0.0, out=out[start : start + step])
+    return out
 
 
 def induced_metric_on_wedge(q, degree: int) -> np.ndarray:

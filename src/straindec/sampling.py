@@ -38,7 +38,12 @@ import numpy as np
 
 from .errors import ConditioningError, SamplerStarvationError
 from .lagrangians import LagrangianSpec, _always_inside
-from .multilinear import DEFAULT_CONDITION_BOUND, LorentzianMetric, RiemannianMetric
+from .multilinear import (
+    DEFAULT_CONDITION_BOUND,
+    LorentzianMetric,
+    RiemannianMetric,
+    batch_contract,
+)
 from .strain import PointGeometry, batch_charpoly_coefficients, batch_strain
 
 # Metric perturbation amplitude a: g = L^T eta L with L = I + a R.
@@ -383,7 +388,7 @@ def batch_assemble_directions(frames, rapidity, normals) -> np.ndarray:
     unit = np.where(lengths > 0.0, normals / np.where(lengths == 0.0, 1.0, lengths), fallback)
     return np.cosh(rapidity)[:, :, None] * frames[:, None, :, 0] + np.sinh(rapidity)[
         :, :, None
-    ] * np.einsum("bdk,bik->bdi", unit, frames[:, :, 1:])
+    ] * batch_contract(frames[:, :, 1:], unit)
 
 
 def assemble_directions(basis, rapidity, normals) -> np.ndarray:

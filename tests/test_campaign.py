@@ -20,7 +20,7 @@ from straindec import (
     report_bytes,
     run_campaign,
 )
-from straindec.campaign import dump_json, write_json
+from straindec.campaign import MAX_DIRECTIONS_PER_SAMPLE, dump_json, write_json
 from straindec.cli import main
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -215,6 +215,38 @@ class TestConfigValidation:
         config = CampaignConfig.from_dict(data)
         assert all(type(getattr(config, name)) is int for name in names)
         assert all(getattr(config, name) == 2 for name in names)
+
+    @pytest.mark.parametrize("name, value", [
+        ("num_samples", 2.7),
+        ("seed", True),
+        ("max_fixtures", 1.5),
+        ("m_plus_1", 3.0),
+        ("n", "2"),
+        ("num_directions_per_sample", np.float64(4.0)),
+        ("rank_override", 1.0),
+        ("seed", np.bool_(False)),
+    ])
+    def test_direct_construction_rejects_non_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            _wave_config(**{name: value})
+
+    def test_direct_construction_stores_numpy_integers_as_int(self):
+        config = _wave_config(num_samples=np.int64(7), seed=np.uint64(2**63),
+                              rank_override=np.int32(1), max_fixtures=np.int8(3))
+        names = ("num_samples", "seed", "rank_override", "max_fixtures")
+        assert all(type(getattr(config, name)) is int for name in names)
+        assert CampaignConfig.from_dict(json.loads(dump_json(config.to_dict()))) == config
+
+    def test_directions_capped(self):
+        cap = MAX_DIRECTIONS_PER_SAMPLE
+        assert _wave_config(num_directions_per_sample=cap).num_directions_per_sample == cap
+        for count in (cap + 1, 10**9):
+            with pytest.raises(ConfigError, match="num_directions_per_sample"):
+                _wave_config(num_directions_per_sample=count)
+        data = _skyrme_config_dict()
+        data["num_directions_per_sample"] = 10**9
+        with pytest.raises(ConfigError, match="num_directions_per_sample"):
+            CampaignConfig.from_dict(data)
 
     def test_unknown_lagrangian_parameter_names_it(self):
         data = _skyrme_config_dict()

@@ -41,6 +41,8 @@ from straindec.engine import (
 from straindec.dec import batch_dec_witness, batch_flux
 from straindec.lagrangians import _always_inside
 from straindec.multilinear import (
+    CONTRACT_MIN_ROWS,
+    batch_contract,
     canonical_frames,
     congruence,
     frobenius,
@@ -454,14 +456,18 @@ class TestFold:
 
 
 class TestKernelBatchInvariance:
-    """Row k of a batched kernel equals the kernel on that row alone, bit for bit."""
+    """Row k of a batched kernel equals the kernel on that row alone, bit for bit.
 
-    BATCH = 64
+    A batch of 512 samples with 4 directions is 2,048 rows, so its
+    contractions run batch_contract's lane kernel while a row alone runs
+    np.einsum (``CONTRACT_MIN_ROWS``); a batch of 64 stays below that rule.
+    """
 
-    def _stack(self, m1):
+    @staticmethod
+    def _stack(m1, batch):
         name, params = ("skyrme", {"c1": 1.0, "c2": 1.0}) if m1 > 1 else ("wave_map", {})
         lagr = resolve_lagrangian(name, params, m1)
-        arrays = draw_chunk_arrays(41, 0, self.BATCH, m1, 3, 4, 1.0, 5.0, None, lagr)
+        arrays = draw_chunk_arrays(41, 0, batch, m1, 3, 4, 1.0, 5.0, None, lagr)
         return lagr, arrays[:5]
 
     @staticmethod
@@ -505,6 +511,7 @@ class TestKernelBatchInvariance:
                 batch_wedge_checks(pull, frames, tensors), axis=1
             ),
             "batch_assemble_directions": xs,
+            "batch_contract": batch_contract(tensor, xs),
             "batch_dec_witness": np.stack(
                 [witness.directions[..., 0], witness.energy, witness.energy_scale], axis=1
             ),
@@ -513,11 +520,14 @@ class TestKernelBatchInvariance:
             ),
         }
 
+    @pytest.mark.parametrize("batch", [64, 512])
     @pytest.mark.parametrize("m1", [1, 2, 3, 4, 5])
-    def test_row_equals_batch_of_one(self, m1):
-        lagr, arrays = self._stack(m1)
+    def test_row_equals_batch_of_one(self, m1, batch):
+        # 64 samples of 4 directions stay below batch_contract's size rule.
+        assert (batch * 4 >= CONTRACT_MIN_ROWS) == (batch == 512)
+        lagr, arrays = self._stack(m1, batch)
         full = self._kernels(lagr, *arrays)
-        for k in (0, 1, 17, self.BATCH - 1):
+        for k in (0, 1, 17, batch - 1):
             row = self._kernels(lagr, *(a[k : k + 1] for a in arrays))
             for name, value in full.items():
                 assert np.array_equal(value[k : k + 1], row[name]), (name, k)

@@ -23,6 +23,7 @@ from straindec import (
     principal_minor_sum,
     wedge_basis,
 )
+from straindec.multilinear import CONTRACT_MAX_DEPTH, CONTRACT_MIN_ROWS, batch_contract
 
 MINK2 = LorentzianMetric(np.diag([-1.0, 1.0]))
 
@@ -301,3 +302,91 @@ class TestCausalClassify:
         assert not CausalClass.ZERO.is_past_causal
         assert CausalClass.PAST_NULL.is_causal
         assert not CausalClass.SPACELIKE.is_causal
+
+
+class TestBatchContract:
+    """batch_contract returns the bits of np.einsum("bkl,bdl->bdk"), signed zeros included."""
+
+    @staticmethod
+    def _check(monkeypatch, m, x, kernel=True):
+        """Compare with einsum; with ``kernel`` the lane kernel must run, not einsum."""
+        want = np.einsum("bkl,bdl->bdk", m, x)
+        if kernel:
+            def refuse(*args, **kwargs):
+                raise AssertionError("batch_contract fell back to np.einsum")
+
+            monkeypatch.setattr(np, "einsum", refuse)
+        got = batch_contract(m, x)
+        monkeypatch.undo()
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def _signed_zeros(m, x):
+        """Rows of +0, -0 and zero matrices, and products of either sign that cancel."""
+        m[0] = 0.0
+        m[1] = -0.0
+        x[2] = -0.0
+        m[3, :, ::2] = -0.0
+        x[3, :, 1::2] = -0.0
+        x[4, :, :] = 0.0
+        m[4] = -np.abs(m[4])
+        m[5] = 1.0
+        x[5, :, 0] = 2.0
+        x[5, :, 1:] = -2.0 / max(x.shape[2] - 1, 1)
+        return m, x
+
+    @pytest.mark.parametrize("rows", [1, 8, 256])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_equals_einsum(self, monkeypatch, dim, rows):
+        rng = np.random.default_rng(100 * dim + rows)
+        batch = max(2 * CONTRACT_MIN_ROWS // rows, 6) + 3
+        m = rng.standard_normal((batch, dim, dim))
+        x = rng.standard_normal((batch, rows, dim))
+        self._check(monkeypatch, *self._signed_zeros(m, x))
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_sliced_frame_operand(self, monkeypatch, dim):
+        """The spatial legs frames[:, :, 1:] against (B, K, dim - 1) unit normals."""
+        rng = np.random.default_rng(dim)
+        frames = rng.standard_normal((12, dim, dim))
+        unit = rng.standard_normal((12, 256, dim - 1))
+        frames[0, :, 1:] = -0.0
+        unit[1] = 0.0
+        self._check(monkeypatch, frames[:, :, 1:], unit)
+
+    @pytest.mark.parametrize(
+        "batch, rows", [(1, 1023), (1, 1024), (341, 3), (256, 4), (3, 341), (4, 256)]
+    )
+    def test_either_side_of_the_size_rule(self, monkeypatch, batch, rows):
+        rng = np.random.default_rng(batch)
+        m = rng.standard_normal((batch, 4, 4))
+        x = rng.standard_normal((batch, rows, 4))
+        self._check(monkeypatch, m, x, kernel=batch * rows >= CONTRACT_MIN_ROWS)
+
+    @pytest.mark.parametrize("depth", [CONTRACT_MAX_DEPTH, CONTRACT_MAX_DEPTH + 1])
+    def test_either_side_of_the_depth_rule(self, monkeypatch, depth):
+        rng = np.random.default_rng(depth)
+        m = rng.standard_normal((8, depth, depth))
+        x = rng.standard_normal((8, 256, depth))
+        self._check(monkeypatch, m, x, kernel=depth <= CONTRACT_MAX_DEPTH)
+
+    def test_strided_operand_goes_to_einsum(self, monkeypatch):
+        # einsum sums a strided last axis in another order than the lanes.
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((8, 4, 4))
+        x = rng.standard_normal((8, 256, 8))[:, :, ::2]
+        self._check(monkeypatch, m, x, kernel=False)
+
+    def test_nonfinite_entries_match_silently(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((8, 4, 4))
+        x = rng.standard_normal((8, 256, 4))
+        m[0, 0, 0] = np.inf
+        m[1, :, 0] = np.inf
+        x[1, :, 0] = 0.0
+        x[2, 5, 3] = np.nan
+        with np.errstate(all="raise"):
+            self._check(monkeypatch, m, x)
