@@ -11,6 +11,10 @@ median gap above the parent's interquartile range) and the regression rule
 per seed, whether the two sides printed the same report sha256 lines, and the
 machine line ``perfbench/run.py`` prints (its ``machine_info()``).
 
+After a workload's pairs, each side runs ``perfbench/run.py --trace 1`` once,
+parent first, on the seed after the last pair; the file's ``trace`` block
+holds every per-layer metric of both runs, by workload.
+
 Example, with the parent commit checked out beside the change:
 
     git clone . ../parent && git -C ../parent checkout HEAD~1
@@ -34,10 +38,12 @@ WIN_SHARE = 0.9
 MIN_PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
     """One ``perfbench/run.py`` run: its final JSON, report digests and machine line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -110,6 +116,17 @@ def bench_workload(args, workload: str, first_seed: int, metrics: list) -> tuple
     return summary, runs[0]["machine"]
 
 
+def trace_workload(args, workload: str, seed: int) -> dict:
+    """One traced run per side, parent first: every per-layer metric of each."""
+    out = {"seed": seed, "order": "parent-first"}
+    for side in ("parent", "change"):
+        run = run_once(getattr(args, side), workload, seed, args.seconds, trace=1)
+        out[side] = {name: m["value"] for name, m in run["metrics"].items()}
+        out[side]["correct"] = run["correct"]
+        print(f"{workload} seed={seed} {side} traced", file=sys.stderr, flush=True)
+    return out
+
+
 def _revision(checkout: Path):
     done = subprocess.run(
         ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40"],
@@ -141,6 +158,8 @@ def main(argv=None) -> int:
         "title": args.title,
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0",
+        "trace_command": f"python3 perfbench/run.py --workload W --seed S "
+                         f"--seconds {args.seconds:g} --trace 1",
         "parent": _revision(args.parent),
         "change": _revision(args.change),
         "method": "each checkout runs its own perfbench/run.py, one pair per seed, even "
@@ -151,11 +170,14 @@ def main(argv=None) -> int:
                   "above the parent's IQR; worse_than_bound: the change's median worse "
                   "than the parent's by more than the bound, relative to the parent's",
         "workloads": {},
+        "trace": {},
     }
     for w, workload in enumerate(args.workload):
+        first_seed = args.first_seed + 100 * w
         out["workloads"][workload], out["machine"] = bench_workload(
-            args, workload, args.first_seed + 100 * w, spec["end_to_end"]
+            args, workload, first_seed, spec["end_to_end"]
         )
+        out["trace"][workload] = trace_workload(args, workload, first_seed + args.pairs)
     path = args.change / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)

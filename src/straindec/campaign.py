@@ -196,13 +196,23 @@ class CampaignConfig:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.max_fixtures < 0:
             raise ConfigError("max_fixtures must be nonnegative")
-        # Fail early if the catalog cannot rebuild this Lagrangian.
+        # Fail early if the catalog cannot rebuild this Lagrangian, or if no
+        # map of the drawn rank has invariants in its domain.
         try:
-            resolve_lagrangian(
+            lagr = resolve_lagrangian(
                 self.lagrangian_name, self.lagrangian_parameters, self.m_plus_1
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"lagrangian {self.lagrangian_name}: {exc}") from exc
+        name, rank = "rank_override", self.rank_override
+        if rank is None:
+            name, rank = "n", min(self.m_plus_1, self.n)
+        if rank < lagr.min_rank:
+            raise ConfigError(
+                f"{name} = {getattr(self, name)} caps the rank of dphi at {rank}, but "
+                f"lagrangian {lagr.name} needs rank {lagr.min_rank} or more: below "
+                "it every invariant vector lies outside its domain"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -381,6 +391,41 @@ class ReplayResult:
 
 _DEC_KINDS = ("dec", "dec_energy", "dec_flux")
 _DEGREE_KINDS = ("rank_condition", "wedge_identity", "cauchy_schwarz")
+# The last keyed replay's direction-independent work: (key, geometry,
+# Lagrangian, stack without its direction fields).  Each keyed replay replaces
+# it with one assignment and never writes to the stack it read.
+_last_replay = None
+
+
+def _replay_key(data: dict):
+    """What a fixture's geometry, Lagrangian and direction-free stack depend on.
+
+    The metric, target metric and dphi as the float64 arrays ``load_geometry``
+    converts them to (shape and bytes, so -0.0 differs from 0.0), the
+    Lagrangian's name and parameters as ``replay_fixture`` reads them (the
+    parameters as JSON), and the bit patterns of the dec and algebraic
+    tolerances.  None when any of these cannot be read.
+    """
+    if not isinstance(data, dict):
+        return None
+    lagr_info, tol = data.get("lagrangian"), data.get("tolerances", {})
+    if not (isinstance(lagr_info, dict) and isinstance(tol, dict)):
+        return None
+    try:
+        arrays = (
+            np.asarray(np.array(data["metric"]), dtype=float),
+            np.asarray(np.array(data["target_metric"]), dtype=float),
+            np.array(data["dphi"], dtype=float),
+        )
+        return (
+            *((a.shape, a.tobytes()) for a in arrays),
+            str(lagr_info["name"]),
+            json.dumps(dict(lagr_info.get("parameters", {}))),
+            float(tol.get("dec", 1e-9)).hex(),
+            float(tol.get("algebraic", 1e-9)).hex(),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
 
 
 def replay_fixture(source) -> ReplayResult:
@@ -393,28 +438,47 @@ def replay_fixture(source) -> ReplayResult:
     bitwise-identical recomputed values; the comparison with the recorded
     block is at status level since the chunk and the single sample may round
     differently.
+
+    Consecutive fixtures of one sample share their direction-independent
+    work.  When a fixture's ``_replay_key`` (the float64 shape and bytes of
+    its metric, target metric and dphi, its Lagrangian name and parameters,
+    and its dec and algebraic tolerances) equals the previous keyed call's,
+    replay reuses that call's validated geometry, resolved Lagrangian and
+    every ``CheckStack`` field outside ``CheckStack.DIRECTION_FIELDS``, which
+    are pure functions of the key; only the direction fields are recomputed.
+    The schema version, the kind, the direction, the degree and the
+    corollary flags are checked on every call.  Results are bit-identical to
+    a replay with nothing reused, and nothing returned shares an array with
+    the reused work.
     """
+    global _last_replay
     data = source if isinstance(source, dict) else read_json(source)
     context = "fixture" if isinstance(source, dict) else f"fixture {source}"
     _check_schema_version(data, context)
     kind = _require(data, "kind", context)
     if kind not in engine.FIXTURES:
         raise ConfigError(f"{context} has unknown kind {kind!r}")
-    geom = load_geometry(
-        {
-            "metric": _require(data, "metric", context),
-            "target_metric": _require(data, "target_metric", context),
-            "dphi": _require(data, "dphi", context),
-        }
-    )
-    lagr_info = _require(data, "lagrangian", context)
-    lagr = resolve_lagrangian(
-        str(lagr_info["name"]), dict(lagr_info.get("parameters", {})), geom.dim
-    )
-    tol = data.get("tolerances", {})
-    stack = CheckStack.at(
-        geom, lagr, float(tol.get("dec", 1e-9)), float(tol.get("algebraic", 1e-9))
-    )
+    memo_key = _replay_key(data)
+    last = _last_replay
+    if memo_key is not None and last is not None and last[0] == memo_key:
+        _, geom, lagr, stack = last
+        stack = stack.without_directions()
+    else:
+        geom = load_geometry(
+            {
+                "metric": _require(data, "metric", context),
+                "target_metric": _require(data, "target_metric", context),
+                "dphi": _require(data, "dphi", context),
+            }
+        )
+        lagr_info = _require(data, "lagrangian", context)
+        lagr = resolve_lagrangian(
+            str(lagr_info["name"]), dict(lagr_info.get("parameters", {})), geom.dim
+        )
+        tol = data.get("tolerances", {})
+        stack = CheckStack.at(
+            geom, lagr, float(tol.get("dec", 1e-9)), float(tol.get("algebraic", 1e-9))
+        )
     index = 0
     if kind in _DEC_KINDS or kind == "convexity_lemma":
         direction = require_timelike(
@@ -440,6 +504,8 @@ def replay_fixture(source) -> ReplayResult:
         for key in expected
         if key in recomputed and isinstance(recomputed[key], (bool, str, int))
     )
+    if memo_key is not None:
+        _last_replay = (memo_key, geom, lagr, stack.without_directions())
     return ReplayResult(
         kind=kind,
         verdict=verdict,

@@ -320,6 +320,25 @@ class CheckStack:
     wedge_identity = cached_property(lambda st: st.wedge[0] <= st.algebraic_tol)
     cauchy_schwarz = cached_property(lambda st: st.wedge[1] <= st.algebraic_tol)
 
+    # ``directions`` and every field above that reads it, directly or through
+    # another such field; ``without_directions`` drops exactly these.
+    DIRECTION_FIELDS = (
+        "directions", "witness", "components", "premise", "conclusion",
+        "dec_energy", "dec_flux", "convexity_lemma",
+    )
+
+    def without_directions(self) -> "CheckStack":
+        """A shallow copy holding every computed field except ``DIRECTION_FIELDS``.
+
+        The copy shares the kept arrays, which no kernel writes to; fields it
+        computes later land in the copy only.
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        for name in self.DIRECTION_FIELDS:
+            copy.__dict__.pop(name, None)
+        return copy
+
 
 @dataclass(frozen=True)
 class DECVerdict:

@@ -53,7 +53,10 @@ class LagrangianSpec:
     """A Lagrangian on invariant vectors of a fixed dimension.
 
     ``parameters`` holds plain scalars sufficient to rebuild the spec by name
-    (used when configs and reports are serialized).
+    (used when configs and reports are serialized).  ``min_rank`` is the
+    least rank of dphi whose invariants can lie in the domain: s_k vanishes
+    identically below rank k, so a domain that needs s_k >= delta > 0 has no
+    point there.
     """
 
     name: str
@@ -63,6 +66,7 @@ class LagrangianSpec:
     domain_predicate: Callable[[np.ndarray], np.ndarray]
     flags: LagrangianFlags
     parameters: dict = field(default_factory=dict)
+    min_rank: int = 0
 
 
 def evaluate_lagrangian(spec: LagrangianSpec, invariants) -> float:
@@ -225,6 +229,7 @@ def minimal_surface(dim: int, delta: float = DOMAIN_DELTA) -> LagrangianSpec:
             defocusing=True, zeroed=True, nondegenerate=(index == 0)
         ),
         parameters={"delta": float(delta)},
+        min_rank=dim - 1 if delta > 0.0 else 0,
     )
 
 

@@ -4,12 +4,17 @@ Determinism contract under test: for a fixed config the report bytes (minus
 wall-clock duration) are identical across runs and across worker counts.
 """
 
+import dataclasses
 import json
+import sys
+import threading
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import test_engine
 from straindec import (
     CampaignConfig,
     CausalClass,
@@ -18,10 +23,16 @@ from straindec import (
     load_geometry,
     replay_fixture,
     report_bytes,
+    resolve_lagrangian,
     run_campaign,
+    sample_geometry,
 )
+from straindec import campaign
 from straindec.campaign import MAX_DIRECTIONS_PER_SAMPLE, dump_json, write_json
 from straindec.cli import main
+from straindec.dec import CheckStack
+from straindec.engine import run_chunk
+from straindec.sampling import sample_timelike_directions
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -161,6 +172,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rank_override"):
             _wave_config(rank_override=3)
         assert _wave_config(rank_override=2).rank_override == 2
+
+    # minimal_surface keeps s_m >= delta, and s_m vanishes below rank m.
+    @pytest.mark.parametrize("dims, field", [
+        (dict(m_plus_1=4, n=2), "n = 2"),
+        (dict(m_plus_1=3, n=1), "n = 1"),
+        (dict(m_plus_1=4, n=4, rank_override=2), "rank_override = 2"),
+        (dict(m_plus_1=3, n=3, rank_override=1), "rank_override = 1"),
+    ])
+    def test_rank_below_the_domain_rejected(self, dims, field):
+        with pytest.raises(ConfigError, match=field):
+            _wave_config(lagrangian_name="minimal_surface", **dims)
+
+    def test_rank_high_enough_accepted(self):
+        accepted = 0
+        for m1 in range(2, 6):
+            for n in range(1, 6):
+                for rank in (None, *range(min(m1, n) + 1)):
+                    drawn = min(m1, n) if rank is None else rank
+                    for delta in (1e-10, 0.0, -1.0):
+                        config = dict(
+                            m_plus_1=m1, n=n, rank_override=rank,
+                            lagrangian_name="minimal_surface",
+                            lagrangian_parameters={"delta": delta},
+                        )
+                        if delta > 0.0 and drawn < m1 - 1:
+                            with pytest.raises(ConfigError):
+                                _wave_config(**config)
+                            continue
+                        _wave_config(**config)
+                        accepted += 1
+                    _wave_config(m_plus_1=m1, n=n, rank_override=rank)
+        assert accepted > 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -397,6 +440,233 @@ class TestReplayFixture:
             replay_fixture(data)
 
 
+def _replay_repr(fixture) -> str:
+    """Everything a replay returns but ``recorded``, floats at full precision."""
+    result = replay_fixture(fixture)
+    with np.printoptions(floatmode="unique"):
+        return repr((result.kind, result.matches, result.recomputed, result.verdict))
+
+
+def _fresh(fixture):
+    """A replay's outcome with nothing reused: its repr, or its exception."""
+    campaign._last_replay = None
+    return _outcome(fixture)
+
+
+def _outcome(fixture):
+    try:
+        return _replay_repr(fixture)
+    except Exception as exc:  # noqa: BLE001 (the outcome under test)
+        return type(exc), str(exc)
+
+
+def _memo_fixture_sets():
+    """Fixture lists in sample order: the fixture-scan configs, then a harvest."""
+    for config in test_engine.TestFixtureScan.CONFIGS:
+        yield run_chunk(dict(config, max_fixtures=10**6), 0, 60)["fixtures"]
+    report = run_campaign(_violating_config(
+        num_samples=2048, mode="violation_search", max_fixtures=2000
+    ))
+    yield json.loads(dump_json(report.fixtures))
+
+
+def _orders(count):
+    half = (count + 1) // 2
+    interleaved = [i for pair in zip(range(half), range(half, count)) for i in pair]
+    if count % 2:
+        interleaved.append(half - 1)
+    return {
+        "forward": list(range(count)),
+        "reverse": list(range(count))[::-1],
+        "interleaved": interleaved,
+    }
+
+
+def _same(a, b) -> bool:
+    """Bitwise equality of stack fields: arrays, tuples, dataclasses, scalars."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray) and a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    return type(a) is type(b) and a == b
+
+
+_STACK_FIELDS = [
+    name for name, value in vars(CheckStack).items() if isinstance(value, cached_property)
+]
+
+
+class TestReplayMemo:
+    """Replay reuses the previous fixture's direction-independent work, exactly."""
+
+    @pytest.fixture(autouse=True)
+    def _clear_memo(self):
+        campaign._last_replay = None
+        yield
+        campaign._last_replay = None
+
+    def test_every_order_matches_a_fresh_replay(self):
+        for fixtures in _memo_fixture_sets():
+            fresh = [_fresh(fx) for fx in fixtures]
+            for name, order in _orders(len(fixtures)).items():
+                campaign._last_replay = None
+                for i in order:
+                    assert _replay_repr(fixtures[i]) == fresh[i], (name, i)
+
+    def test_consecutive_fixtures_of_a_sample_hit(self):
+        fixtures = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
+        )["fixtures"]
+        a, b = fixtures[0], fixtures[1]
+        assert a["dphi"] == b["dphi"]
+        replay_fixture(a)
+        cached = campaign._last_replay
+        replay_fixture(b)
+        # A hit reuses the cached geometry and Lagrangian objects.
+        assert campaign._last_replay[1] is cached[1]
+        assert campaign._last_replay[2] is cached[2]
+
+    def test_copy_recomputes_every_direction_field(self):
+        geom = sample_geometry(3, 3, rng=np.random.default_rng(3))
+        lagr = resolve_lagrangian("skyrme", {"c1": 1.0, "c2": 1.0}, 3)
+        frame = CheckStack.at(geom, lagr).frames[0][0]
+        rng = np.random.default_rng(4)
+        a, b = (
+            sample_timelike_directions(frame, rng, 4, 3.0)[None] for _ in range(2)
+        )
+        stack = CheckStack.at(geom, lagr)
+        stack.directions = a
+        before = {name: getattr(stack, name) for name in _STACK_FIELDS}
+        copy = stack.without_directions()
+        copy.directions = b
+        fresh = CheckStack.at(geom, lagr)
+        fresh.directions = b
+        assert set(CheckStack.DIRECTION_FIELDS) <= {"directions", *_STACK_FIELDS}
+        for name in _STACK_FIELDS:
+            assert _same(getattr(copy, name), getattr(fresh, name)), name
+        # The copy did not write into the stack it came from.
+        for name in _STACK_FIELDS:
+            assert stack.__dict__[name] is before[name], name
+        assert stack.directions is a
+        # Directions A and B give different witnesses, so a stale field shows.
+        assert not _same(before["witness"], getattr(fresh, "witness"))
+
+    def test_near_misses_replay_as_if_fresh(self):
+        base = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
+        )["fixtures"][0]
+        golden = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
+
+        def reshaped(fx, name, shape):
+            flat = np.array(fx[name]).reshape(shape)
+            return dict(fx, **{name: flat.tolist()})
+
+        def negated_zero(fx):
+            dphi = [row[:] for row in fx["dphi"]]
+            assert dphi[0][1] == 0.0
+            dphi[0][1] = -0.0
+            return dict(fx, dphi=dphi)
+
+        def with_lagrangian(fx, coefficients):
+            lagr = {"name": "linear_combination",
+                    "parameters": {"coefficients": coefficients}}
+            return dict(fx, lagrangian=lagr)
+
+        cases = [
+            (base, reshaped(base, "dphi", (9,))),
+            (base, reshaped(base, "dphi", (1, 9))),
+            (base, reshaped(base, "metric", (1, 9))),
+            (golden, reshaped(golden, "dphi", (4, 1))),
+            (golden, negated_zero(golden)),
+            (base, dict(base, tolerances={"algebraic": 1e-9, "dec": 1e300})),
+            (base, dict(base, tolerances={"algebraic": 1e300, "dec": 1e-9})),
+            (base, dict(base, tolerances={"algebraic": 1e-9, "dec": -0.0})),
+            (base, with_lagrangian(base, [1.0, -4.0, 0.0])),
+            (base, with_lagrangian(base, [1.0, -5.0, -0.0])),
+            (base, with_lagrangian(base, [1.0, -5.0])),
+            (base, dict(base, lagrangian={"name": "skyrme",
+                                          "parameters": {"c1": 1.0, "c2": 5.0}})),
+            # Keys that cannot be built.
+            (base, dict(base, metric=[[-1.0, 0.0, 0.0], [0.0, 1.0]])),
+            (base, dict(base, metric=[["x"] * 3] * 3)),
+            (base, dict(base, dphi=None)),
+            (base, {k: v for k, v in base.items() if k != "dphi"}),
+            (base, dict(base, lagrangian="linear_combination")),
+            (base, dict(base, tolerances=[1e-9])),
+            (base, dict(base, tolerances={"dec": "loose"})),
+        ]
+        # The same key, with content that is checked on every call.
+        malformed = [
+            dict(base, direction=[0.0, 1.0, 0.0]),
+            dict(base, direction=[1.0, 0.0]),
+            {k: v for k, v in base.items() if k != "direction"},
+            dict(base, kind="wedge_identity", degree=4),
+            dict(base, kind="rank_condition", degree="two"),
+            dict(base, kind="pointwise_corollary"),
+            dict(base, schema_version=2),
+            dict(base, kind="mystery"),
+        ]
+        cases += [(base, near) for near in malformed]
+        for i, (valid, near) in enumerate(cases):
+            expected = _fresh(near)
+            campaign._last_replay = None
+            _replay_repr(valid)
+            assert _outcome(near) == expected, i
+            key = campaign._replay_key(near)
+            if near in malformed:
+                assert isinstance(expected, tuple), i
+            elif key is not None:
+                assert key != campaign._replay_key(valid), i
+
+    def test_returned_arrays_do_not_alias_the_memo(self):
+        fixtures = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
+        )["fixtures"]
+        fx = next(f for f in fixtures if f["kind"] == "dec_energy")
+        expected = _fresh(fx)
+        for _ in range(2):
+            result = replay_fixture(fx)
+            for w in result.verdict.witnesses:
+                w.direction[...] = np.nan
+                w.flux[...] = np.nan
+        assert _replay_repr(fx) == expected
+
+    def test_concurrent_replays_match_fresh(self):
+        fixtures = next(_memo_fixture_sets())[:120]
+        fresh = [_fresh(fx) for fx in fixtures]
+        campaign._last_replay = None
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(len(fixtures)):
+                    i = (k + offset) % len(fixtures)
+                    if _replay_repr(fixtures[i]) != fresh[i]:
+                        errors.append(i)
+            except Exception as exc:  # noqa: BLE001 (reported below)
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+
 def _write_config(tmp_path, config):
     path = tmp_path / "config.json"
     write_json(path, config.to_dict())
@@ -455,6 +725,14 @@ class TestCLI:
         write_json(config, data)
         assert main(["verify", "--config", str(config)]) == 2
         assert path in capsys.readouterr().err
+
+    def test_verify_rank_below_the_domain_exit_two(self, tmp_path, capsys):
+        data = _wave_config(m_plus_1=4).to_dict()
+        data["lagrangian"] = {"name": "minimal_surface", "parameters": {}}
+        config = tmp_path / "config.json"
+        write_json(config, data)
+        assert main(["verify", "--config", str(config)]) == 2
+        assert "n = 2" in capsys.readouterr().err
 
     def test_jobs_env_override(self, tmp_path, monkeypatch, capsys):
         config = _write_config(tmp_path, _wave_config(num_samples=25))
