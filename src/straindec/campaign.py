@@ -66,6 +66,14 @@ def _json_object(value) -> dict:
     return dict(value)
 
 
+def _convert(value, convert, name: str):
+    """``convert(value)``; a ConfigError naming the field if it cannot."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 # Each CampaignConfig field's config-file key (dotted inside a section) and
 # the conversion of its JSON value.
 _FROM_JSON = {
@@ -116,7 +124,19 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _check_schema_version(data: dict, context: str) -> None:
+def _lagrangian_and_tolerances(data: dict, context: str) -> tuple[dict, dict]:
+    """The ``lagrangian`` object, which must have a name, and the ``tolerances`` one."""
+    lagr = _convert(
+        _require(data, "lagrangian", context), _json_object, f"{context} field 'lagrangian'"
+    )
+    _require(lagr, "name", f"{context} field 'lagrangian'")
+    tol = _convert(data.get("tolerances", {}), _json_object, f"{context} field 'tolerances'")
+    return lagr, tol
+
+
+def _check_schema_version(data, context: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     version = _require(data, "schema_version", context)
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -246,12 +266,7 @@ class CampaignConfig:
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"config has unknown fields: {sorted(unknown)}")
-        lagr = _require(data, "lagrangian", "config")
-        if not isinstance(lagr, dict) or "name" not in lagr:
-            raise ConfigError("config field 'lagrangian' must be {name, parameters}")
-        tol = data.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise ConfigError("config field 'tolerances' must be an object")
+        lagr, tol = _lagrangian_and_tolerances(data, "config")
         for key in ("m_plus_1", "n", "num_samples"):
             _require(data, key, "config")
         sections = {"": data, "lagrangian": lagr, "tolerances": tol}
@@ -259,10 +274,9 @@ class CampaignConfig:
         for name, (path, convert) in _FROM_JSON.items():
             section, _, key = path.rpartition(".")
             if key in sections[section]:
-                try:
-                    values[name] = convert(sections[section][key])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"config field {path!r}: {exc}") from exc
+                values[name] = _convert(
+                    sections[section][key], convert, f"config field {path!r}"
+                )
         return cls(**values)
 
 
@@ -313,11 +327,10 @@ class CampaignReport:
         }
 
 
-def report_bytes(report_dict: dict, include_duration: bool = False) -> bytes:
-    """Canonical bytes of a report, by default with the duration field removed."""
+def report_bytes(report_dict: dict) -> bytes:
+    """Canonical bytes of a report, with the duration field removed."""
     data = dict(report_dict)
-    if not include_duration:
-        data.pop("duration_seconds", None)
+    data.pop("duration_seconds", None)
     return dump_json(data).encode("utf-8")
 
 
@@ -392,13 +405,12 @@ class ReplayResult:
 _DEC_KINDS = ("dec", "dec_energy", "dec_flux")
 _DEGREE_KINDS = ("rank_condition", "wedge_identity", "cauchy_schwarz")
 # The last keyed replay's direction-independent work: (key, geometry,
-# Lagrangian, stack without its direction fields).  Each keyed replay replaces
-# it with one assignment and never writes to the stack it read.
+# Lagrangian, CheckStack).  Each keyed replay replaces it with one assignment.
 _last_replay = None
 
 
 def _replay_key(data: dict):
-    """What a fixture's geometry, Lagrangian and direction-free stack depend on.
+    """What a fixture's geometry, Lagrangian and CheckStack depend on.
 
     The metric, target metric and dphi as the float64 arrays ``load_geometry``
     converts them to (shape and bytes, so -0.0 differs from 0.0), the
@@ -444,12 +456,12 @@ def replay_fixture(source) -> ReplayResult:
     its metric, target metric and dphi, its Lagrangian name and parameters,
     and its dec and algebraic tolerances) equals the previous keyed call's,
     replay reuses that call's validated geometry, resolved Lagrangian and
-    every ``CheckStack`` field outside ``CheckStack.DIRECTION_FIELDS``, which
-    are pure functions of the key; only the direction fields are recomputed.
-    The schema version, the kind, the direction, the degree and the
-    corollary flags are checked on every call.  Results are bit-identical to
-    a replay with nothing reused, and nothing returned shares an array with
-    the reused work.
+    ``CheckStack``, all pure functions of the key; the stack keeps every
+    field computed so far.  Only the checks along the fixture's direction, a
+    fresh ``CheckStack.along`` view, are recomputed.  The schema version, the
+    kind, the direction, the degree and the corollary flags are checked on
+    every call.  Results are bit-identical to a replay with nothing reused,
+    and nothing returned shares an array with the reused work.
     """
     global _last_replay
     data = source if isinstance(source, dict) else read_json(source)
@@ -458,46 +470,46 @@ def replay_fixture(source) -> ReplayResult:
     kind = _require(data, "kind", context)
     if kind not in engine.FIXTURES:
         raise ConfigError(f"{context} has unknown kind {kind!r}")
+    # Validated on every call, reused work or not: ``_replay_key`` reads the
+    # parameters with dict(), which also accepts a list of pairs.
+    field = f"{context} field"
+    lagr_info, tol = _lagrangian_and_tolerances(data, context)
+    params = _convert(
+        lagr_info.get("parameters", {}), _json_object, f"{field} 'lagrangian.parameters'"
+    )
     memo_key = _replay_key(data)
     last = _last_replay
     if memo_key is not None and last is not None and last[0] == memo_key:
         _, geom, lagr, stack = last
-        stack = stack.without_directions()
     else:
         geom = load_geometry(
-            {
-                "metric": _require(data, "metric", context),
-                "target_metric": _require(data, "target_metric", context),
-                "dphi": _require(data, "dphi", context),
-            }
+            {key: _require(data, key, context) for key in ("metric", "target_metric", "dphi")}
         )
-        lagr_info = _require(data, "lagrangian", context)
-        lagr = resolve_lagrangian(
-            str(lagr_info["name"]), dict(lagr_info.get("parameters", {})), geom.dim
-        )
-        tol = data.get("tolerances", {})
-        stack = CheckStack.at(
-            geom, lagr, float(tol.get("dec", 1e-9)), float(tol.get("algebraic", 1e-9))
-        )
-    index = 0
+        lagr = resolve_lagrangian(str(lagr_info["name"]), params, geom.dim)
+        stack = CheckStack.at(geom, lagr, *(
+            _convert(tol.get(key, 1e-9), float, f"{field} 'tolerances.{key}'")
+            for key in ("dec", "algebraic")
+        ))
+    index, checks = 0, stack
     if kind in _DEC_KINDS or kind == "convexity_lemma":
         direction = require_timelike(
             geom.metric, _require(data, "direction", context), kind == "convexity_lemma"
         )
-        stack.directions = direction[None, None]
+        checks = stack.along(direction[None, None])
     elif kind in _DEGREE_KINDS:
-        index = int(_require(data, "degree", context)) - 1
-        check_degree(index + 1, geom.dim)
+        degree = _convert(_require(data, "degree", context), _json_int, f"{field} 'degree'")
+        check_degree(degree, geom.dim)
+        index = degree - 1
     elif kind == "pointwise_corollary":
         require_corollary_flags(lagr)
-    verdict = dec_verdict(stack, lagr.name) if kind in _DEC_KINDS else None
-    recomputed = engine.FIXTURES[kind](stack, 0, index)["recorded"]
-    recorded = dict(data.get("recorded", {}))
+    verdict = dec_verdict(checks, lagr.name) if kind in _DEC_KINDS else None
+    recomputed = engine.FIXTURES[kind](checks, 0, index)["recorded"]
+    recorded = _convert(data.get("recorded", {}), _json_object, f"{field} 'recorded'")
     expected = recorded
     if not any(isinstance(value, bool) for value in recomputed.values()):
         # A record without a status of its own shows the check's verdict; the
         # engine writes such a record only when the check fails.
-        recomputed["holds"] = bool(getattr(stack, kind).reshape(1, -1)[0, index])
+        recomputed["holds"] = bool(getattr(checks, kind).reshape(1, -1)[0, index])
         expected = {"holds": False, **recorded}
     matches = all(
         expected[key] == recomputed[key]
@@ -505,11 +517,5 @@ def replay_fixture(source) -> ReplayResult:
         if key in recomputed and isinstance(recomputed[key], (bool, str, int))
     )
     if memo_key is not None:
-        _last_replay = (memo_key, geom, lagr, stack.without_directions())
-    return ReplayResult(
-        kind=kind,
-        verdict=verdict,
-        matches=matches,
-        recorded=recorded,
-        recomputed=recomputed,
-    )
+        _last_replay = (memo_key, geom, lagr, stack)
+    return ReplayResult(kind, verdict, matches, recorded, recomputed)

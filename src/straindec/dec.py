@@ -12,9 +12,10 @@ tensor counts as vacuously zero when its norm is negligible against them.
 
 ``CheckStack`` evaluates every pointwise check of a campaign on a stack of
 geometries with the batched kernels (``batch_dec_witness``, ``batch_flux``
-and those of strain and stress).  The campaign engine runs it on whole
-chunks; fixture replay and the single-point functions here run it on a batch
-of one.
+and those of strain and stress); its view ``CheckStack.along(directions)``
+adds the checks that read timelike directions.  The campaign engine runs it
+on whole chunks; fixture replay and the single-point functions here run it on
+a batch of one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .multilinear import (
     frobenius,
     metric_pairing,
 )
-from .sampling import BOOST_CAP, sample_timelike_directions
+from .sampling import sample_timelike_directions
 from .strain import (
     PointGeometry,
     batch_charpoly_coefficients,
@@ -218,14 +219,12 @@ class CheckStack:
     """Every pointwise check on a stack of B geometries, each kernel run on first use.
 
     ``g``, ``h`` and ``dphi`` are (B, m+1, m+1), (B, n, n) and (B, n, m+1)
-    stacks.  The DEC witnesses and the combination lemma read ``directions``,
-    a (B, K, m+1) stack of timelike vectors that the caller sets first; the
-    lemma uses the first direction of each sample.  A check's pass mask is the
-    attribute named after it (``dec_energy`` .. ``cauchy_schwarz``), shaped
-    (B, K) for the witnesses, (B, m+1) per degree and (B,) otherwise.
+    stacks.  The checks that read timelike directions (the DEC witnesses and
+    the combination lemma) live on the view ``along`` returns, so no field
+    of the stack depends on directions.  A check's pass mask is the attribute
+    named after it (``dec_energy`` .. ``cauchy_schwarz``), shaped (B, K) for
+    the witnesses, (B, m+1) per degree and (B,) otherwise.
     """
-
-    directions: np.ndarray
 
     def __init__(self, g, h, dphi, lagr=None, tol=DEC_TOL, algebraic_tol=DEC_TOL):
         self.g, self.h, self.dphi, self.lagr = g, h, dphi, lagr
@@ -243,6 +242,10 @@ class CheckStack:
         if lagr is not None:
             require_domain(lagr, stack.s[0])
         return stack
+
+    def along(self, directions: np.ndarray) -> "DirectedStack":
+        """This stack's checks along a (B, K, m+1) stack of timelike vectors."""
+        return DirectedStack(self, directions)
 
     # (pullbacks, strains), invariants, and (dF/ds, F, grad F . s).
     strain = cached_property(lambda st: batch_strain(st.g, st.h, st.dphi))
@@ -262,9 +265,6 @@ class CheckStack:
         lambda st: batch_combination_scale(st.g, st.elementary_scales, st.s, st.terms)
     )
     vacuous = cached_property(lambda st: st.tensor_norm <= VACUOUS_RTOL * st.scale)
-    witness = cached_property(
-        lambda st: batch_dec_witness(st.g, st.tensor, st.directions, st.tol)
-    )
     # Rank condition: T_j vanishes exactly for degrees above the rank of dphi.
     rank = cached_property(lambda st: batch_rank(st.dphi))
     vanished = cached_property(
@@ -283,13 +283,6 @@ class CheckStack:
     )
 
     @cached_property
-    def components(self) -> FluxStack:
-        """Fluxes of the weighted pieces dF/ds_j T_j X at the first direction."""
-        x0 = self.witness.directions[:, 0]
-        v = np.einsum("bjkl,bl->bjk", self.elementary, x0) * self.terms[0][:, :, None]
-        return batch_flux(self.g, x0, v, self.tol)
-
-    @cached_property
     def hyperplane_margin(self) -> np.ndarray:
         """(F - grad F . s) / max(1, |F|, |grad F . s|), >= 0 on a supporting hyperplane."""
         _, fval, dot = self.terms
@@ -303,6 +296,43 @@ class CheckStack:
     ))
     pointwise_corollary = cached_property(lambda st: ~st.corollary[0] | st.corollary[1])
 
+    # Pass masks, named after the checks.
+    rank_condition = cached_property(
+        lambda st: st.vanished == (np.arange(1, st.g.shape[1] + 1) > st.rank[:, None])
+    )
+    supporting_hyperplane = cached_property(lambda st: st.hyperplane_margin >= -st.tol)
+    invariant_routes = cached_property(lambda st: st.route_residual <= st.algebraic_tol)
+    wedge_identity = cached_property(lambda st: st.wedge[0] <= st.algebraic_tol)
+    cauchy_schwarz = cached_property(lambda st: st.wedge[1] <= st.algebraic_tol)
+
+
+@dataclass(eq=False)
+class DirectedStack:
+    """A CheckStack along a (B, K, m+1) stack of timelike ``directions``.
+
+    Holds the checks that read the directions: the DEC witnesses and the
+    combination lemma, which uses the first direction of each sample.  Every
+    other field is read from, and computed on, the stack it views, so views
+    with different directions can share one stack.
+    """
+
+    stack: CheckStack
+    directions: np.ndarray
+
+    def __getattr__(self, name):
+        return getattr(self.stack, name)
+
+    witness = cached_property(
+        lambda st: batch_dec_witness(st.g, st.tensor, st.directions, st.tol)
+    )
+
+    @cached_property
+    def components(self) -> FluxStack:
+        """Fluxes of the weighted pieces dF/ds_j T_j X at the first direction."""
+        x0 = self.witness.directions[:, 0]
+        v = np.einsum("bjkl,bl->bjk", self.elementary, x0) * self.terms[0][:, :, None]
+        return batch_flux(self.g, x0, v, self.tol)
+
     # The combination lemma: component fluxes all past-causal or zero must
     # make the combined flux so.
     premise = cached_property(lambda st: st.components.past_or_zero.all(axis=1))
@@ -311,33 +341,7 @@ class CheckStack:
     # Pass masks, named after the checks.
     dec_energy = cached_property(lambda st: st.witness.energy_ok)
     dec_flux = cached_property(lambda st: st.witness.flux.ok)
-    rank_condition = cached_property(
-        lambda st: st.vanished == (np.arange(1, st.g.shape[1] + 1) > st.rank[:, None])
-    )
     convexity_lemma = cached_property(lambda st: ~st.premise | st.conclusion)
-    supporting_hyperplane = cached_property(lambda st: st.hyperplane_margin >= -st.tol)
-    invariant_routes = cached_property(lambda st: st.route_residual <= st.algebraic_tol)
-    wedge_identity = cached_property(lambda st: st.wedge[0] <= st.algebraic_tol)
-    cauchy_schwarz = cached_property(lambda st: st.wedge[1] <= st.algebraic_tol)
-
-    # ``directions`` and every field above that reads it, directly or through
-    # another such field; ``without_directions`` drops exactly these.
-    DIRECTION_FIELDS = (
-        "directions", "witness", "components", "premise", "conclusion",
-        "dec_energy", "dec_flux", "convexity_lemma",
-    )
-
-    def without_directions(self) -> "CheckStack":
-        """A shallow copy holding every computed field except ``DIRECTION_FIELDS``.
-
-        The copy shares the kept arrays, which no kernel writes to; fields it
-        computes later land in the copy only.
-        """
-        copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__)
-        for name in self.DIRECTION_FIELDS:
-            copy.__dict__.pop(name, None)
-        return copy
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,7 @@ class DECVerdict:
         )
 
 
-def dec_verdict(stack: CheckStack, lagrangian_name: str) -> DECVerdict:
+def dec_verdict(stack: DirectedStack, lagrangian_name: str) -> DECVerdict:
     """Verdict on sample 0 of a stack over all of its directions."""
     witnesses = tuple(
         _witness(stack.witness, 0, i) for i in range(stack.directions.shape[1])
@@ -390,22 +394,19 @@ def check_dec(
     lagr: LagrangianSpec,
     num_directions: int = 8,
     seed: int = 0,
-    tol: float = DEC_TOL,
-    boost_cap: float = BOOST_CAP,
 ) -> DECVerdict:
     """Test the energy condition on sampled timelike directions.
 
     Directions are boosted off the canonical frame of the metric with
-    rapidities up to ``boost_cap``.  When ||T|| is negligible against its
-    a-priori scale both statuses report vacuous_T_zero instead of pass/fail.
+    rapidities up to ``sampling.BOOST_CAP``.  When ||T|| is negligible against
+    its a-priori scale both statuses report vacuous_T_zero instead of pass/fail.
     """
     if num_directions < 1:
         raise ValueError("need at least one direction")
-    stack = CheckStack.at(geom, lagr, tol)
+    stack = CheckStack.at(geom, lagr)
     rng = np.random.default_rng(seed)
-    xs = sample_timelike_directions(stack.frames[0][0], rng, num_directions, boost_cap)
-    stack.directions = xs[None]
-    return dec_verdict(stack, lagr.name)
+    xs = sample_timelike_directions(stack.frames[0][0], rng, num_directions)
+    return dec_verdict(stack.along(xs[None]), lagr.name)
 
 
 @dataclass(frozen=True)
@@ -485,8 +486,7 @@ def check_convexity_lemma(
     control the metric term.
     """
     x = require_timelike(geom.metric, direction, unit=True)
-    stack = CheckStack.at(geom, lagr, tol)
-    stack.directions = x[None, None]
+    stack = CheckStack.at(geom, lagr, tol).along(x[None, None])
     return ConvexityCombinationCheck(
         component_classes=tuple(
             stack.components.causal_class(0, j) for j in range(geom.dim)

@@ -25,6 +25,7 @@ import numpy as np
 from .dec import (  # noqa: F401 (VACUOUS_RTOL re-exported)
     VACUOUS_RTOL,
     CheckStack,
+    DirectedStack,
     corollary_applies,
 )
 from .lagrangians import resolve_lagrangian
@@ -103,7 +104,7 @@ def _ratio(value: np.ndarray, scale: np.ndarray) -> np.ndarray:
         return np.where(scale > 0.0, value / np.where(scale == 0.0, 1.0, scale), 0.0)
 
 
-def _record_dec(st: CheckStack, k: int, i: int) -> dict:
+def _record_dec(st: DirectedStack, k: int, i: int) -> dict:
     w = st.witness
     return {
         "direction": w.directions[k, i].tolist(),
@@ -131,7 +132,7 @@ def _record_rank(st: CheckStack, k: int, j: int) -> dict:
     }
 
 
-def _record_convexity(st: CheckStack, k: int, _: int) -> dict:
+def _record_convexity(st: DirectedStack, k: int, _: int) -> dict:
     return {
         "direction": st.witness.directions[k, 0].tolist(),
         "recorded": {
@@ -237,7 +238,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     # Kernels: every check's pass mask, as (B, K), (B, m+1) or (B, 1).
     st = CheckStack(gs, hs, dps, lagr, tol_dec, tol_alg)
     frames, out["sampling"]["frame_fallbacks"] = st.frames
-    st.directions = batch_assemble_directions(frames, raps, normals)
+    st = st.along(batch_assemble_directions(frames, raps, normals))
     counted = ~st.vacuous[:, None]
     checks = CHECK_NAMES
     if not corollary_applies(lagr):

@@ -30,11 +30,13 @@ from .errors import ConfigError, DomainError, SamplerStarvationError
 
 # |F(0)| above this absolute floor refutes the zeroed flag.
 ZEROED_ATOL = 1e-12
-# Default relative tolerance for sampled inequality checks.
+# Relative tolerance for sampled inequality checks.
 AUDIT_TOL = 1e-9
-# Relative slack for the finite-difference Hessian spot checks (second
-# differences carry far more roundoff than direct evaluations).
+# Relative slack for the finite-difference Hessian checks at the first
+# HESSIAN_SPOTS sampled points (second differences carry far more roundoff
+# than direct evaluations).
 HESSIAN_TOL = 1e-5
+HESSIAN_SPOTS = 12
 # Default floor keeping square-root arguments away from the branch point.
 DOMAIN_DELTA = 1e-10
 
@@ -400,8 +402,6 @@ def verify_flags(
     sample_count: int = 1000,
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
     seed: int = 0,
-    tol: float = AUDIT_TOL,
-    hessian_spots: int = 12,
 ) -> FlagAuditReport:
     """Hunt for counterexamples to the declared flags on sampled domain points.
 
@@ -449,8 +449,8 @@ def verify_flags(
 
     grads = np.asarray(spec.gradient(pts), dtype=float)
     gscale = np.maximum(1.0, np.max(np.abs(grads), axis=1))
-    record("defocusing", np.min(grads, axis=1) + tol * gscale)
-    record("nondegenerate", grads[:, 0] - tol * gscale)
+    record("defocusing", np.min(grads, axis=1) + AUDIT_TOL * gscale)
+    record("nondegenerate", grads[:, 0] - AUDIT_TOL * gscale)
 
     vals = np.asarray(spec.evaluate(pts), dtype=float)
     half = sample_count // 2
@@ -465,7 +465,7 @@ def verify_flags(
     )
     record(
         "concavity_midpoint",
-        fmid - 0.5 * (fu[mask] + fv[mask]) + tol * scale,
+        fmid - 0.5 * (fu[mask] + fv[mask]) + AUDIT_TOL * scale,
         total=int(mask.sum()),
     )
 
@@ -477,17 +477,17 @@ def verify_flags(
     )
     record(
         "subadditivity",
-        fu[mask] + fv[mask] - ftot + tol * scale,
+        fu[mask] + fv[mask] - ftot + AUDIT_TOL * scale,
         total=int(mask.sum()),
     )
 
     dots = np.sum(grads * pts, axis=1)
     scale = np.maximum(1.0, np.maximum(np.abs(vals), np.abs(dots)))
-    record("supporting_hyperplane", vals - dots + tol * scale)
+    record("supporting_hyperplane", vals - dots + AUDIT_TOL * scale)
 
     margins = []
     spots = 0
-    for v_spot in pts[: max(hessian_spots, 0)]:
+    for v_spot in pts[:HESSIAN_SPOTS]:
         h = _fd_hessian(spec, v_spot)
         if h is None:
             continue

@@ -74,12 +74,11 @@ class LorentzianMetric:
     """Symmetric matrix of signature (-, +, ..., +) on the source tangent space.
 
     Construction validates shape, symmetry, signature, and conditioning;
-    metrics whose symmetric condition number exceeds ``condition_bound`` raise
-    ConditioningError rather than silently producing garbage verdicts.
+    metrics whose symmetric condition number exceeds DEFAULT_CONDITION_BOUND
+    raise ConditioningError rather than silently producing garbage verdicts.
     """
 
     entries: np.ndarray
-    condition_bound: float = DEFAULT_CONDITION_BOUND
 
     def __post_init__(self):
         m = _check_symmetric(_as_square(self.entries, "metric"), "metric")
@@ -89,9 +88,9 @@ class LorentzianMetric:
             raise ValueError(
                 f"metric eigenvalues {w} do not have signature (-, +, ..., +)"
             )
-        if np.max(np.abs(w)) > self.condition_bound * np.min(np.abs(w)):
+        if np.max(np.abs(w)) > DEFAULT_CONDITION_BOUND * np.min(np.abs(w)):
             raise ConditioningError(
-                f"metric condition number exceeds {self.condition_bound:.1e}"
+                f"metric condition number exceeds {DEFAULT_CONDITION_BOUND:.1e}"
             )
 
     @property
@@ -111,7 +110,6 @@ class RiemannianMetric:
     """Symmetric positive definite matrix on the target tangent space."""
 
     entries: np.ndarray
-    condition_bound: float = DEFAULT_CONDITION_BOUND
 
     def __post_init__(self):
         m = _check_symmetric(_as_square(self.entries, "target metric"), "target metric")
@@ -119,9 +117,9 @@ class RiemannianMetric:
         w = np.linalg.eigvalsh(m)
         if w[0] <= 0.0:
             raise ValueError(f"target metric eigenvalues {w} are not all positive")
-        if w[-1] > self.condition_bound * w[0]:
+        if w[-1] > DEFAULT_CONDITION_BOUND * w[0]:
             raise ConditioningError(
-                f"target metric condition number exceeds {self.condition_bound:.1e}"
+                f"target metric condition number exceeds {DEFAULT_CONDITION_BOUND:.1e}"
             )
 
     @property
@@ -148,13 +146,13 @@ class OrthonormalFrame:
     def gram(self, metric: LorentzianMetric) -> np.ndarray:
         return self.basis.T @ metric.entries @ self.basis
 
-    def validate(self, metric: LorentzianMetric, atol: float = FRAME_ATOL) -> None:
-        """Check g(e_a, e_b) = diag(-1, 1, ..., 1) entrywise to within atol."""
+    def validate(self, metric: LorentzianMetric) -> None:
+        """Check g(e_a, e_b) = diag(-1, 1, ..., 1) entrywise to within FRAME_ATOL."""
         target = np.eye(self.dim)
         target[0, 0] = -1.0
         err = float(np.max(np.abs(self.gram(metric) - target)))
-        if err > atol:
-            raise ValueError(f"frame fails orthonormality by {err:.3e} > {atol:.1e}")
+        if err > FRAME_ATOL:
+            raise ValueError(f"frame fails orthonormality by {err:.3e} > {FRAME_ATOL:.1e}")
 
 
 @lru_cache(maxsize=None)
@@ -440,21 +438,15 @@ class CausalClass(str, Enum):
         )
 
 
-def causal_classify(
-    metric: LorentzianMetric,
-    reference_timelike,
-    vector,
-    tol: float = CAUSAL_TOL,
-    zero_floor: float = ZERO_FLOOR,
-) -> CausalClass:
+def causal_classify(metric: LorentzianMetric, reference_timelike, vector) -> CausalClass:
     """Classify ``vector`` as timelike/null/spacelike/zero with a time orientation.
 
     ``reference_timelike`` fixes the future direction: vectors with
     g(reference, vector) > 0 point to the past (signature (-, +, ..., +) makes
     the g-product of two future-pointing causal vectors negative).  The null
-    band is |g(v, v)| <= tol * ||g||_F * ||v||_2^2, so the verdict is invariant
-    under positive rescaling of either argument; Euclidean norms below
-    ``zero_floor`` classify as zero outright.
+    band is |g(v, v)| <= CAUSAL_TOL * ||g||_F * ||v||_2^2, so the verdict is
+    invariant under positive rescaling of either argument; Euclidean norms
+    below ZERO_FLOOR classify as zero outright.
     """
     g = metric.entries
     x = np.asarray(reference_timelike, dtype=float)
@@ -463,9 +455,9 @@ def causal_classify(
         raise ValueError("reference vector is not timelike")
     ynorm2 = float(y @ y)
     return causal_class(
-        bool(np.sqrt(ynorm2) <= zero_floor),
+        bool(np.sqrt(ynorm2) <= ZERO_FLOOR),
         float(y @ g @ y),
-        tol * (float(np.linalg.norm(g)) * ynorm2),
+        CAUSAL_TOL * (float(np.linalg.norm(g)) * ynorm2),
         float(x @ g @ y) > 0.0,
     )
 

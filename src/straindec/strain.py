@@ -121,18 +121,18 @@ def strain(geom: PointGeometry) -> StrainTensor:
     return StrainTensor(matrix=d[0].copy(), pullback=pull[0].copy())
 
 
-def batch_rank(dphi: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Numerical ranks of a (B, p, q) stack: singular values above rtol * largest."""
+def batch_rank(dphi: np.ndarray) -> np.ndarray:
+    """Numerical ranks of a (B, p, q) stack: singular values above RANK_RTOL * largest."""
     sv = np.linalg.svd(dphi, compute_uv=False)
     if sv.shape[1] == 0:
         return np.zeros(sv.shape[0], dtype=int)
     top = sv[:, 0]
-    return np.where(top > 0.0, np.sum(sv > rtol * top[:, None], axis=1), 0).astype(int)
+    return np.where(top > 0.0, np.sum(sv > RANK_RTOL * top[:, None], axis=1), 0).astype(int)
 
 
-def rank_of_map(dphi, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank of the differential: singular values above rtol * largest."""
-    return int(batch_rank(np.atleast_2d(np.asarray(dphi, dtype=float))[None], rtol)[0])
+def rank_of_map(dphi) -> int:
+    """Numerical rank of the differential: singular values above RANK_RTOL * largest."""
+    return int(batch_rank(np.atleast_2d(np.asarray(dphi, dtype=float))[None])[0])
 
 
 def batch_matrix_powers(d: np.ndarray, count: int) -> list:

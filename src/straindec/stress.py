@@ -187,7 +187,6 @@ def stress_variational(
     step: float | None = None,
     *,
     richardson: bool = False,
-    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> StressEnergy:
     """Finite-difference oracle for the stress-energy tensor.
 
@@ -195,7 +194,7 @@ def stress_variational(
     (symmetrized basis directions) by central differences, then removes the
     volume factor.  The default step is 1e-6 times the inverse-metric norm; if
     a perturbation breaks the metric signature or exits the Lagrangian domain
-    the step shrinks tenfold, up to ``max_retries`` times, before StepError.
+    the step shrinks tenfold, up to DEFAULT_MAX_RETRIES times, before StepError.
     ``richardson=True`` adds one extrapolation level to cancel the leading
     quadratic error term.
     """
@@ -235,7 +234,7 @@ def stress_variational(
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
     last = None
-    for _ in range(max_retries + 1):
+    for _ in range(DEFAULT_MAX_RETRIES + 1):
         try:
             t = tensor_at(h)
             if richardson:
@@ -247,7 +246,7 @@ def stress_variational(
             last = exc
             h /= STEP_SHRINK
     raise StepError(
-        f"no usable finite-difference step after {max_retries + 1} attempts "
+        f"no usable finite-difference step after {DEFAULT_MAX_RETRIES + 1} attempts "
         f"(final step {h * STEP_SHRINK:.3e})"
     ) from last
 

@@ -30,7 +30,7 @@ from straindec import (
 from straindec import campaign
 from straindec.campaign import MAX_DIRECTIONS_PER_SAMPLE, dump_json, write_json
 from straindec.cli import main
-from straindec.dec import CheckStack
+from straindec.dec import CheckStack, DirectedStack
 from straindec.engine import run_chunk
 from straindec.sampling import sample_timelike_directions
 
@@ -498,9 +498,10 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-_STACK_FIELDS = [
-    name for name, value in vars(CheckStack).items() if isinstance(value, cached_property)
-]
+_STACK_FIELDS, _VIEW_FIELDS = (
+    [name for name, value in vars(cls).items() if isinstance(value, cached_property)]
+    for cls in (CheckStack, DirectedStack)
+)
 
 
 class TestReplayMemo:
@@ -529,34 +530,37 @@ class TestReplayMemo:
         replay_fixture(a)
         cached = campaign._last_replay
         replay_fixture(b)
-        # A hit reuses the cached geometry and Lagrangian objects.
-        assert campaign._last_replay[1] is cached[1]
-        assert campaign._last_replay[2] is cached[2]
+        # A hit reuses the cached geometry, Lagrangian and stack objects.
+        assert campaign._last_replay[0] == cached[0]
+        for i in (1, 2, 3):
+            assert campaign._last_replay[i] is cached[i]
+        assert isinstance(cached[3], CheckStack)
 
-    def test_copy_recomputes_every_direction_field(self):
+    def test_views_share_a_stack_without_writing_to_it(self):
         geom = sample_geometry(3, 3, rng=np.random.default_rng(3))
         lagr = resolve_lagrangian("skyrme", {"c1": 1.0, "c2": 1.0}, 3)
-        frame = CheckStack.at(geom, lagr).frames[0][0]
+        # No stack field reads directions: all of them compute without any.
+        bare = CheckStack.at(geom, lagr)
+        for name in _STACK_FIELDS:
+            getattr(bare, name)
+        assert not hasattr(bare, "directions")
+        frame = bare.frames[0][0]
         rng = np.random.default_rng(4)
         a, b = (
             sample_timelike_directions(frame, rng, 4, 3.0)[None] for _ in range(2)
         )
-        stack = CheckStack.at(geom, lagr)
-        stack.directions = a
-        before = {name: getattr(stack, name) for name in _STACK_FIELDS}
-        copy = stack.without_directions()
-        copy.directions = b
-        fresh = CheckStack.at(geom, lagr)
-        fresh.directions = b
-        assert set(CheckStack.DIRECTION_FIELDS) <= {"directions", *_STACK_FIELDS}
-        for name in _STACK_FIELDS:
-            assert _same(getattr(copy, name), getattr(fresh, name)), name
-        # The copy did not write into the stack it came from.
-        for name in _STACK_FIELDS:
-            assert stack.__dict__[name] is before[name], name
-        assert stack.directions is a
+        shared = CheckStack.at(geom, lagr)
+        views = [shared.along(a), shared.along(b)]
+        for view, x in zip(views, (a, b)):
+            fresh = CheckStack.at(geom, lagr).along(x)
+            for name in _VIEW_FIELDS + _STACK_FIELDS:
+                assert _same(getattr(view, name), getattr(fresh, name)), name
+        # The views computed every stack field on the shared stack, and left
+        # none of their own there.
+        assert set(_STACK_FIELDS) <= set(vars(shared))
+        assert not {"directions", *_VIEW_FIELDS} & set(vars(shared))
         # Directions A and B give different witnesses, so a stale field shows.
-        assert not _same(before["witness"], getattr(fresh, "witness"))
+        assert not _same(views[0].witness, views[1].witness)
 
     def test_near_misses_replay_as_if_fresh(self):
         base = run_chunk(
@@ -785,6 +789,34 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "matches recorded verdict" in out
         assert "past-timelike" in out
+
+    @pytest.mark.parametrize("name, value", [
+        ("lagrangian", {"parameters": {}}),
+        ("lagrangian", "wave_map"),
+        ("lagrangian", {"name": "wave_map", "parameters": [1, 2]}),
+        ("tolerances", [1e-9]),
+        ("tolerances", {"dec": None}),
+        ("recorded", 5),
+        ("degree", 2.7),
+        ("degree", True),
+        ("degree", "2"),
+    ])
+    def test_replay_malformed_field_exits_two(self, tmp_path, capsys, name, value):
+        data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
+        if name == "degree":
+            data["kind"] = "rank_condition"
+        data[name] = value
+        path = tmp_path / "fixture.json"
+        write_json(path, data)
+        assert main(["replay", str(path)]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify", "--config"], ["replay"]])
+    def test_non_object_file_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "five.json"
+        path.write_text("5\n")
+        assert main([*command, str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_replay_tampered_exits_one(self, tmp_path, capsys):
         data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
