@@ -149,6 +149,8 @@ def main(argv=None) -> int:
                         help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--title", default="")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, since the quartiles need two runs")
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -343,10 +343,12 @@ def run_campaign(
 ) -> CampaignReport:
     """Run every per-sample check of a campaign and aggregate the results.
 
-    ``jobs`` > 1 fans fixed-size chunks out to a process pool; chunking and
+    ``jobs`` > 1 fans the chunks out to min(jobs, chunks) processes; chunking and
     fold order never depend on the worker count, so results are identical to a
     serial run.  When ``out_path`` is given the report JSON is written there.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
     start_time = time.perf_counter()
     cfg = config.to_dict()
     total = config.num_samples
@@ -355,7 +357,7 @@ def run_campaign(
         for a in range(0, total, engine.CHUNK_SIZE)
     ]
     if jobs > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
             results = list(pool.map(_chunk_args, [(cfg, a, b) for a, b in bounds]))
     else:
         results = [engine.run_chunk(cfg, a, b) for a, b in bounds]

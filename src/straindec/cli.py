@@ -95,8 +95,6 @@ def _jobs_from_env(default: int) -> int:
         jobs = int(raw)
     except ValueError as exc:
         raise ConfigError(f"STRAIN_DEC_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ConfigError("STRAIN_DEC_JOBS must be at least 1")
     return jobs
 
 
@@ -158,6 +156,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_stress(args) -> int:
+    if not (args.tol > 0.0 and np.isfinite(args.tol)):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol!r}")
     geom = load_geometry(args.geometry)
     lagr = resolve_lagrangian(args.lagrangian, _parse_params(args.params), geom.dim)
     closed = stress_general(geom, lagr)

@@ -71,7 +71,7 @@ class CheckStatus(str, Enum):
     VACUOUS = "vacuous_T_zero"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluxStack:
     """Raised fluxes Y = g^{-1} V of lowered fluxes V = T X, classified against X.
 
@@ -121,7 +121,7 @@ def batch_flux(g: np.ndarray, x: np.ndarray, v: np.ndarray, tol: float) -> FluxS
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessStack:
     """Energy and flux along unit directions: (B, K) arrays and their FluxStack."""
 
@@ -146,7 +146,7 @@ def batch_dec_witness(g, tensors, directions, tol: float = DEC_TOL) -> WitnessSt
     return WitnessStack(x, energy, scale, energy >= -tol * scale, batch_flux(g, x, v, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DECWitness:
     """One timelike direction's energy and flux data for a fixed tensor.
 

@@ -1,11 +1,13 @@
 """Indefinite metrics, orthonormal frames, causal classification, exterior powers.
 
 Everything here works on small dense matrices (dimension of order ten or less),
-so compound matrices are materialized explicitly and frames are built by a
-metric-aware modified Gram-Schmidt sweep.  Conventions used throughout the
-package:
+so compound matrices are materialized explicitly.  Conventions used throughout
+the package:
 
 * Lorentzian signature is (-, +, ..., +) and frame index 0 is the timelike leg.
+* Every frame comes from one batched, metric-aware Gram-Schmidt sweep,
+  ``_gram_schmidt``, and one orthonormality test, ``_frame_errors``; the
+  single-frame API runs them on a batch of one.
 * The degree-j exterior power of a matrix is the compound matrix whose (I, J)
   entry is the j-by-j minor with rows I and columns J, with strictly increasing
   multi-indices enumerated in lexicographic order.  No factorial normalization
@@ -69,7 +71,7 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LorentzianMetric:
     """Symmetric matrix of signature (-, +, ..., +) on the source tangent space.
 
@@ -105,7 +107,7 @@ class LorentzianMetric:
         return float(np.asarray(u) @ self.entries @ np.asarray(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiemannianMetric:
     """Symmetric positive definite matrix on the target tangent space."""
 
@@ -127,7 +129,7 @@ class RiemannianMetric:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalFrame:
     """Metric-orthonormal basis stored column-wise; column 0 is the timelike leg."""
 
@@ -143,15 +145,10 @@ class OrthonormalFrame:
     def vector(self, a: int) -> np.ndarray:
         return self.basis[:, a]
 
-    def gram(self, metric: LorentzianMetric) -> np.ndarray:
-        return self.basis.T @ metric.entries @ self.basis
-
     def validate(self, metric: LorentzianMetric) -> None:
         """Check g(e_a, e_b) = diag(-1, 1, ..., 1) entrywise to within FRAME_ATOL."""
-        target = np.eye(self.dim)
-        target[0, 0] = -1.0
-        err = float(np.max(np.abs(self.gram(metric) - target)))
-        if err > FRAME_ATOL:
+        err = _frame_errors(self.basis[None], metric.entries[None])[0]
+        if not err <= FRAME_ATOL:
             raise ValueError(f"frame fails orthonormality by {err:.3e} > {FRAME_ATOL:.1e}")
 
 
@@ -310,69 +307,45 @@ def induced_metric_on_wedge(q, degree: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def orthonormalize(metric: LorentzianMetric, seed_timelike) -> OrthonormalFrame:
-    """Extend a timelike seed to a metric-orthonormal frame.
+def _frame_errors(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """max |g(e_a, e_b) - eta_ab| per frame of a (B, dim, dim) stack, NaN if not finite.
 
-    The seed is normalized to g(e_0, e_0) = -1; the spacelike legs come from a
-    modified Gram-Schmidt sweep over the coordinate basis in index order,
-    skipping candidates that collapse into the span built so far.
+    A non-finite frame has a non-finite Gram matrix, so its maximum shows it.
     """
-    g = metric.entries
-    dim = metric.dim
-    seed = np.asarray(seed_timelike, dtype=float)
-    if seed.shape != (dim,):
-        raise ValueError(f"seed vector has shape {seed.shape}, expected ({dim},)")
-    norm2 = float(seed @ g @ seed)
-    if norm2 >= 0.0:
-        raise ValueError("seed vector is not timelike for this metric")
-    frame = [seed / np.sqrt(-norm2)]
-    gscale = float(np.max(np.abs(g)))
-    for k in range(dim):
-        if len(frame) == dim:
-            break
-        v = np.zeros(dim)
-        v[k] = 1.0
-        for e in frame:
-            v = v - (float(v @ g @ e) / float(e @ g @ e)) * e
-        vv = float(v @ v)
-        if vv <= FRAME_ATOL**2:
-            continue  # candidate already spanned
-        vg = float(v @ g @ v)
-        # The g-orthocomplement of a timelike leg is spacelike, so a genuinely
-        # independent residual must have solidly positive g-norm.
-        if vg <= ZERO_FLOOR * gscale * vv:
-            raise ConditioningError(
-                "Gram-Schmidt residual is numerically null; metric too degenerate"
-            )
-        frame.append(v / np.sqrt(vg))
-    if len(frame) != dim:
-        raise ConditioningError("Gram-Schmidt sweep did not produce a full frame")
-    out = OrthonormalFrame(np.column_stack(frame))
-    try:
-        out.validate(metric)
-    except ValueError as exc:
-        raise ConditioningError(f"frame validation failed: {exc}") from exc
-    return out
+    eta = np.eye(g.shape[-1])
+    eta[0, 0] = -1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = np.abs(congruence(frames, g) - eta).reshape(len(frames), eta.size)
+    # Reducing across frames, over a (dim * dim, B) copy, beats reducing each row.
+    err = np.ascontiguousarray(gaps.T).max(axis=0)
+    return np.where(np.isfinite(err), err, np.nan)
 
 
-def canonical_frames(g: np.ndarray) -> tuple[np.ndarray, int]:
-    """Deterministic orthonormal frames (as columns) of a (B, dim, dim) metric stack.
+@lru_cache(maxsize=None)
+def _sweep_legs(dim: int) -> np.ndarray:
+    """legs[j, p] is the j-th coordinate direction swept when a seed's pivot is p."""
+    j = np.arange(dim - 1)[:, None]
+    legs = np.eye(dim).take(j + (j >= np.arange(dim)), axis=0)
+    legs.flags.writeable = False
+    return legs
 
-    A batched modified Gram-Schmidt sweep seeded with the first coordinate
-    direction.  Rows where that direction is not timelike, or whose frame
-    misses orthonormality by more than FRAME_ATOL, are redone by the scalar
-    sweep (``orthonormalize``), seeded with the eigenvector of the single
-    negative eigenvalue when needed.  Returns the frames and the number of
-    rows redone.
+
+def _gram_schmidt(g: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Frames (as columns) extending (B, dim) timelike seeds, for (B, dim, dim) metrics.
+
+    Column 0 is the seed scaled to g(e_0, e_0) = -1.  The spacelike legs come
+    from a modified Gram-Schmidt sweep over the coordinate directions in index
+    order, leaving out each seed's largest-magnitude component, so the seed and
+    its candidates span (their determinant is that component, up to sign).
     """
-    batch, dim, _ = g.shape
+    batch, dim = seeds.shape
     frames = np.empty((batch, dim, dim))
+    candidates = _sweep_legs(dim).take(np.argmax(np.abs(seeds), axis=1), axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        frames[:, :, 0] = 0.0
-        frames[:, 0, 0] = 1.0 / np.sqrt(-g[:, 0, 0])
+        norm2 = np.einsum("bi,bi->b", seeds, np.einsum("bij,bj->bi", g, seeds))
+        frames[:, :, 0] = seeds / np.sqrt(-norm2)[:, None]
         for k in range(1, dim):
-            v = np.zeros((batch, dim))
-            v[:, k] = 1.0
+            v = candidates[k - 1]
             for a in range(k):
                 e = frames[:, :, a]
                 ge = np.einsum("bij,bj->bi", g, e)
@@ -380,13 +353,50 @@ def canonical_frames(g: np.ndarray) -> tuple[np.ndarray, int]:
                 v = v - coef[:, None] * e
             vg = np.einsum("bi,bij,bj->b", v, g, v)
             frames[:, :, k] = v / np.sqrt(vg)[:, None]
-    eta = np.eye(dim)
-    eta[0, 0] = -1.0
-    bad = ~np.all(np.abs(congruence(frames, g) - eta) <= FRAME_ATOL, axis=(1, 2))
-    bad |= ~np.all(np.isfinite(frames), axis=(1, 2))
-    redo = np.flatnonzero(bad)
-    for k in redo:
-        frames[k] = _swept_frame(LorentzianMetric(g[k])).basis
+    return frames
+
+
+def orthonormalize(metric: LorentzianMetric, seed_timelike) -> OrthonormalFrame:
+    """Extend a timelike seed to a metric-orthonormal frame.
+
+    ``_gram_schmidt`` on a batch of one; a frame that misses orthonormality by
+    more than FRAME_ATOL raises ConditioningError.
+    """
+    g = metric.entries
+    seed = np.asarray(seed_timelike, dtype=float)
+    if seed.shape != (metric.dim,):
+        raise ValueError(f"seed vector has shape {seed.shape}, expected ({metric.dim},)")
+    if float(seed @ g @ seed) >= 0.0:
+        raise ValueError("seed vector is not timelike for this metric")
+    frames = _gram_schmidt(g[None], seed[None])
+    err = _frame_errors(frames, g[None])[0]
+    if not err <= FRAME_ATOL:
+        raise ConditioningError(f"frame misses orthonormality by {err:.3e}")
+    return OrthonormalFrame(frames[0])
+
+
+def canonical_frames(g: np.ndarray) -> tuple[np.ndarray, int]:
+    """Deterministic orthonormal frames (as columns) of a (B, dim, dim) metric stack.
+
+    ``_gram_schmidt`` seeded with the first coordinate direction.  Rows whose
+    frame misses orthonormality by more than FRAME_ATOL (or is not finite, as
+    when that direction is not timelike) are redone, seeded with the
+    eigenvector of the single negative eigenvalue, sign-fixed so its
+    largest-magnitude component is positive; a row that still misses raises
+    ConditioningError.  Returns the frames and the number of rows redone.
+    """
+    batch, dim, _ = g.shape
+    seeds = np.zeros((batch, dim))
+    seeds[:, 0] = 1.0
+    frames = _gram_schmidt(g, seeds)
+    redo = np.flatnonzero(~(_frame_errors(frames, g) <= FRAME_ATOL))
+    if len(redo):
+        seeds = np.linalg.eigh(g[redo])[1][:, :, 0]
+        pivot = np.argmax(np.abs(seeds), axis=1)
+        seeds[seeds[np.arange(len(redo)), pivot] < 0.0] *= -1.0
+        frames[redo] = _gram_schmidt(g[redo], seeds)
+        if not np.all(_frame_errors(frames[redo], g[redo]) <= FRAME_ATOL):
+            raise ConditioningError("no orthonormal frame to within FRAME_ATOL")
     return frames, len(redo)
 
 
@@ -394,24 +404,11 @@ def canonical_frame(metric: LorentzianMetric) -> OrthonormalFrame:
     """Deterministic orthonormal frame depending only on the metric entries.
 
     ``canonical_frames`` on a batch of one: seeded with the first coordinate
-    direction when it is timelike, otherwise with the eigenvector of the
-    single negative eigenvalue, sign-fixed so its largest-magnitude component
-    is positive.
+    direction when its frame is orthonormal, otherwise with the eigenvector of
+    the single negative eigenvalue, sign-fixed so its largest-magnitude
+    component is positive.
     """
     return OrthonormalFrame(canonical_frames(metric.entries[None])[0][0])
-
-
-def _swept_frame(metric: LorentzianMetric) -> OrthonormalFrame:
-    dim = metric.dim
-    seed = np.zeros(dim)
-    seed[0] = 1.0
-    if metric.inner(seed, seed) >= 0.0:
-        w, vecs = np.linalg.eigh(metric.entries)
-        seed = vecs[:, 0]
-        pivot = int(np.argmax(np.abs(seed)))
-        if seed[pivot] < 0.0:
-            seed = -seed
-    return orthonormalize(metric, seed)
 
 
 class CausalClass(str, Enum):

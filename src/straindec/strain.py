@@ -31,7 +31,7 @@ from .multilinear import (
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointGeometry:
     """A single evaluation point: source metric, target metric, differential.
 
@@ -73,7 +73,7 @@ class PointGeometry:
         return self.stack[1][0].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrainTensor:
     """Mixed-type strain endomorphism together with its covariant pullback."""
 
@@ -85,7 +85,7 @@ class StrainTensor:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantVector:
     """Elementary symmetric invariants s, power sums p, and a rank estimate.
 

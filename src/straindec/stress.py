@@ -46,7 +46,7 @@ STEP_SHRINK = 10.0
 DEFAULT_MAX_RETRIES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StressEnergy:
     """Symmetric covariant stress-energy tensor and how it was produced."""
 
@@ -304,7 +304,7 @@ def batch_wedge_checks(pull, frames, tensors):
     return residual, excess
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WedgeDecomposition:
     """Frame components of an elementary stress tensor as Gram-minor sums.
 

@@ -359,6 +359,38 @@ class TestRunCampaign:
         parallel = report_bytes(run_campaign(config, jobs=4).to_dict())
         assert serial == parallel
 
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", SerialPool)
+        # Three chunks of at most 512 samples.
+        config = _wave_config(n=1, num_samples=1030, seed=19,
+                              num_directions_per_sample=2)
+        serial = report_bytes(run_campaign(config, jobs=1).to_dict())
+        assert report_bytes(run_campaign(config, jobs=6).to_dict()) == serial
+        assert report_bytes(run_campaign(config, jobs=2).to_dict()) == serial
+        assert workers == [3, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2", None])
+    def test_rejects_jobs_not_a_positive_integer(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_campaign(_wave_config(num_samples=10), jobs=jobs)
+
     def test_verify_mode_counts_violations(self):
         report = run_campaign(_violating_config())
         assert report.failures_total > 0
@@ -750,6 +782,11 @@ class TestCLI:
         monkeypatch.setenv("STRAIN_DEC_JOBS", value)
         assert main(["verify", "--config", config]) == 2
 
+    def test_jobs_flag_zero_exit_two(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _wave_config(num_samples=10))
+        assert main(["verify", "--config", config, "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
+
     def test_invariants_prints_three_routes(self, tmp_path, capsys):
         geometry = _write_geometry(tmp_path)
         assert main(["invariants", geometry]) == 0
@@ -771,6 +808,12 @@ class TestCLI:
                      "--tol", "1e-30"])
         assert code == 1
         assert "exceeds tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_stress_tolerance_not_positive_finite_exit_two(self, tmp_path, capsys, tol):
+        geometry = _write_geometry(tmp_path)
+        assert main(["stress", geometry, "--lagrangian", "wave_map", f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_stress_bad_params_exit_two(self, tmp_path):
         geometry = _write_geometry(tmp_path)

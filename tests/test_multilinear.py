@@ -23,7 +23,12 @@ from straindec import (
     principal_minor_sum,
     wedge_basis,
 )
-from straindec.multilinear import CONTRACT_MAX_DEPTH, CONTRACT_MIN_ROWS, batch_contract
+from straindec.multilinear import (
+    CONTRACT_MAX_DEPTH,
+    CONTRACT_MIN_ROWS,
+    batch_contract,
+    canonical_frames,
+)
 
 MINK2 = LorentzianMetric(np.diag([-1.0, 1.0]))
 
@@ -193,6 +198,16 @@ class TestOrthonormalize:
                 frame = orthonormalize(g, seed)
                 frame.validate(g)
 
+    def test_seed_whose_largest_component_is_spacelike(self):
+        # g has eigenvalues 3 and -1, and g(s, s) = -0.75 for s = (0.5, -1):
+        # the pivot left out of the sweep is e_1, the spacelike coordinate.
+        g = LorentzianMetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        seed = np.array([0.5, -1.0])
+        assert g.inner(seed, seed) == -0.75
+        frame = orthonormalize(g, seed)
+        frame.validate(g)
+        np.testing.assert_array_equal(frame.vector(0), seed / np.sqrt(0.75))
+
     def test_rejects_spacelike_seed(self):
         with pytest.raises(ValueError, match="timelike"):
             orthonormalize(MINK2, [0.0, 1.0])
@@ -219,6 +234,27 @@ class TestCanonicalFrame:
         assert g.entries[0, 0] > 0.0
         frame = canonical_frame(g)
         frame.validate(g)
+
+    def test_stack_redoes_exactly_the_spacelike_e0_rows(self, rng):
+        # Sampled metrics have a timelike e_0; rotating Minkowski space makes
+        # it spacelike, and canonical_frames must redo just those rows.
+        dim = 3
+        rows = [random_metric_entries(rng, dim) for _ in range(6)]
+        for angle in (1.0, 1.2, 1.4):
+            c, s = np.cos(angle), np.sin(angle)
+            r = np.eye(dim)
+            r[:2, :2] = [[c, -s], [s, c]]
+            rows.insert(2 * len(rows) // 3, r.T @ np.diag([-1.0, 1.0, 2.0]) @ r)
+        g = np.array(rows)
+        spacelike = g[:, 0, 0] > 0.0
+        assert spacelike.sum() == 3
+        frames, redone = canonical_frames(g)
+        assert redone == 3
+        for k in range(len(g)):
+            OrthonormalFrame(frames[k]).validate(LorentzianMetric(g[k]))
+            alone, redone_alone = canonical_frames(g[k : k + 1])
+            np.testing.assert_array_equal(frames[k], alone[0])
+            assert redone_alone == int(spacelike[k])
 
     def test_deterministic(self, rng):
         g = LorentzianMetric(random_metric_entries(rng, 4))
