@@ -8,7 +8,8 @@ both commits and comparing the output line by line:
 
 The campaigns cover the example config, the determinism criterion's config, a
 born_infeld cell with many domain rejections, minimal_surface, rank overrides,
-a violation search that records fixtures, and a one-dimensional source.  Four
+a violation search that records fixtures, a one-dimensional source, and a
+violation search whose kept fixtures come from three chunks.  Four
 single chunks (``engine.run_chunk`` on samples 0-59, with the failure-forcing
 configs of ``tests/test_engine.py::TestFixtureScan``) cover every fixture kind
 but convexity_lemma, which no config fails.
@@ -46,6 +47,13 @@ def campaigns():
         mode="violation_search", max_fixtures=200,
     )
     yield "m_plus_1_is_1", _config("wave_map", {}, m1=1, n=2)
+    # 849 and 853 failures in the first two 512-sample chunks, so the kept
+    # fixtures span three chunks and the cap falls inside the third.
+    yield "violation_search_cap_crosses_chunks", _config(
+        "linear_combination", {"coefficients": [1.0, -5.0, 0.0]},
+        num_samples=1536, num_directions_per_sample=1,
+        mode="violation_search", max_fixtures=2000,
+    )
 
 
 def _chunk_config(**overrides):

@@ -345,7 +345,12 @@ def run_campaign(
 
     ``jobs`` > 1 fans the chunks out to min(jobs, chunks) processes; chunking and
     fold order never depend on the worker count, so results are identical to a
-    serial run.  When ``out_path`` is given the report JSON is written there.
+    serial run.  The serial loop caps each chunk's ``max_fixtures`` at the
+    room the chunks before it left, so it builds only fixtures the report
+    keeps; the pool gives every chunk the full cap.  The bytes agree because a
+    chunk tallies before it records fixtures, in a fixed order, and the fold
+    keeps the first ``max_fixtures`` in chunk order.  When ``out_path`` is
+    given the report JSON is written there.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
@@ -360,7 +365,10 @@ def run_campaign(
         with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
             results = list(pool.map(_chunk_args, [(cfg, a, b) for a, b in bounds]))
     else:
-        results = [engine.run_chunk(cfg, a, b) for a, b in bounds]
+        results, room = [], config.max_fixtures
+        for a, b in bounds:
+            results.append(engine.run_chunk(dict(cfg, max_fixtures=room), a, b))
+            room -= len(results[-1]["fixtures"])
     folded = engine.fold_chunk_results(results, config.max_fixtures)
     report = CampaignReport(
         config=config,

@@ -211,7 +211,8 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
 
     Takes the canonical config dict (see campaign.CampaignConfig.to_dict) and
     returns plain counters, margins, and fixture dicts so results can cross
-    process boundaries.
+    process boundaries.  The config's ``max_fixtures`` caps the fixtures this
+    chunk builds; counts and margins always cover every sample.
     """
     m1 = int(config["m_plus_1"])
     n = int(config["n"])

@@ -288,8 +288,14 @@ def box_rejection_sampler(
 
     Draws batches and keeps in-domain rows; raises SamplerStarvationError with
     the observed acceptance rate if ``max_rounds`` batches cannot fill the
-    request.
+    request.  Raises ConfigError unless low < high and low, high and
+    high - low are finite.
     """
+    if not (np.isfinite([low, high, high - low]).all() and low < high):
+        raise ConfigError(
+            f"sample box needs finite low < high with a finite width, "
+            f"got low={low}, high={high}"
+        )
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         kept: list[np.ndarray] = []

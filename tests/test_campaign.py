@@ -27,7 +27,7 @@ from straindec import (
     run_campaign,
     sample_geometry,
 )
-from straindec import campaign
+from straindec import campaign, engine
 from straindec.campaign import MAX_DIRECTIONS_PER_SAMPLE, dump_json, write_json
 from straindec.cli import main
 from straindec.dec import CheckStack, DirectedStack
@@ -67,6 +67,13 @@ def _violating_config(**overrides):
     )
     base.update(overrides)
     return CampaignConfig(**base)
+
+
+def _harvest_config():
+    """40 samples whose 63 failures fill a 35-fixture cap partway through."""
+    return _violating_config(
+        num_directions_per_sample=1, mode="violation_search", max_fixtures=35
+    )
 
 
 def _skyrme_config_dict():
@@ -400,6 +407,46 @@ class TestRunCampaign:
         report = run_campaign(_violating_config(max_fixtures=5))
         assert len(report.fixtures) == 5
         assert report.counterexamples is report.fixtures
+
+    def test_serial_fixture_room_matches_pool_and_uncapped_fold(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 8)
+        config = _harvest_config()
+        cfg = config.to_dict()
+        bounds = [(a, a + 8) for a in range(0, config.num_samples, 8)]
+        uncapped = [run_chunk(dict(cfg, max_fixtures=10**6), a, b) for a, b in bounds]
+        kept = np.cumsum([len(res["fixtures"]) for res in uncapped])
+        # The cap falls inside the third chunk.
+        assert kept[1] < config.max_fixtures < kept[2]
+        serial = report_bytes(run_campaign(config).to_dict())
+        assert serial == report_bytes(run_campaign(config, jobs=2).to_dict())
+        folded = engine.fold_chunk_results(uncapped, config.max_fixtures)
+        report = json.loads(serial)
+        assert report["fixtures"] == folded["fixtures"]
+        assert {k: report[k] for k in ("counts", "margins")} == {
+            k: folded[k] for k in ("counts", "margins")
+        }
+        assert {fx["sample_index"] // 8 for fx in report["fixtures"]} == {0, 1, 2}
+
+    def test_serial_loop_passes_each_chunk_the_room_left(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 8)
+        config = _harvest_config()
+        caps = []
+
+        def recording_run_chunk(cfg, start, stop):
+            caps.append(cfg["max_fixtures"])
+            return run_chunk(cfg, start, stop)
+
+        monkeypatch.setattr(engine, "run_chunk", recording_run_chunk)
+        report = run_campaign(config)
+        cfg = dict(config.to_dict(), max_fixtures=10**6)
+        built = [
+            len(run_chunk(cfg, a, a + 8)["fixtures"])
+            for a in range(0, config.num_samples, 8)
+        ]
+        room = config.max_fixtures - np.concatenate([[0], np.cumsum(built)[:-1]])
+        assert caps == np.maximum(room, 0).tolist()
+        assert caps[-1] == 0
+        assert len(report.fixtures) == config.max_fixtures
 
     def test_recorded_fixture_replays_to_same_statuses(self):
         report = run_campaign(_violating_config(max_fixtures=3))
@@ -875,6 +922,17 @@ class TestCLI:
                      "--dim", "4", "--samples", "400"])
         assert code == 0
         assert "declared flags" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "box", [("nan", "5"), ("-5", "inf"), ("-1e308", "1e308"), ("1", "1"), ("5", "-5")]
+    )
+    def test_audit_bad_box_exit_two(self, box, capsys):
+        code = main(["audit-lagrangian", "--lagrangian", "skyrme",
+                     "--params", "{\"c1\": 1.0, \"c2\": 1.0}",
+                     "--dim", "3", "--samples", "8",
+                     f"--low={box[0]}", f"--high={box[1]}"])
+        assert code == 2
+        assert "sample box" in capsys.readouterr().err
 
     def test_audit_misdeclared_flags_exit_one(self, capsys):
         # Mixed-sign combination with a forced defocusing=True declaration;
