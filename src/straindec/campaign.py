@@ -96,9 +96,200 @@ _FROM_JSON = {
 _CONFIG_KEYS = {"schema_version"} | {path.split(".")[0] for path, _ in _FROM_JSON.values()}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_NONFINITE_TEXTS = ("nan", "inf", "-inf")
+
+
+class _NonFinite(Exception):
+    """A NaN or infinity met by the encoder; ``dump_json`` names its place."""
+
+
+def _float_text(value) -> str:
+    text = float.__repr__(value)
+    if text in _NONFINITE_TEXTS:
+        raise _NonFinite(value)
+    return text
+
+
+def _scalar_text(value):
+    """The JSON text of a str, None, bool, int or float; None for anything else.
+
+    Exact str, float and int come first.  Subclasses are written as their
+    base type, as ``json`` writes them.
+    """
+    kind = type(value)
+    if kind is float:
+        return _float_text(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if isinstance(key, int) or key is None:  # bool is an int
+        return _encode_str(_scalar_text(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+class _Encoder:
+    """The state of one ``dump_json`` call: the output parts and the list memo.
+
+    A dict-free list or tuple is formatted once per indent level, and its
+    text is reused wherever the same object appears again at that level.
+    A plain object rather than closures, so that nothing is left in a
+    reference cycle to hold the parts after the call.
+    """
+
+    def __init__(self) -> None:
+        self.parts = []
+        # (id, indent level) -> (the dict-free list or tuple, its text);
+        # holding the object keeps its id from being reused during the call.
+        self.memo = {}
+        self.active = set()  # ids of the containers being written, to catch cycles
+        self.newlines = ["\n"]  # newlines[level]: a line break and that level's indent
+
+    def write(self, obj) -> None:
+        text = _scalar_text(obj)
+        if text is None:
+            self.writer(obj)(obj, 0)
+        else:
+            self.parts.append(text)
+
+    def writer(self, item):
+        """``array`` for a list or tuple, ``mapping`` for a dict.
+
+        The caller calls the writer itself, so a level of nesting costs one
+        stack frame, as in ``json``.
+        """
+        if isinstance(item, (list, tuple)):
+            return self.array
+        if isinstance(item, dict):
+            return self.mapping
+        raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
+
+    def enter(self, container, level: int) -> int:
+        marker = id(container)
+        if marker in self.active:
+            raise ValueError("Circular reference detected")
+        self.active.add(marker)
+        newlines = self.newlines
+        while len(newlines) < level + 2:
+            newlines.append(newlines[-1] + "  ")
+        return marker
+
+    def array(self, items, level: int) -> bool:
+        """Append a list or tuple; True when it holds no dict."""
+        parts, key = self.parts, (id(items), level)
+        if key in self.memo:
+            parts.append(self.memo[key][1])
+            return True
+        if not items:
+            parts.append("[]")
+            return True
+        marker = self.enter(items, level)
+        start, inner = len(parts), self.newlines[level + 1]
+        head, separator, dict_free = "[" + inner, "," + inner, True
+        for item in items:
+            text = _scalar_text(item)
+            if text is None:
+                parts.append(head)
+                dict_free = self.writer(item)(item, level + 1) and dict_free
+            else:
+                parts.append(head + text)
+            head = separator
+        parts.append(self.newlines[level] + "]")
+        self.active.discard(marker)
+        if dict_free:
+            text = "".join(parts[start:])
+            self.memo[key] = (items, text)
+            parts[start:] = (text,)
+        return dict_free
+
+    def mapping(self, items: dict, level: int) -> bool:
+        """Append a dict; False, since it is one."""
+        parts = self.parts
+        if not items:
+            parts.append("{}")
+            return False
+        marker = self.enter(items, level)
+        inner = self.newlines[level + 1]
+        head, separator = "{" + inner, "," + inner
+        for key, item in sorted(items.items()):
+            head += (_encode_str(key) if type(key) is str else _key_text(key)) + ": "
+            text = _scalar_text(item)
+            if text is None:
+                parts.append(head)
+                self.writer(item)(item, level + 1)
+            else:
+                parts.append(head + text)
+            head = separator
+        parts.append(self.newlines[level] + "}")
+        self.active.discard(marker)
+        return False
+
+
+def _nonfinite_path(obj, path: str = "") -> str | None:
+    """The JSON path of the first NaN or infinity in output order, if any."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        for key, item in sorted(obj.items()):
+            inner = f"{path}.{key}" if path else str(key)
+            if isinstance(key, float) and not math.isfinite(key):
+                return inner
+            found = _nonfinite_path(item, inner)
+            if found is not None:
+                return found
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            found = _nonfinite_path(item, f"{path}[{i}]")
+            if found is not None:
+                return found
+    return None
+
+
 def dump_json(obj) -> str:
-    """Canonical serialization: sorted keys, two-space indent, no NaN."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, no NaN.
+
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`` for every ``obj`` that call accepts, and an
+    ``obj`` it refuses raises the same exception type: ``TypeError`` for a
+    value or key JSON cannot hold, ``ValueError`` for a cycle or a NaN or
+    infinity.  The ``ValueError`` for a NaN or infinity names the JSON path of
+    the first one in output order, such as ``fixtures[3].recorded.energy``.
+    A list or tuple that holds no dict is formatted once per call and indent
+    level, however often it appears; ``obj`` must not change during the call.
+    """
+    encoder = _Encoder()
+    try:
+        encoder.write(obj)
+    except _NonFinite as exc:
+        where = _nonfinite_path(obj) or "the top level"
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {exc.args[0]!r} at {where}"
+        ) from None
+    encoder.parts.append("\n")
+    return "".join(encoder.parts)
 
 
 def write_json(path, obj) -> None:
@@ -288,7 +479,12 @@ def load_config(path) -> CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Aggregated campaign outcome: counts, margins, sampling stats, fixtures."""
+    """Aggregated campaign outcome: counts, margins, sampling stats, fixtures.
+
+    The fixtures of one sample share their geometry lists in memory (see
+    ``engine.run_chunk``), so treat a report's dicts as read-only, or
+    ``copy.deepcopy`` one before editing it.
+    """
 
     config: CampaignConfig
     counts: dict

@@ -212,7 +212,11 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     Takes the canonical config dict (see campaign.CampaignConfig.to_dict) and
     returns plain counters, margins, and fixture dicts so results can cross
     process boundaries.  The config's ``max_fixtures`` caps the fixtures this
-    chunk builds; counts and margins always cover every sample.
+    chunk builds; counts and margins always cover every sample.  Each fixture
+    is its own dict, but the fixtures of one sample share their ``metric``,
+    ``target_metric`` and ``dphi`` lists, and the chunk's fixtures share their
+    ``lagrangian`` and ``tolerances`` dicts, so the lists are built once and
+    ``campaign.dump_json`` formats each once.  Pickling keeps the sharing.
     """
     m1 = int(config["m_plus_1"])
     n = int(config["n"])
@@ -274,10 +278,26 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     margins["max_wedge_identity_residual"] = float(np.max(st.wedge[0]))
     margins["max_cauchy_schwarz_excess"] = float(np.max(st.wedge[1]))
 
-    # Failure fixtures, in sample order, then group order, capped.
+    # Failure fixtures, in sample order, then group order, capped.  The
+    # fixtures of a sample share one block: its geometry lists and the
+    # chunk's Lagrangian and tolerance dicts.
     fixtures = out["fixtures"]
+    lagr_info = {"name": lagr_name, "parameters": lagr_params}
+    tolerances = {"algebraic": tol_alg, "dec": tol_dec}
     flagged = np.any([mask.any(axis=1) for mask in failed.values()], axis=0)
     for k in np.flatnonzero(flagged).tolist():
+        block = {
+            "schema_version": 1,
+            "sample_index": start + k,
+            "seed": seed,
+            "m_plus_1": m1,
+            "n": n,
+            "lagrangian": lagr_info,
+            "tolerances": tolerances,
+            "metric": gs[k].tolist(),
+            "target_metric": hs[k].tolist(),
+            "dphi": dps[k].tolist(),
+        }
         for group in FIXTURE_GROUPS:
             if group[0][0] not in failed:
                 continue
@@ -287,18 +307,5 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
                         continue
                     if len(fixtures) >= max_fixtures:
                         return out
-                    fixtures.append({
-                        "schema_version": 1,
-                        "kind": kind,
-                        "sample_index": start + k,
-                        "seed": seed,
-                        "m_plus_1": m1,
-                        "n": n,
-                        "lagrangian": {"name": lagr_name, "parameters": dict(lagr_params)},
-                        "tolerances": {"algebraic": tol_alg, "dec": tol_dec},
-                        "metric": gs[k].tolist(),
-                        "target_metric": hs[k].tolist(),
-                        "dphi": dps[k].tolist(),
-                        **record(st, k, i),
-                    })
+                    fixtures.append({**block, "kind": kind, **record(st, k, i)})
     return out

@@ -4,8 +4,11 @@ Determinism contract under test: for a fixed config the report bytes (minus
 wall-clock duration) are identical across runs and across worker counts.
 """
 
+import copy
 import dataclasses
 import json
+import math
+import re
 import sys
 import threading
 from functools import cached_property
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import test_engine
+from test_dump_json import value_at
 from straindec import (
     CampaignConfig,
     CausalClass,
@@ -448,6 +452,26 @@ class TestRunCampaign:
         assert caps[-1] == 0
         assert len(report.fixtures) == config.max_fixtures
 
+    def test_fixtures_of_a_sample_share_their_geometry(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 8)
+        config = _violating_config(mode="violation_search", max_fixtures=200)
+        serial, pooled = (run_campaign(config, jobs=jobs) for jobs in (1, 2))
+        for report in (serial, pooled):
+            by_sample = {}
+            for fx in report.fixtures:
+                by_sample.setdefault(fx["sample_index"], []).append(fx)
+            assert max(map(len, by_sample.values())) > 4
+            for fixtures in by_sample.values():
+                first = fixtures[0]
+                for name in ("metric", "target_metric", "dphi"):
+                    assert all(fx[name] is first[name] for fx in fixtures)
+                assert len({id(fx) for fx in fixtures}) == len(fixtures)
+        data = serial.to_dict()
+        blob = report_bytes(data)
+        assert blob == report_bytes(copy.deepcopy(data))
+        assert blob == report_bytes(json.loads(dump_json(data)))
+        assert blob == report_bytes(pooled.to_dict())
+
     def test_recorded_fixture_replays_to_same_statuses(self):
         report = run_campaign(_violating_config(max_fixtures=3))
         for fx in report.fixtures:
@@ -816,6 +840,22 @@ class TestCLI:
         write_json(config, data)
         assert main(["verify", "--config", str(config)]) == 2
         assert "n = 2" in capsys.readouterr().err
+
+    def test_verify_non_finite_report_value_names_its_path(self, tmp_path, capsys):
+        # dphi entries near 1e160 overflow the pullback, so margins turn NaN.
+        data = {"schema_version": 1, "m_plus_1": 3, "n": 3,
+                "lagrangian": {"name": "wave_map"}, "num_samples": 32,
+                "entry_range": 1e160}
+        config = tmp_path / "config.json"
+        write_json(config, data)
+        out = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+            report = run_campaign(CampaignConfig.from_dict(data)).to_dict()
+        err = capsys.readouterr().err
+        path = re.search(r"not JSON compliant: \S+ at (\S+)$", err.strip()).group(1)
+        value = value_at(report, path)
+        assert isinstance(value, float) and not math.isfinite(value), (path, value)
 
     def test_jobs_env_override(self, tmp_path, monkeypatch, capsys):
         config = _write_config(tmp_path, _wave_config(num_samples=25))
