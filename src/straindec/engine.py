@@ -278,9 +278,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     margins["max_wedge_identity_residual"] = float(np.max(st.wedge[0]))
     margins["max_cauchy_schwarz_excess"] = float(np.max(st.wedge[1]))
 
-    # Failure fixtures, in sample order, then group order, capped.  The
-    # fixtures of a sample share one block: its geometry lists and the
-    # chunk's Lagrangian and tolerance dicts.
+    # Failure fixtures, in sample order, then group order, capped.
     fixtures = out["fixtures"]
     lagr_info = {"name": lagr_name, "parameters": lagr_params}
     tolerances = {"algebraic": tol_alg, "dec": tol_dec}

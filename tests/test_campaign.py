@@ -842,7 +842,7 @@ class TestCLI:
         assert "n = 2" in capsys.readouterr().err
 
     def test_verify_non_finite_report_value_names_its_path(self, tmp_path, capsys):
-        # dphi entries near 1e160 overflow the pullback, so margins turn NaN.
+        # dphi entries near 1e160 overflow the pullback: records and margins turn NaN.
         data = {"schema_version": 1, "m_plus_1": 3, "n": 3,
                 "lagrangian": {"name": "wave_map"}, "num_samples": 32,
                 "entry_range": 1e160}
