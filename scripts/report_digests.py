@@ -12,7 +12,10 @@ a violation search that records fixtures, a one-dimensional source, and a
 violation search whose kept fixtures come from three chunks.  Four
 single chunks (``engine.run_chunk`` on samples 0-59, with the failure-forcing
 configs of ``tests/test_engine.py::TestFixtureScan``) cover every fixture kind
-but convexity_lemma, which no config fails.
+but convexity_lemma, which no config fails.  The last line, ``replay_fixtures``,
+digests the replay of every fixture of the violation_search campaign and of
+the four chunks: each fixture's kind, whether it matches, and its recomputed
+block.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ import sys
 from pathlib import Path
 
 from straindec import CampaignConfig, run_campaign
-from straindec.campaign import dump_json, load_config, report_bytes
+from straindec.campaign import dump_json, load_config, replay_fixture, report_bytes
 from straindec.engine import run_chunk
 
 
@@ -92,13 +95,26 @@ def chunks():
     yield "chunk_sign_flipped", _chunk_config(lagrangian=flipped)
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def main() -> int:
+    replayed = []
     for label, config in campaigns():
-        digest = hashlib.sha256(report_bytes(run_campaign(config).to_dict())).hexdigest()
-        print(f"{digest}  {label}")
+        report = run_campaign(config).to_dict()
+        print(f"{hashlib.sha256(report_bytes(report)).hexdigest()}  {label}")
+        if label == "violation_search":
+            replayed += report["fixtures"]
     for label, config in chunks():
-        blob = dump_json(run_chunk(config, 0, 60)).encode("utf-8")
-        print(f"{hashlib.sha256(blob).hexdigest()}  {label}")
+        chunk = run_chunk(config, 0, 60)
+        print(f"{_digest(dump_json(chunk))}  {label}")
+        replayed += chunk["fixtures"]
+    results = [replay_fixture(fixture) for fixture in replayed]
+    outcomes = [
+        {"kind": r.kind, "matches": r.matches, "recomputed": r.recomputed} for r in results
+    ]
+    print(f"{_digest(dump_json(outcomes))}  replay_fixtures")
     return 0
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import engine
 from .dec import (
+    DEC_TOL,
     CheckStack,
     DECVerdict,
     dec_verdict,
@@ -31,7 +32,7 @@ from .dec import (
 from .errors import ConfigError
 from .lagrangians import resolve_lagrangian
 from .multilinear import LorentzianMetric, RiemannianMetric
-from .sampling import MAX_BOOST_CAP
+from .sampling import BOOST_CAP, MAX_BOOST_CAP
 from .strain import PointGeometry
 from .stress import check_degree
 
@@ -42,11 +43,6 @@ _MODES = ("verify", "violation_search")
 # m+1) float64 stacks; at this cap one (512, 1024, 5) stack is 21 MB.  The
 # committed configs and scripts use at most 256.
 MAX_DIRECTIONS_PER_SAMPLE = 1024
-# The fields that hold integers (rank_override may also be None).
-_INT_FIELDS = (
-    "m_plus_1", "n", "num_samples", "num_directions_per_sample", "seed",
-    "rank_override", "max_fixtures",
-)
 
 
 def _json_int(value) -> int:
@@ -58,6 +54,10 @@ def _json_int(value) -> int:
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     return operator.index(value)
+
+
+def _json_optional_int(value) -> int | None:
+    return None if value is None else _json_int(value)
 
 
 def _json_object(value) -> dict:
@@ -74,8 +74,8 @@ def _convert(value, convert, name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-# Each CampaignConfig field's config-file key (dotted inside a section) and
-# the conversion of its JSON value.
+# The config layout: each CampaignConfig field's config-file key (dotted
+# inside a section) and the conversion of its JSON value.
 _FROM_JSON = {
     "m_plus_1": ("m_plus_1", _json_int),
     "n": ("n", _json_int),
@@ -89,11 +89,16 @@ _FROM_JSON = {
     "oracle_tol": ("tolerances.oracle", float),
     "entry_range": ("entry_range", float),
     "boost_cap": ("boost_cap", float),
-    "rank_override": ("rank_override", lambda v: None if v is None else _json_int(v)),
+    "rank_override": ("rank_override", _json_optional_int),
     "mode": ("mode", str),
     "max_fixtures": ("max_fixtures", _json_int),
 }
 _CONFIG_KEYS = {"schema_version"} | {path.split(".")[0] for path, _ in _FROM_JSON.values()}
+# The fields that hold integers (rank_override may also be None).
+_INT_FIELDS = tuple(
+    name for name, (_, convert) in _FROM_JSON.items()
+    if convert in (_json_int, _json_optional_int)
+)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -346,11 +351,11 @@ class CampaignConfig:
     num_samples: int = 100
     num_directions_per_sample: int = 8
     seed: int = 0
-    algebraic_tol: float = 1e-9
-    dec_tol: float = 1e-9
+    algebraic_tol: float = DEC_TOL
+    dec_tol: float = DEC_TOL
     oracle_tol: float = 1e-6
     entry_range: float = 1.0
-    boost_cap: float = 5.0
+    boost_cap: float = BOOST_CAP
     rank_override: int | None = None
     mode: str = "verify"
     max_fixtures: int = 100
@@ -426,28 +431,14 @@ class CampaignConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "m_plus_1": self.m_plus_1,
-            "n": self.n,
-            "lagrangian": {
-                "name": self.lagrangian_name,
-                "parameters": dict(self.lagrangian_parameters),
-            },
-            "num_samples": self.num_samples,
-            "num_directions_per_sample": self.num_directions_per_sample,
-            "seed": self.seed,
-            "tolerances": {
-                "algebraic": self.algebraic_tol,
-                "dec": self.dec_tol,
-                "oracle": self.oracle_tol,
-            },
-            "entry_range": self.entry_range,
-            "boost_cap": self.boost_cap,
-            "rank_override": self.rank_override,
-            "mode": self.mode,
-            "max_fixtures": self.max_fixtures,
-        }
+        """The config file's JSON object, laid out by ``_FROM_JSON``."""
+        out = {"schema_version": SCHEMA_VERSION}
+        for name, (path, _) in _FROM_JSON.items():
+            section, _, key = path.rpartition(".")
+            target = out.setdefault(section, {}) if section else out
+            value = getattr(self, name)
+            target[key] = dict(value) if isinstance(value, dict) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
@@ -530,10 +521,6 @@ def report_bytes(report_dict: dict) -> bytes:
     return dump_json(data).encode("utf-8")
 
 
-def _chunk_args(args):
-    return engine.run_chunk(*args)
-
-
 def run_campaign(
     config: CampaignConfig, jobs: int = 1, out_path=None
 ) -> CampaignReport:
@@ -559,7 +546,7 @@ def run_campaign(
     ]
     if jobs > 1 and len(bounds) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
-            results = list(pool.map(_chunk_args, [(cfg, a, b) for a, b in bounds]))
+            results = list(pool.map(engine.run_chunk, [cfg] * len(bounds), *zip(*bounds)))
     else:
         results, room = [], config.max_fixtures
         for a, b in bounds:
@@ -615,35 +602,43 @@ _DEGREE_KINDS = ("rank_condition", "wedge_identity", "cauchy_schwarz")
 _last_replay = None
 
 
-def _replay_key(data: dict):
+def _replay_settings(data: dict, context: str) -> tuple:
+    """A fixture's Lagrangian name and parameters and its (dec, algebraic) tolerances.
+
+    Validated: a missing tolerance is ``DEC_TOL``, and a malformed field is a
+    ``ConfigError`` that names it.
+    """
+    lagr_info, tol = _lagrangian_and_tolerances(data, context)
+    field = f"{context} field"
+    params = _convert(
+        lagr_info.get("parameters", {}), _json_object, f"{field} 'lagrangian.parameters'"
+    )
+    tols = tuple(
+        _convert(tol.get(key, DEC_TOL), float, f"{field} 'tolerances.{key}'")
+        for key in ("dec", "algebraic")
+    )
+    return str(lagr_info["name"]), params, tols
+
+
+def _replay_key(data: dict, name: str, params: dict, tols: tuple):
     """What a fixture's geometry, Lagrangian and CheckStack depend on.
 
     The metric, target metric and dphi as the float64 arrays ``load_geometry``
-    converts them to (shape and bytes, so -0.0 differs from 0.0), the
-    Lagrangian's name and parameters as ``replay_fixture`` reads them (the
-    parameters as JSON), and the bit patterns of the dec and algebraic
-    tolerances.  None when any of these cannot be read.
+    converts them to (shape and bytes, so -0.0 differs from 0.0), and the
+    ``_replay_settings`` of the fixture: the Lagrangian's name, its parameters
+    as JSON, and the bit patterns of the tolerances.  None when the arrays or
+    the parameters cannot be read.
     """
-    if not isinstance(data, dict):
-        return None
-    lagr_info, tol = data.get("lagrangian"), data.get("tolerances", {})
-    if not (isinstance(lagr_info, dict) and isinstance(tol, dict)):
-        return None
     try:
         arrays = (
             np.asarray(np.array(data["metric"]), dtype=float),
             np.asarray(np.array(data["target_metric"]), dtype=float),
             np.array(data["dphi"], dtype=float),
         )
-        return (
-            *((a.shape, a.tobytes()) for a in arrays),
-            str(lagr_info["name"]),
-            json.dumps(dict(lagr_info.get("parameters", {}))),
-            float(tol.get("dec", 1e-9)).hex(),
-            float(tol.get("algebraic", 1e-9)).hex(),
-        )
+        key = (*((a.shape, a.tobytes()) for a in arrays), name, json.dumps(params))
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    return key + tuple(tol.hex() for tol in tols)
 
 
 def replay_fixture(source) -> ReplayResult:
@@ -659,11 +654,11 @@ def replay_fixture(source) -> ReplayResult:
 
     Consecutive fixtures of one sample share their direction-independent
     work.  When a fixture's ``_replay_key`` (the float64 shape and bytes of
-    its metric, target metric and dphi, its Lagrangian name and parameters,
-    and its dec and algebraic tolerances) equals the previous keyed call's,
-    replay reuses that call's validated geometry, resolved Lagrangian and
+    its metric, target metric and dphi, and its ``_replay_settings``, which
+    are validated on every call) equals the previous keyed call's, replay
+    reuses that call's validated geometry, resolved Lagrangian and
     ``CheckStack``, all pure functions of the key; the stack keeps every
-    field computed so far.  Only the checks along the fixture's direction, a
+    field computed so far, g^{-1} included.  Only the checks along the fixture's direction, a
     fresh ``CheckStack.along`` view, are recomputed.  The schema version, the
     kind, the direction, the degree and the corollary flags are checked on
     every call.  Results are bit-identical to a replay with nothing reused,
@@ -676,14 +671,9 @@ def replay_fixture(source) -> ReplayResult:
     kind = _require(data, "kind", context)
     if kind not in engine.FIXTURES:
         raise ConfigError(f"{context} has unknown kind {kind!r}")
-    # Validated on every call, reused work or not: ``_replay_key`` reads the
-    # parameters with dict(), which also accepts a list of pairs.
     field = f"{context} field"
-    lagr_info, tol = _lagrangian_and_tolerances(data, context)
-    params = _convert(
-        lagr_info.get("parameters", {}), _json_object, f"{field} 'lagrangian.parameters'"
-    )
-    memo_key = _replay_key(data)
+    name, params, tols = _replay_settings(data, context)
+    memo_key = _replay_key(data, name, params, tols)
     last = _last_replay
     if memo_key is not None and last is not None and last[0] == memo_key:
         _, geom, lagr, stack = last
@@ -691,11 +681,8 @@ def replay_fixture(source) -> ReplayResult:
         geom = load_geometry(
             {key: _require(data, key, context) for key in ("metric", "target_metric", "dphi")}
         )
-        lagr = resolve_lagrangian(str(lagr_info["name"]), params, geom.dim)
-        stack = CheckStack.at(geom, lagr, *(
-            _convert(tol.get(key, 1e-9), float, f"{field} 'tolerances.{key}'")
-            for key in ("dec", "algebraic")
-        ))
+        lagr = resolve_lagrangian(name, params, geom.dim)
+        stack = CheckStack.at(geom, lagr, *tols)
     index, checks = 0, stack
     if kind in _DEC_KINDS or kind == "convexity_lemma":
         direction = require_timelike(

@@ -102,13 +102,13 @@ class FluxStack:
         return causal_class(self.zero[k, i], self.quadratic[k, i], self.band[k, i], past)
 
 
-def batch_flux(g: np.ndarray, x: np.ndarray, v: np.ndarray, tol: float) -> FluxStack:
+def batch_flux(g, g_inv, x: np.ndarray, v: np.ndarray, tol: float) -> FluxStack:
     """Classify the raised fluxes of lowered fluxes ``v`` (B, K, dim) against ``x``.
 
-    ``x`` is (B, K, dim), or (B, dim) for one reference direction per metric;
-    see ``metric_pairing``.
+    ``g_inv`` is the inverse of the metric stack ``g``.  ``x`` is (B, K, dim),
+    or (B, dim) for one reference direction per metric; see ``metric_pairing``.
     """
-    y = batch_contract(np.linalg.inv(g), v)
+    y = batch_contract(g_inv, v)
     ynorm2 = np.einsum("bdk,bdk->bd", y, y)
     scale = frobenius(g)[:, None] * ynorm2
     return FluxStack(
@@ -132,18 +132,19 @@ class WitnessStack:
     flux: FluxStack
 
 
-def batch_dec_witness(g, tensors, directions, tol: float = DEC_TOL) -> WitnessStack:
+def batch_dec_witness(g, g_inv, tensors, directions, tol: float = DEC_TOL) -> WitnessStack:
     """Both halves of the energy condition for stacked tensors along (B, K, dim) directions.
 
-    The directions must be timelike; they are normalized to g(X, X) = -1
-    first.  Energy passes when T(X, X) >= -tol * ||T|| |X|^2; flux causality
-    is ``FluxStack.ok``.
+    ``g_inv`` is the inverse of the metric stack ``g``.  The directions must
+    be timelike; they are normalized to g(X, X) = -1 first.  Energy passes
+    when T(X, X) >= -tol * ||T|| |X|^2; flux causality is ``FluxStack.ok``.
     """
     x = directions / np.sqrt(-metric_pairing(directions, g, directions))[:, :, None]
     v = batch_contract(tensors, x)
     energy = np.einsum("bdk,bdk->bd", x, v)
     scale = frobenius(tensors)[:, None] * np.einsum("bdk,bdk->bd", x, x)
-    return WitnessStack(x, energy, scale, energy >= -tol * scale, batch_flux(g, x, v, tol))
+    flux = batch_flux(g, g_inv, x, v, tol)
+    return WitnessStack(x, energy, scale, energy >= -tol * scale, flux)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +202,8 @@ def dec_witness(
     """
     x = require_timelike(metric, direction)[None, None]
     tensor = np.asarray(tensor, dtype=float)[None]
-    return _witness(batch_dec_witness(metric.entries[None], tensor, x, tol), 0, 0)
+    g = metric.entries[None]
+    return _witness(batch_dec_witness(g, np.linalg.inv(g), tensor, x, tol), 0, 0)
 
 
 def require_timelike(metric: LorentzianMetric, direction, unit: bool = False) -> np.ndarray:
@@ -219,7 +221,8 @@ class CheckStack:
     """Every pointwise check on a stack of B geometries, each kernel run on first use.
 
     ``g``, ``h`` and ``dphi`` are (B, m+1, m+1), (B, n, n) and (B, n, m+1)
-    stacks.  The checks that read timelike directions (the DEC witnesses and
+    stacks; ``g_inv`` inverts ``g`` once for every kernel that needs it
+    (``batch_strain``, ``batch_dec_witness``, ``batch_flux``).  The checks that read timelike directions (the DEC witnesses and
     the combination lemma) live on the view ``along`` returns, so no field
     of the stack depends on directions.  A check's pass mask is the attribute
     named after it (``dec_energy`` .. ``cauchy_schwarz``), shaped (B, K) for
@@ -247,8 +250,9 @@ class CheckStack:
         """This stack's checks along a (B, K, m+1) stack of timelike vectors."""
         return DirectedStack(self, directions)
 
-    # (pullbacks, strains), invariants, and (dF/ds, F, grad F . s).
-    strain = cached_property(lambda st: batch_strain(st.g, st.h, st.dphi))
+    # g^{-1}, (pullbacks, strains), invariants, and (dF/ds, F, grad F . s).
+    g_inv = cached_property(lambda st: np.linalg.inv(st.g))
+    strain = cached_property(lambda st: batch_strain(st.g_inv, st.h, st.dphi))
     s = cached_property(lambda st: batch_charpoly_coefficients(st.strain[1]))
     terms = cached_property(lambda st: lagrangian_terms(st.lagr, st.s))
     # Elementary tensors T_j, the combined tensor T, and their scales.
@@ -323,7 +327,7 @@ class DirectedStack:
         return getattr(self.stack, name)
 
     witness = cached_property(
-        lambda st: batch_dec_witness(st.g, st.tensor, st.directions, st.tol)
+        lambda st: batch_dec_witness(st.g, st.g_inv, st.tensor, st.directions, st.tol)
     )
 
     @cached_property
@@ -331,7 +335,7 @@ class DirectedStack:
         """Fluxes of the weighted pieces dF/ds_j T_j X at the first direction."""
         x0 = self.witness.directions[:, 0]
         v = np.einsum("bjkl,bl->bjk", self.elementary, x0) * self.terms[0][:, :, None]
-        return batch_flux(self.g, x0, v, self.tol)
+        return batch_flux(self.g, self.g_inv, x0, v, self.tol)
 
     # The combination lemma: component fluxes all past-causal or zero must
     # make the combined flux so.

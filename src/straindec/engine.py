@@ -223,7 +223,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     seed = int(config["seed"])
     tol_alg = float(config["tolerances"]["algebraic"])
     tol_dec = float(config["tolerances"]["dec"])
-    max_fixtures = int(config.get("max_fixtures", 100))
+    max_fixtures = int(config["max_fixtures"])
     lagr_name = config["lagrangian"]["name"]
     lagr_params = dict(config["lagrangian"].get("parameters", {}))
     lagr = resolve_lagrangian(lagr_name, lagr_params, m1)

@@ -367,7 +367,7 @@ def draw_chunk_arrays(
 
 def _domain_inside(lagrangian: LagrangianSpec, g, h, dphi) -> np.ndarray:
     """Domain test of the strain invariants of stacked geometries."""
-    s = batch_charpoly_coefficients(batch_strain(g, h, dphi)[1])
+    s = batch_charpoly_coefficients(batch_strain(np.linalg.inv(g), h, dphi)[1])
     return np.asarray(lagrangian.domain_predicate(s), dtype=bool)
 
 

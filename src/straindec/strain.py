@@ -64,8 +64,8 @@ class PointGeometry:
     @cached_property
     def stack(self) -> tuple:
         """Batch-of-one (metric, pullback, strain, invariants) for the batched kernels."""
-        g = self.metric.entries[None]
-        pull, d = batch_strain(g, self.target_metric.entries[None], self.dphi[None])
+        g, h = self.metric.entries[None], self.target_metric.entries[None]
+        pull, d = batch_strain(np.linalg.inv(g), h, self.dphi[None])
         return g, pull, d, batch_charpoly_coefficients(d)
 
     def pullback(self) -> np.ndarray:
@@ -109,10 +109,10 @@ def batch_pullback(h: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return 0.5 * (pull + pull.transpose(0, 2, 1))
 
 
-def batch_strain(g: np.ndarray, h: np.ndarray, dphi: np.ndarray):
-    """Pullbacks P and strains D = g^{-1} P of stacked geometries."""
+def batch_strain(g_inv: np.ndarray, h: np.ndarray, dphi: np.ndarray):
+    """Pullbacks P and strains D = g^{-1} P of stacked geometries, given g^{-1}."""
     pull = batch_pullback(h, dphi)
-    return pull, np.linalg.inv(g) @ pull
+    return pull, g_inv @ pull
 
 
 def strain(geom: PointGeometry) -> StrainTensor:

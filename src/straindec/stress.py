@@ -33,7 +33,6 @@ from .errors import DomainError, StepError
 from .lagrangians import LagrangianSpec
 from .multilinear import (
     OrthonormalFrame,
-    _as_square,
     congruence,
     frobenius,
     principal_minor_sums,
@@ -145,17 +144,6 @@ def batch_combination_scale(g, scales, s, terms) -> np.ndarray:
     ) * frobenius(g)
 
 
-def invariant_gradient_matrix(d, s_full, degree: int) -> np.ndarray:
-    """Matrix gradient of s_degree in the strain: sum_i (-1)^i s_{degree-1-i} d^i.
-
-    ``s_full`` is the invariant vector prefixed with s_0 = 1.
-    """
-    d = _as_square(d, "strain matrix")
-    check_degree(degree, d.shape[0])
-    s_full = np.asarray(s_full, dtype=float)[: d.shape[0] + 1]
-    return batch_invariant_gradients(d[None], s_full[None])[0, degree - 1]
-
-
 def stress_elementary(geom: PointGeometry, degree: int) -> StressEnergy:
     """Closed-form stress-energy of the degree-j elementary invariant."""
     check_degree(degree, geom.dim)
@@ -258,8 +246,13 @@ def stress_scale(geom: PointGeometry, degree: int) -> float:
 
 
 def stress_scale_general(geom: PointGeometry, lagr: LagrangianSpec) -> float:
-    """A-priori magnitude scale of the combination-formula tensor."""
+    """A-priori magnitude scale of the combination-formula tensor.
+
+    Validates the Lagrangian's dimension and domain as ``stress_general`` does.
+    """
+    check_dimensions(lagr, geom.dim)
     g, pull, d, s = geom.stack
+    require_domain(lagr, s[0])
     scales = batch_elementary_scales(g, pull, d, s)
     return float(batch_combination_scale(g, scales, s, lagrangian_terms(lagr, s))[0])
 

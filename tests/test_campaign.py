@@ -385,8 +385,8 @@ class TestRunCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(campaign, "ProcessPoolExecutor", SerialPool)
         # Three chunks of at most 512 samples.
@@ -542,6 +542,36 @@ class TestReplayFixture:
         with pytest.raises(ConfigError, match="schema_version"):
             replay_fixture(data)
 
+    def test_convexity_lemma_fixture_records_and_replays(self, tmp_path, capsys):
+        # No campaign config fails the combination lemma, so the engine's
+        # record function builds the fixture along the canonical timelike leg.
+        geom = sample_geometry(3, 3, rng=np.random.default_rng(8))
+        params = {"c1": 1.0, "c2": 1.0}
+        stack = CheckStack.at(geom, resolve_lagrangian("skyrme", params, 3))
+        e0 = stack.frames[0][0, :, 0]
+        fixture = {
+            "schema_version": 1, "sample_index": 0, "seed": 0, "m_plus_1": 3, "n": 3,
+            "lagrangian": {"name": "skyrme", "parameters": params},
+            "tolerances": {"algebraic": 1e-9, "dec": 1e-9},
+            "metric": geom.metric.entries.tolist(),
+            "target_metric": geom.target_metric.entries.tolist(),
+            "dphi": geom.dphi.tolist(),
+            "kind": "convexity_lemma",
+            **engine.FIXTURES["convexity_lemma"](stack.along(e0[None, None]), 0, 0),
+        }
+        assert replay_fixture(fixture).matches
+        path = tmp_path / "convexity.json"
+        write_json(path, fixture)
+        assert main(["replay", str(path)]) == 0
+        flipped = copy.deepcopy(fixture)
+        flipped["recorded"]["holds"] = not fixture["recorded"]["holds"]
+        write_json(path, flipped)
+        assert main(["replay", str(path)]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+        write_json(path, dict(fixture, direction=(2.0 * e0).tolist()))
+        assert main(["replay", str(path)]) == 2
+        assert "unit timelike" in capsys.readouterr().err
+
 
 def _replay_repr(fixture) -> str:
     """Everything a replay returns but ``recorded``, floats at full precision."""
@@ -571,6 +601,15 @@ def _memo_fixture_sets():
         num_samples=2048, mode="violation_search", max_fixtures=2000
     ))
     yield json.loads(dump_json(report.fixtures))
+
+
+def _replay_key(fixture):
+    """The memo key ``replay_fixture`` computes; None if its settings do not validate."""
+    try:
+        settings = campaign._replay_settings(fixture, "fixture")
+    except ConfigError:
+        return None
+    return campaign._replay_key(fixture, *settings)
 
 
 def _orders(count):
@@ -726,11 +765,11 @@ class TestReplayMemo:
             campaign._last_replay = None
             _replay_repr(valid)
             assert _outcome(near) == expected, i
-            key = campaign._replay_key(near)
+            key = _replay_key(near)
             if near in malformed:
                 assert isinstance(expected, tuple), i
             elif key is not None:
-                assert key != campaign._replay_key(valid), i
+                assert key != _replay_key(valid), i
 
     def test_returned_arrays_do_not_alias_the_memo(self):
         fixtures = run_chunk(

@@ -320,7 +320,7 @@ def _geometry_types():
     frame = canonical_frame(geom.metric)
     stress = stress_general(geom, wave_map(3))
     g, x = geom.metric.entries[None], frame.basis.T[None, :1]
-    stack = batch_dec_witness(g, stress.tensor[None], x)
+    stack = batch_dec_witness(g, np.linalg.inv(g), stress.tensor[None], x)
     return {
         "LorentzianMetric": geom.metric,
         "RiemannianMetric": geom.target_metric,

@@ -473,7 +473,8 @@ class TestKernelBatchInvariance:
     @staticmethod
     def _kernels(lagr, g, h, dphi, rap, normals):
         """Every batched kernel on one stack, keyed by name, batch axis first."""
-        pull, d = batch_strain(g, h, dphi)
+        g_inv = np.linalg.inv(g)
+        pull, d = batch_strain(g_inv, h, dphi)
         s = batch_charpoly_coefficients(d)
         s_full = np.concatenate([np.ones((len(s), 1)), s], axis=1)
         terms = lagrangian_terms(lagr, s)
@@ -482,9 +483,9 @@ class TestKernelBatchInvariance:
         tensor = batch_combination(g, tensors, terms)
         frames, _ = canonical_frames(g)
         xs = batch_assemble_directions(frames, rap, normals)
-        witness = batch_dec_witness(g, tensor, xs, 1e-9)
+        witness = batch_dec_witness(g, g_inv, tensor, xs, 1e-9)
         x0 = witness.directions[:, 0]
-        flux = batch_flux(g, x0, np.einsum("bjkl,bl->bjk", tensors, x0), 1e-9)
+        flux = batch_flux(g, g_inv, x0, np.einsum("bjkl,bl->bjk", tensors, x0), 1e-9)
         newton, wedge = batch_invariants_newton(d), batch_invariants_wedge(d)
         return {
             "congruence": congruence(dphi, h),

@@ -4,8 +4,10 @@
 campaigns and four single chunks.  Twelve of the lines have been identical since
 the batched chunk draw.  ``violation_search_cap_crosses_chunks`` was added
 later; its digest was taken before the serial campaign started capping each
-chunk at the fixture room left.  A change that alters any
-report byte fails here.
+chunk at the fixture room left.  ``replay_fixtures`` digests the replay of the
+560 fixtures of the violation_search campaign and the four chunks; it was
+taken before g^{-1} became a ``CheckStack`` field.  A change that alters any
+report or replay byte fails here.
 """
 
 import os
@@ -29,6 +31,7 @@ bad43a0eab7af8333d1fc324e6bd51df4caf1009fff861b5ea862bc543276580  violation_sear
 93953d1a0a786e35070be0ef6a099971d251c391f88c23589a2f239a8256d841  chunk_huge_dec_tolerance
 fff8601be4fe57fb9bfd228e4080b8088c216302c6d2b183f9bb5c774b1381d5  chunk_zero_algebraic_tolerance
 6c3ac0e63f81c6941785b2dbf1d7e9b7193d3cab53e68c53ef335777eb3f1437  chunk_sign_flipped
+7ae3ad8f9942e3e13956bb72a2bd29c38b718f9113104722d98df12ab6ae7c7e  replay_fixtures
 """
 
 

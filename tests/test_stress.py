@@ -28,7 +28,7 @@ from straindec import (
 )
 from straindec.lagrangians import LagrangianSpec
 from straindec.sampling import sample_geometry
-from straindec.stress import invariant_gradient_matrix
+from straindec.stress import batch_invariant_gradients
 
 
 def _identity_geometry(dim=2):
@@ -104,14 +104,19 @@ class TestElementary:
                 assert np.max(np.abs(t - t.T)) < 1e-12 * max(1.0, np.max(np.abs(t)))
 
 
+def _gradient(d, s_full, degree):
+    """M_degree of one strain, from ``batch_invariant_gradients`` on a batch of one."""
+    return batch_invariant_gradients(d[None], s_full[None])[0, degree - 1]
+
+
 class TestGradientMatrix:
     def test_first_two_degrees(self):
         d = np.diag([-1.0, 1.0, 1.0])
         s_full = np.concatenate(([1.0], charpoly_coefficients(d)))
-        np.testing.assert_allclose(invariant_gradient_matrix(d, s_full, 1), np.eye(3))
+        np.testing.assert_allclose(_gradient(d, s_full, 1), np.eye(3))
         # M_2 = s_1 I - D.
         np.testing.assert_allclose(
-            invariant_gradient_matrix(d, s_full, 2),
+            _gradient(d, s_full, 2),
             s_full[1] * np.eye(3) - d,
             atol=1e-14,
         )
@@ -121,7 +126,7 @@ class TestGradientMatrix:
         d = rng.uniform(-1, 1, size=(4, 4))
         s_full = np.concatenate(([1.0], charpoly_coefficients(d)))
         for j in (1, 2, 3, 4):
-            m = invariant_gradient_matrix(d, s_full, j)
+            m = _gradient(d, s_full, j)
             assert np.trace(d @ m) == pytest.approx(j * s_full[j], rel=1e-9, abs=1e-10)
 
 
@@ -258,6 +263,19 @@ class TestScales:
             geom = sample_geometry(3, 3, rng=rng)
             tnorm = float(np.linalg.norm(stress_general(geom, spec).tensor))
             assert tnorm <= stress_scale_general(geom, spec) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("stress_fn", [stress_general, stress_scale_general])
+    def test_general_scale_validates_like_the_tensor(self, stress_fn):
+        geom = PointGeometry(
+            metric=LorentzianMetric(np.diag([-1.0, 1.0, 1.0])),
+            target_metric=RiemannianMetric(np.eye(3)),
+            dphi=np.diag([2.0, 0.0, 0.0]),
+        )
+        # s = (-4, 0, 0) puts det(b I + D) at -0.875, outside born_infeld(0.5)'s domain.
+        with pytest.raises(DomainError):
+            stress_fn(geom, born_infeld(0.5, 3))
+        with pytest.raises(ValueError, match="lagrangian dimension 2 does not match geometry 3"):
+            stress_fn(geom, wave_map(2))
 
 
 class TestWedgeDecomposition:
