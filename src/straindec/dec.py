@@ -222,9 +222,10 @@ class CheckStack:
 
     ``g``, ``h`` and ``dphi`` are (B, m+1, m+1), (B, n, n) and (B, n, m+1)
     stacks; ``g_inv`` inverts ``g`` once for every kernel that needs it
-    (``batch_strain``, ``batch_dec_witness``, ``batch_flux``).  The checks that read timelike directions (the DEC witnesses and
-    the combination lemma) live on the view ``along`` returns, so no field
-    of the stack depends on directions.  A check's pass mask is the attribute
+    (``batch_strain``, ``batch_dec_witness``, ``batch_flux``).  The checks
+    that read timelike directions (the DEC witnesses and the combination
+    lemma) live on the view ``along`` returns, so no field of the stack
+    depends on directions.  A check's pass mask is the attribute
     named after it (``dec_energy`` .. ``cauchy_schwarz``), shaped (B, K) for
     the witnesses, (B, m+1) per degree and (B,) otherwise.
     """
