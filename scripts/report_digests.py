@@ -4,12 +4,17 @@
 A change that promises identical reports is checked by running this script on
 both commits and comparing the output line by line:
 
-    PYTHONPATH=src python3 scripts/report_digests.py
+    python3 scripts/report_digests.py
+
+The script imports straindec from the ``src/`` of the checkout it sits in,
+ahead of any other copy on the path, so each checkout's digests come from
+its own code.
 
 The campaigns cover the example config, the determinism criterion's config, a
 born_infeld cell with many domain rejections, minimal_surface, rank overrides,
-a violation search that records fixtures, a one-dimensional source, and a
-violation search whose kept fixtures come from three chunks.  Four
+a violation search that records fixtures, a one-dimensional source, a
+violation search whose kept fixtures come from three chunks, and skyrme at
+4x4 with 256 directions per sample, the dense-directions shape.  Four
 single chunks (``engine.run_chunk`` on samples 0-59, with the failure-forcing
 configs of ``tests/test_engine.py::TestFixtureScan``) cover every fixture kind
 but convexity_lemma, which no config fails.  The last line, ``replay_fixtures``,
@@ -22,9 +27,16 @@ import hashlib
 import sys
 from pathlib import Path
 
-from straindec import CampaignConfig, run_campaign
-from straindec.campaign import dump_json, load_config, replay_fixture, report_bytes
-from straindec.engine import run_chunk
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from straindec import CampaignConfig, run_campaign  # noqa: E402
+from straindec.campaign import (  # noqa: E402
+    dump_json,
+    load_config,
+    replay_fixture,
+    report_bytes,
+)
+from straindec.engine import run_chunk  # noqa: E402
 
 
 def _config(name, params, m1=3, n=3, **kwargs):
@@ -56,6 +68,9 @@ def campaigns():
         "linear_combination", {"coefficients": [1.0, -5.0, 0.0]},
         num_samples=1536, num_directions_per_sample=1,
         mode="violation_search", max_fixtures=2000,
+    )
+    yield "dense_directions_4x4", _config(
+        "skyrme", {"c1": 1.0, "c2": 1.0}, m1=4, n=4, num_directions_per_sample=256,
     )
 
 

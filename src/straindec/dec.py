@@ -242,7 +242,7 @@ class CheckStack:
         entries = (geom.metric.entries, geom.target_metric.entries, geom.dphi)
         stack = cls(*(a[None] for a in entries), lagr, tol, algebraic_tol)
         _, pull, d, stack.s = geom.stack
-        stack.strain = pull, d
+        stack.g_inv, stack.strain = geom.g_inv, (pull, d)
         if lagr is not None:
             require_domain(lagr, stack.s[0])
         return stack

@@ -225,7 +225,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     tol_dec = float(config["tolerances"]["dec"])
     max_fixtures = int(config["max_fixtures"])
     lagr_name = config["lagrangian"]["name"]
-    lagr_params = dict(config["lagrangian"].get("parameters", {}))
+    lagr_params = config["lagrangian"]["parameters"]
     lagr = resolve_lagrangian(lagr_name, lagr_params, m1)
     out = empty_chunk_result()
     batch = stop - start
@@ -236,7 +236,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     gs, hs, dps, raps, normals, drawn = draw_chunk_arrays(
         seed, start, stop, m1, n, int(config["num_directions_per_sample"]),
         float(config["entry_range"]), float(config["boost_cap"]),
-        config.get("rank_override"), lagr,
+        config["rank_override"], lagr,
     )
     out["sampling"].update(drawn)
 

@@ -18,9 +18,10 @@ the package:
   returns the bits of ``np.einsum("bkl,bdl->bdk", m, x)``, which sums each
   output in two lanes without FMA: the even-l and the odd-l products are added
   in increasing l, each lane from +0.0, and the two lane sums are then added,
-  so l = 4 gives (p0 + p2) + (p1 + p3) and a zero sum is +0.0.  Its output is
-  C-contiguous, because the ``"bdk,bdk->bd"`` reductions downstream take
-  another summation order on strided input.
+  so l = 4 gives (p0 + p2) + (p1 + p3) and a zero sum is +0.0.  That order
+  is written once, as ``lane_sum``, which ``sampling.batch_assemble_directions``
+  also uses.  The output is C-contiguous, because the ``"bdk,bdk->bd"``
+  reductions downstream take another summation order on strided input.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def batch_contract(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     sum is +0.0, never -0.0.  A matmul is faster but not equal, since BLAS
     uses FMA.
 
-    The lane kernel keeps that order with in-place ufuncs on a (b, k, K)
+    The lane kernel keeps that order with ``lane_sum`` on a (b, k, K)
     layout, so the inner loops run over the K rows of each sample, and works
     on blocks of CONTRACT_BLOCK_ROWS rows written straight into the output.
     einsum itself takes stacks of fewer than CONTRACT_MIN_ROWS rows, depths
@@ -277,22 +278,40 @@ def batch_contract(m: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.einsum("bkl,bdl->bdk", m, x)
     out = np.empty((batch, rows, m.shape[1]))
     step = max(1, CONTRACT_BLOCK_ROWS // rows)
-    # einsum warns of no inf or NaN; neither do the ufuncs here.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, batch, step):
-            mb = m[start : start + step]
-            xt = x[start : start + step].transpose(0, 2, 1)
-            lanes = [mb[:, :, l, None] * xt[:, None, l] for l in range(min(depth, 2))]
-            if depth > 2:
-                term = np.empty_like(lanes[0])
-                for l in range(2, depth):
-                    np.multiply(mb[:, :, l, None], xt[:, None, l], out=term)
-                    lanes[l % 2] += term
-            if depth > 1:
-                lanes[0] += lanes[1]
-            # + 0.0 turns a -0.0 sum into einsum's +0.0 and changes nothing else.
-            np.add(lanes[0].transpose(0, 2, 1), 0.0, out=out[start : start + step])
+    work = np.empty((min(depth, 3), min(step, batch), m.shape[1], rows))
+    for start in range(0, batch, step):
+        mb = m[start : start + step]
+        xt = x[start : start + step].transpose(0, 2, 1)
+        lane_sum(
+            [mb[:, :, l, None] for l in range(depth)],
+            [xt[:, None, l] for l in range(depth)],
+            out[start : start + step].transpose(0, 2, 1),
+            work[:, : len(mb)],
+        )
     return out
+
+
+def lane_sum(left, right, out, work) -> np.ndarray:
+    """Write sum_l left[l] * right[l] into ``out`` and return it.
+
+    ``left`` and ``right`` are equal-length lists of at most
+    CONTRACT_MAX_DEPTH arrays whose products have ``out``'s shape.  The sum
+    is einsum's two-lane order, bit for bit: lane 0 adds the even-l products
+    and lane 1 the odd-l ones in increasing l, the result is lane 0 + lane 1,
+    and a zero sum is +0.0.  ``work`` holds the lanes and the current term:
+    min(depth, 3) contiguous scratch arrays of the products' shape (a
+    (3, ...) array works), so callers reuse one buffer across calls.  Like
+    einsum, it warns of no inf or NaN.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for l in range(len(left)):
+            np.multiply(left[l], right[l], out=work[min(l, 2)])
+            if l >= 2:
+                work[l % 2] += work[2]
+        if len(left) > 1:
+            work[0] += work[1]
+        # + 0.0 turns a -0.0 sum into einsum's +0.0 and changes nothing else.
+        return np.add(work[0], 0.0, out=out)
 
 
 def induced_metric_on_wedge(q, degree: int) -> np.ndarray:

@@ -62,10 +62,15 @@ class PointGeometry:
         return self.target_metric.dim
 
     @cached_property
+    def g_inv(self) -> np.ndarray:
+        """Batch-of-one inverse metric, shared by ``stack`` and ``dec.CheckStack.at``."""
+        return np.linalg.inv(self.metric.entries[None])
+
+    @cached_property
     def stack(self) -> tuple:
         """Batch-of-one (metric, pullback, strain, invariants) for the batched kernels."""
         g, h = self.metric.entries[None], self.target_metric.entries[None]
-        pull, d = batch_strain(np.linalg.inv(g), h, self.dphi[None])
+        pull, d = batch_strain(self.g_inv, h, self.dphi[None])
         return g, pull, d, batch_charpoly_coefficients(d)
 
     def pullback(self) -> np.ndarray:

@@ -678,6 +678,22 @@ class TestReplayMemo:
             assert campaign._last_replay[i] is cached[i]
         assert isinstance(cached[3], CheckStack)
 
+    def test_inverts_the_metric_once_per_miss(self, monkeypatch):
+        fixtures = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
+        )["fixtures"]
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+        stacks = []
+        for fixture in fixtures:
+            replay_fixture(fixture)
+            stack = campaign._last_replay[3]
+            if not stacks or stacks[-1] is not stack:
+                stacks.append(stack)
+        assert len(fixtures) > len(stacks) > 1
+        assert len(calls) == len(stacks)
+
     def test_views_share_a_stack_without_writing_to_it(self):
         geom = sample_geometry(3, 3, rng=np.random.default_rng(3))
         lagr = resolve_lagrangian("skyrme", {"c1": 1.0, "c2": 1.0}, 3)

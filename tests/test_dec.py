@@ -103,6 +103,17 @@ class TestCheckDec:
         assert len(verdict.witnesses) == 8
         assert all(w.energy_ok and w.flux_ok for w in verdict.witnesses)
 
+    def test_inverts_the_metric_once(self, monkeypatch):
+        # CheckStack.at hands the geometry's inverse to the stack.
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        geom = sample_geometry(4, 4, rng=np.random.default_rng(8))
+        check_dec(geom, skyrme(1.0, 1.0, 4), num_directions=16)
+        assert calls == [(1, 4, 4)]
+        check_dec(geom, skyrme(1.0, 1.0, 4), seed=1)
+        assert len(calls) == 1
+
     def test_zero_map_is_vacuous(self):
         verdict = check_dec(_zero_map_geometry(), wave_map(2))
         assert verdict.energy_positivity is CheckStatus.VACUOUS

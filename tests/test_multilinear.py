@@ -28,6 +28,7 @@ from straindec.multilinear import (
     CONTRACT_MIN_ROWS,
     batch_contract,
     canonical_frames,
+    lane_sum,
 )
 
 MINK2 = LorentzianMetric(np.diag([-1.0, 1.0]))
@@ -426,3 +427,55 @@ class TestBatchContract:
         x[2, 5, 3] = np.nan
         with np.errstate(all="raise"):
             self._check(monkeypatch, m, x)
+
+
+class TestLaneSum:
+    """lane_sum, the one copy of einsum's two-lane order, on (B, K) rows.
+
+    Up to CONTRACT_MAX_DEPTH terms it gives the bits of batch_contract's
+    einsum for any number of rows, below and above CONTRACT_MIN_ROWS; einsum
+    unrolls longer sums four vectors at a time, so one term more is out of
+    its reach.
+    """
+
+    @staticmethod
+    def _lanes(m, x):
+        """lane_sum of m[:, l, None] * x[:, :, l] into a fresh (B, K) row."""
+        depth = x.shape[2]
+        out = np.empty(x.shape[:2])
+        got = lane_sum(
+            [m[:, l, None] for l in range(depth)],
+            [x[:, :, l] for l in range(depth)],
+            out,
+            np.empty((3,) + out.shape),
+        )
+        assert got is out
+        return got
+
+    @staticmethod
+    def _einsum(m, x):
+        return np.einsum("bkl,bdl->bdk", m[:, None, :], x)[:, :, 0]
+
+    @pytest.mark.parametrize("rows", [CONTRACT_MIN_ROWS - 1, CONTRACT_MIN_ROWS])
+    @pytest.mark.parametrize("depth", range(1, CONTRACT_MAX_DEPTH + 1))
+    def test_equals_einsum(self, depth, rows):
+        rng = np.random.default_rng(10 * depth + rows)
+        m = rng.standard_normal((6, depth))
+        x = rng.standard_normal((6, rows, depth))
+        m[0] = -0.0
+        x[1] = -0.0
+        m[2, ::2] = -0.0
+        x[2, :, 1::2] = 0.0
+        m[3, 0] = np.inf
+        x[4, 7, -1] = np.nan
+        x[5, 3] = 1e300
+        with np.errstate(all="raise"):
+            got = self._lanes(m, x)
+        want = self._einsum(m, x)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_einsum_orders_deeper_sums_otherwise(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((8, CONTRACT_MAX_DEPTH + 1))
+        x = rng.standard_normal((8, 256, CONTRACT_MAX_DEPTH + 1))
+        assert not np.array_equal(self._lanes(m, x), self._einsum(m, x))

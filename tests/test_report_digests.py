@@ -1,12 +1,14 @@
 """Golden report digests: the canonical report bytes of fixed campaigns.
 
-``scripts/report_digests.py`` prints the sha256 of the report bytes of nine
+``scripts/report_digests.py`` prints the sha256 of the report bytes of ten
 campaigns and four single chunks.  Twelve of the lines have been identical since
 the batched chunk draw.  ``violation_search_cap_crosses_chunks`` was added
 later; its digest was taken before the serial campaign started capping each
 chunk at the fixture room left.  ``replay_fixtures`` digests the replay of the
 560 fixtures of the violation_search campaign and the four chunks; it was
-taken before g^{-1} became a ``CheckStack`` field.  A change that alters any
+taken before g^{-1} became a ``CheckStack`` field.  ``dense_directions_4x4``
+(skyrme at 4x4, 256 directions per sample) was taken before the boosted
+directions were assembled one component row at a time.  A change that alters any
 report or replay byte fails here.
 """
 
@@ -27,6 +29,7 @@ ef23e22fe2fecfdb23f2101b415647d06cbdb89f1bfe43f37c25f6d8615475ce  rank_override_
 bad43a0eab7af8333d1fc324e6bd51df4caf1009fff861b5ea862bc543276580  violation_search
 7ef1a5d28ace8f14e4239aa59cf0a5263806bd86088d1e3cc702eddac90e430f  m_plus_1_is_1
 0a531fe1f21322016d4cb0376cb4d5e5e205b16e0aed290d8d34bd7126e95331  violation_search_cap_crosses_chunks
+573b8a228fb0296d772b5a09f018de2bb8fb1b4f652e11f0478ea965b2d04ea0  dense_directions_4x4
 751d04cf79e804d40e2167592b5e0af9351453ce44d68ec526e3dd29f5eef851  chunk_negative_tolerances
 93953d1a0a786e35070be0ef6a099971d251c391f88c23589a2f239a8256d841  chunk_huge_dec_tolerance
 fff8601be4fe57fb9bfd228e4080b8088c216302c6d2b183f9bb5c774b1381d5  chunk_zero_algebraic_tolerance

@@ -17,9 +17,12 @@ from straindec import (
 )
 from straindec import sampling
 from straindec.lagrangians import _always_inside
+from straindec.multilinear import CONTRACT_MAX_DEPTH, CONTRACT_MIN_ROWS
 from straindec.sampling import (
+    BOOST_CAP,
     MAX_DOMAIN_TRIES,
     assemble_directions,
+    batch_assemble_directions,
     draw_chunk_arrays,
     draw_direction_params,
     draw_geometry_arrays,
@@ -176,6 +179,120 @@ class TestDirections:
         xs = assemble_directions(basis, np.array([1.0]), np.zeros((1, 2)))
         want = np.array([[np.cosh(1.0), np.sinh(1.0), 0.0]])
         np.testing.assert_allclose(xs, want, atol=1e-12)
+
+
+def _stacked_directions(frames, rapidity, normals):
+    """The stacked formula of ``batch_assemble_directions``, the oracle for its rows.
+
+    Lengths by ``np.linalg.norm``, the fallback by ``np.where`` and the
+    spatial sum by ``np.einsum``, each over the whole (B, K, dim) stack.
+    """
+    batch, dim, _ = frames.shape
+    if dim == 1:
+        return np.broadcast_to(frames[:, None, :, 0], (batch, rapidity.shape[1], 1)).copy()
+    lengths = np.linalg.norm(normals, axis=2, keepdims=True)
+    fallback = np.zeros(dim - 1)
+    fallback[0] = 1.0
+    unit = np.where(lengths > 0.0, normals / np.where(lengths == 0.0, 1.0, lengths), fallback)
+    return np.cosh(rapidity)[:, :, None] * frames[:, None, :, 0] + np.sinh(rapidity)[
+        :, :, None
+    ] * np.einsum("bkl,bdl->bdk", frames[:, :, 1:], unit)
+
+
+class TestBatchAssembleDirections:
+    """The row kernel gives the stacked formula's bits, zero and non-finite normals included."""
+
+    @staticmethod
+    def _inputs(dim, rows, batch, seed):
+        """Random frames and normals, with rows of awkward normals and rapidities.
+
+        Per sample: a zero normal, a -0.0 normal, a huge one whose square
+        overflows, an inf, a NaN, a tiny one whose square underflows, and a
+        normal along one axis with -0.0 elsewhere; rapidities 0 and BOOST_CAP,
+        a frame with -0.0 entries and one with inf.
+        """
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((batch, dim, dim))
+        rapidity = BOOST_CAP * rng.random((batch, rows))
+        normals = rng.standard_normal((batch, rows, dim - 1))
+        rapidity[0] = 0.0
+        rapidity[1] = BOOST_CAP
+        frames[2, :, 1:] = -0.0
+        frames[3, 0, 0] = np.inf
+        if dim > 1:
+            normals[:, 0] = 0.0
+            normals[:, -1] = -0.0
+            normals[4] = 0.0
+            normals[5, :, 0] = 1e200
+            normals[6, :, -1] = np.inf
+            normals[7, :, 0] = np.nan
+            normals[8] = 1e-170
+            normals[9] = -0.0
+            normals[9, :, 0] = -3.0
+        return frames, rapidity, normals
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The calls of ``_assemble_rows`` during the test, one entry per block."""
+        calls = []
+        real = sampling._assemble_rows
+        monkeypatch.setattr(
+            sampling, "_assemble_rows", lambda *args: calls.append(1) or real(*args)
+        )
+        return calls
+
+    @staticmethod
+    def _check(frames, rapidity, normals):
+        with np.errstate(all="ignore"):
+            want = _stacked_directions(frames, rapidity, normals)
+            got = batch_assemble_directions(frames, rapidity, normals)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [1, 8, 256])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_rows_equal_the_stacked_formula(self, calls, dim, rows):
+        batch = max(2 * CONTRACT_MIN_ROWS // rows, 12) + 3
+        self._check(*self._inputs(dim, rows, batch, 10 * dim + rows))
+        assert bool(calls) == (dim > 1)
+
+    @pytest.mark.parametrize(
+        "batch, rows", [(1, 1), (1, 8), (12, 8), (127, 8), (128, 8), (3, 341), (4, 256)]
+    )
+    def test_either_side_of_the_size_rule(self, calls, batch, rows):
+        frames, rapidity, normals = self._inputs(4, rows, max(batch, 12), batch)
+        self._check(frames[:batch], rapidity[:batch], normals[:batch])
+        assert bool(calls) == (batch * rows >= CONTRACT_MIN_ROWS)
+
+    @pytest.mark.parametrize("spatial", [CONTRACT_MAX_DEPTH, CONTRACT_MAX_DEPTH + 1])
+    def test_either_side_of_the_depth_rule(self, calls, spatial):
+        self._check(*self._inputs(spatial + 1, 256, 16, spatial))
+        assert bool(calls) == (spatial <= CONTRACT_MAX_DEPTH)
+
+    def test_blocks_cover_the_stack(self, calls):
+        # 64 samples of 256 rows fill a block; 130 samples leave a partial one.
+        self._check(*self._inputs(4, 256, 130, 1))
+        assert len(calls) == 3
+
+    def test_strided_inputs(self, calls):
+        frames, rapidity, normals = self._inputs(4, 512, 12, 2)
+        self._check(frames, rapidity[:, ::2], normals[:, ::2].copy()[:, :, ::-1])
+        assert calls
+        # einsum sums a frame's strided last axis in another order than the
+        # lanes, so such frames take the stacked formula.
+        calls.clear()
+        self._check(np.asfortranarray(frames), rapidity, normals)
+        assert not calls
+
+    def test_scalar_api_equals_the_stacked_formula(self):
+        frames, rapidity, normals = self._inputs(3, 8, 12, 3)
+        for k in range(12):
+            with np.errstate(all="ignore"):
+                got = assemble_directions(frames[k], rapidity[k], normals[k])
+                want = _stacked_directions(frames[k : k + 1], rapidity[k : k + 1],
+                                           normals[k : k + 1])[0]
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _reference_geometry(rng, m_plus_1, n, entry_range, rank_override):
