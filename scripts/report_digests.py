@@ -17,10 +17,13 @@ violation search whose kept fixtures come from three chunks, and skyrme at
 4x4 with 256 directions per sample, the dense-directions shape.  Four
 single chunks (``engine.run_chunk`` on samples 0-59, with the failure-forcing
 configs of ``tests/test_engine.py::TestFixtureScan``) cover every fixture kind
-but convexity_lemma, which no config fails.  The last line, ``replay_fixtures``,
+but convexity_lemma, which no config fails.  The line ``replay_fixtures``
 digests the replay of every fixture of the violation_search campaign and of
 the four chunks: each fixture's kind, whether it matches, and its recomputed
-block.
+block.  The last line, ``replay_verdicts``, digests the verdicts of the same
+replays in the same order: both statuses, every witness float as
+``float.hex``, the causal classes and the tensor norm and scale (None for a
+kind without a verdict).
 """
 
 import hashlib
@@ -114,6 +117,33 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _verdict(verdict):
+    """A replayed DECVerdict as JSON values, every float as its hex pattern."""
+    if verdict is None:
+        return None
+    return {
+        "lagrangian": verdict.lagrangian_name,
+        "energy_positivity": verdict.energy_positivity.value,
+        "flux_causality": verdict.flux_causality.value,
+        "witnesses": [
+            {
+                "direction": [float(x).hex() for x in w.direction],
+                "energy": w.energy.hex(),
+                "energy_scale": w.energy_scale.hex(),
+                "flux": [float(y).hex() for y in w.flux],
+                "flux_quadratic": w.flux_quadratic.hex(),
+                "flux_scale": w.flux_scale.hex(),
+                "flux_class": w.flux_class.value,
+                "energy_ok": w.energy_ok,
+                "flux_ok": w.flux_ok,
+            }
+            for w in verdict.witnesses
+        ],
+        "tensor_norm": verdict.tensor_norm.hex(),
+        "tensor_scale": verdict.tensor_scale.hex(),
+    }
+
+
 def main() -> int:
     replayed = []
     for label, config in campaigns():
@@ -130,6 +160,8 @@ def main() -> int:
         {"kind": r.kind, "matches": r.matches, "recomputed": r.recomputed} for r in results
     ]
     print(f"{_digest(dump_json(outcomes))}  replay_fixtures")
+    verdicts = [_verdict(r.verdict) for r in results]
+    print(f"{_digest(dump_json(verdicts))}  replay_verdicts")
     return 0
 
 

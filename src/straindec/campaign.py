@@ -10,6 +10,7 @@ serially or across a worker pool.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import numbers
 import operator
@@ -157,18 +158,18 @@ def _key_text(key) -> str:
 
 
 class _Encoder:
-    """The state of one ``dump_json`` call: the output parts and the list memo.
+    """The state of one ``dump_json`` call: the output parts and the container memo.
 
-    A dict-free list or tuple is formatted once per indent level, and its
-    text is reused wherever the same object appears again at that level.
-    A plain object rather than closures, so that nothing is left in a
-    reference cycle to hold the parts after the call.
+    Every list, tuple and dict below the top-level object is formatted once
+    per indent level, and its text is reused wherever the same object
+    appears again at that level.  A plain object rather than closures, so that
+    nothing is left in a reference cycle to hold the parts after the call.
     """
 
     def __init__(self) -> None:
         self.parts = []
-        # (id, indent level) -> (the dict-free list or tuple, its text);
-        # holding the object keeps its id from being reused during the call.
+        # (id, indent level) -> (the container, its text); holding the object
+        # keeps its id from being reused during the call.
         self.memo = {}
         self.active = set()  # ids of the containers being written, to catch cycles
         self.newlines = ["\n"]  # newlines[level]: a line break and that level's indent
@@ -192,51 +193,61 @@ class _Encoder:
             return self.mapping
         raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
 
-    def enter(self, container, level: int) -> int:
-        marker = id(container)
-        if marker in self.active:
+    def enter(self, container, level: int) -> bool:
+        """Start a container: True if its memoized text was appended instead."""
+        key = (id(container), level)
+        if key in self.memo:
+            self.parts.append(self.memo[key][1])
+            return True
+        if key[0] in self.active:
             raise ValueError("Circular reference detected")
-        self.active.add(marker)
+        self.active.add(key[0])
         newlines = self.newlines
         while len(newlines) < level + 2:
             newlines.append(newlines[-1] + "  ")
-        return marker
+        return False
 
-    def array(self, items, level: int) -> bool:
-        """Append a list or tuple; True when it holds no dict."""
-        parts, key = self.parts, (id(items), level)
-        if key in self.memo:
-            parts.append(self.memo[key][1])
-            return True
+    def leave(self, container, level: int, start: int) -> None:
+        """Close a container whose text is ``parts[start:]``; memoize it below the top."""
+        marker = id(container)
+        self.active.discard(marker)
+        if level:
+            parts = self.parts
+            text = "".join(parts[start:])
+            self.memo[marker, level] = (container, text)
+            parts[start:] = (text,)
+
+    def array(self, items, level: int) -> None:
+        """Append a list or tuple."""
+        parts = self.parts
         if not items:
             parts.append("[]")
-            return True
-        marker = self.enter(items, level)
-        start, inner = len(parts), self.newlines[level + 1]
-        head, separator, dict_free = "[" + inner, "," + inner, True
+            return
+        start = len(parts)
+        if self.enter(items, level):
+            return
+        inner = self.newlines[level + 1]
+        head, separator = "[" + inner, "," + inner
         for item in items:
             text = _scalar_text(item)
             if text is None:
                 parts.append(head)
-                dict_free = self.writer(item)(item, level + 1) and dict_free
+                self.writer(item)(item, level + 1)
             else:
                 parts.append(head + text)
             head = separator
         parts.append(self.newlines[level] + "]")
-        self.active.discard(marker)
-        if dict_free:
-            text = "".join(parts[start:])
-            self.memo[key] = (items, text)
-            parts[start:] = (text,)
-        return dict_free
+        self.leave(items, level, start)
 
-    def mapping(self, items: dict, level: int) -> bool:
-        """Append a dict; False, since it is one."""
+    def mapping(self, items: dict, level: int) -> None:
+        """Append a dict."""
         parts = self.parts
         if not items:
             parts.append("{}")
-            return False
-        marker = self.enter(items, level)
+            return
+        start = len(parts)
+        if self.enter(items, level):
+            return
         inner = self.newlines[level + 1]
         head, separator = "{" + inner, "," + inner
         for key, item in sorted(items.items()):
@@ -249,8 +260,7 @@ class _Encoder:
                 parts.append(head + text)
             head = separator
         parts.append(self.newlines[level] + "}")
-        self.active.discard(marker)
-        return False
+        self.leave(items, level, start)
 
 
 def _nonfinite_path(obj, path: str = "") -> str | None:
@@ -282,8 +292,11 @@ def dump_json(obj) -> str:
     value or key JSON cannot hold, ``ValueError`` for a cycle or a NaN or
     infinity.  The ``ValueError`` for a NaN or infinity names the JSON path of
     the first one in output order, such as ``fixtures[3].recorded.energy``.
-    A list or tuple that holds no dict is formatted once per call and indent
-    level, however often it appears; ``obj`` must not change during the call.
+    Every list, tuple and dict below ``obj`` itself is formatted once per
+    call and indent level, however often the same object appears there, so
+    values shared in memory (such as the fixtures' geometry lists and twin
+    ``recorded`` dicts) cost one formatting; ``obj`` must not change during
+    the call.
     """
     encoder = _Encoder()
     try:
@@ -472,9 +485,11 @@ def load_config(path) -> CampaignConfig:
 class CampaignReport:
     """Aggregated campaign outcome: counts, margins, sampling stats, fixtures.
 
-    The fixtures of one sample share their geometry lists in memory (see
-    ``engine.run_chunk``), so treat a report's dicts as read-only, or
-    ``copy.deepcopy`` one before editing it.
+    The fixtures of one sample share their geometry lists in memory, and the
+    ``dec_energy`` and ``dec_flux`` fixtures of one direction share their
+    ``direction`` list and ``recorded`` dict (see ``engine.run_chunk``), so
+    treat a report's dicts as read-only, or ``copy.deepcopy`` one before
+    editing it: flipping a status in one ``recorded`` dict flips its twin's.
     """
 
     config: CampaignConfig
@@ -597,8 +612,9 @@ class ReplayResult:
 
 _DEC_KINDS = ("dec", "dec_energy", "dec_flux")
 _DEGREE_KINDS = ("rank_condition", "wedge_identity", "cauchy_schwarz")
-# The last keyed replay's direction-independent work: (key, geometry,
-# Lagrangian, CheckStack).  Each keyed replay replaces it with one assignment.
+# The last keyed replay's work: (key, geometry, Lagrangian, CheckStack, the
+# (shape, bytes) of the last validated direction, the CheckStack.along view
+# along it).  Each keyed replay replaces it with one assignment.
 _last_replay = None
 
 
@@ -621,24 +637,39 @@ def _replay_settings(data: dict, context: str) -> tuple:
 
 
 def _replay_key(data: dict, name: str, params: dict, tols: tuple):
-    """What a fixture's geometry, Lagrangian and CheckStack depend on.
+    """What a fixture's geometry, Lagrangian and CheckStack depend on, as bytes.
 
-    The metric, target metric and dphi as the float64 arrays ``load_geometry``
-    converts them to (shape and bytes, so -0.0 differs from 0.0), and the
-    ``_replay_settings`` of the fixture: the Lagrangian's name, its parameters
-    as JSON, and the bit patterns of the tolerances.  None when the arrays or
-    the parameters cannot be read.
+    The ``marshal`` bytes of the fixture's metric, target metric and dphi as
+    the JSON values it holds, and of its ``_replay_settings``: the
+    Lagrangian's name and parameters and the (dec, algebraic) tolerances.
+    Version 2 writes no back-references, every float by its bits and each
+    exact JSON type under its own code, and it refuses their subclasses.  It
+    also writes any buffer (bytes, a numpy array or scalar) as bare bytes, so
+    ``replay_fixture`` keeps the key only of values that are ``_plain_json``:
+    their bytes hold no buffer, and only equal values of equal types give
+    them, so a hit is never false.  Values that are equal but differ in type
+    or in the sign of a zero (``0`` and ``0.0``, ``-0.0`` and ``0.0``), or
+    dicts in another key order, miss, which only costs time.  None when a
+    field is missing or holds a value marshal cannot write.
     """
     try:
-        arrays = (
-            np.asarray(np.array(data["metric"]), dtype=float),
-            np.asarray(np.array(data["target_metric"]), dtype=float),
-            np.array(data["dphi"], dtype=float),
-        )
-        key = (*((a.shape, a.tobytes()) for a in arrays), name, json.dumps(params))
-    except (KeyError, TypeError, ValueError, OverflowError):
+        geometry = (data["metric"], data["target_metric"], data["dphi"])
+        return marshal.dumps((*geometry, name, params, tols), 2)
+    except (KeyError, ValueError):
         return None
-    return key + tuple(tol.hex() for tol in tols)
+
+
+_JSON_LEAVES = (str, int, float, bool, type(None))
+
+
+def _plain_json(value) -> bool:
+    """Whether ``value`` is built of exact JSON types (and tuples) alone."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return all(map(_plain_json, value))
+    if kind is dict:
+        return all(map(_plain_json, value)) and all(map(_plain_json, value.values()))
+    return kind in _JSON_LEAVES
 
 
 def replay_fixture(source) -> ReplayResult:
@@ -653,16 +684,19 @@ def replay_fixture(source) -> ReplayResult:
     differently.
 
     Consecutive fixtures of one sample share their direction-independent
-    work.  When a fixture's ``_replay_key`` (the float64 shape and bytes of
-    its metric, target metric and dphi, and its ``_replay_settings``, which
-    are validated on every call) equals the previous keyed call's, replay
-    reuses that call's validated geometry, resolved Lagrangian and
+    work.  When a fixture's ``_replay_key`` (the marshal bytes of its metric,
+    target metric and dphi as JSON values, and of its ``_replay_settings``,
+    which are validated on every call) equals the previous keyed call's,
+    replay reuses that call's validated geometry, resolved Lagrangian and
     ``CheckStack``, all pure functions of the key; the stack keeps every
-    field computed so far, g^{-1} included.  Only the checks along the fixture's direction, a
-    fresh ``CheckStack.along`` view, are recomputed.  The schema version, the
-    kind, the direction, the degree and the corollary flags are checked on
-    every call.  Results are bit-identical to a replay with nothing reused,
-    and nothing returned shares an array with the reused work.
+    field computed so far, g^{-1} included.  The checks along the fixture's
+    direction live on a ``CheckStack.along`` view, which is reused too when
+    the direction, once ``require_timelike`` has validated it on this call,
+    has the shape and bytes of the last one: the ``dec_flux`` twin of a
+    ``dec_energy`` fixture reuses its witness.  The schema version, the kind,
+    the direction, the degree and the corollary flags are checked on every
+    call.  Results are bit-identical to a replay with nothing reused, and
+    nothing returned shares an array with the reused work.
     """
     global _last_replay
     data = source if isinstance(source, dict) else read_json(source)
@@ -676,19 +710,26 @@ def replay_fixture(source) -> ReplayResult:
     memo_key = _replay_key(data, name, params, tols)
     last = _last_replay
     if memo_key is not None and last is not None and last[0] == memo_key:
-        _, geom, lagr, stack = last
+        _, geom, lagr, stack, view_key, view = last
     else:
         geom = load_geometry(
             {key: _require(data, key, context) for key in ("metric", "target_metric", "dphi")}
         )
         lagr = resolve_lagrangian(name, params, geom.dim)
         stack = CheckStack.at(geom, lagr, *tols)
+        view_key = view = None
+        geometry = (data["metric"], data["target_metric"], data["dphi"])
+        if not _plain_json((*geometry, params)):
+            memo_key = None  # a buffer's bytes could stand for other values
     index, checks = 0, stack
     if kind in _DEC_KINDS or kind == "convexity_lemma":
         direction = require_timelike(
             geom.metric, _require(data, "direction", context), kind == "convexity_lemma"
         )
-        checks = stack.along(direction[None, None])
+        direction_key = (direction.shape, direction.tobytes())
+        if direction_key != view_key:
+            view_key, view = direction_key, stack.along(direction[None, None])
+        checks = view
     elif kind in _DEGREE_KINDS:
         degree = _convert(_require(data, "degree", context), _json_int, f"{field} 'degree'")
         check_degree(degree, geom.dim)
@@ -710,5 +751,5 @@ def replay_fixture(source) -> ReplayResult:
         if key in recomputed and isinstance(recomputed[key], (bool, str, int))
     )
     if memo_key is not None:
-        _last_replay = (memo_key, geom, lagr, stack)
+        _last_replay = (memo_key, geom, lagr, stack, view_key, view)
     return ReplayResult(kind, verdict, matches, recorded, recomputed)

@@ -153,7 +153,9 @@ class DECWitness:
 
     ``direction`` is stored unit-normalized (g(X, X) = -1).  ``flux`` is the
     raised momentum flux Y = g^{-1} T X and ``flux_quadratic`` the invariant
-    (T g^{-1} T)(X, X), negative for a causal flux.
+    (T g^{-1} T)(X, X), negative for a causal flux.  Both arrays are copies,
+    so a witness shares no array with the stack it was read from (replay
+    keeps that stack for the next fixture).
     """
 
     direction: np.ndarray
@@ -179,10 +181,10 @@ class DECWitness:
 
 def _witness(w: WitnessStack, k: int, i: int) -> DECWitness:
     return DECWitness(
-        direction=w.directions[k, i],
+        direction=w.directions[k, i].copy(),
         energy=float(w.energy[k, i]),
         energy_scale=float(w.energy_scale[k, i]),
-        flux=w.flux.y[k, i],
+        flux=w.flux.y[k, i].copy(),
         flux_quadratic=float(w.flux.quadratic[k, i]),
         flux_scale=float(w.flux.scale[k, i]),
         flux_class=w.flux.causal_class(k, i),

@@ -192,7 +192,8 @@ def _record_cauchy_schwarz(st: CheckStack, k: int, j: int) -> dict:
 
 # Fixture kinds by the group they are recorded in.  Per sample, groups come
 # in this order; inside a group, kinds interleave over its index (direction or
-# degree).  "dec" is the legacy single-direction DEC kind, replayed only.
+# degree), and kinds with one record function share what it returns there.
+# "dec" is the legacy single-direction DEC kind, replayed only.
 FIXTURE_GROUPS = (
     (("dec_energy", _record_dec), ("dec_flux", _record_dec)),
     (("rank_condition", _record_rank),),
@@ -214,9 +215,12 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     process boundaries.  The config's ``max_fixtures`` caps the fixtures this
     chunk builds; counts and margins always cover every sample.  Each fixture
     is its own dict, but the fixtures of one sample share their ``metric``,
-    ``target_metric`` and ``dphi`` lists, and the chunk's fixtures share their
-    ``lagrangian`` and ``tolerances`` dicts, so the lists are built once and
-    ``campaign.dump_json`` formats each once.  Pickling keeps the sharing.
+    ``target_metric`` and ``dphi`` lists, the chunk's fixtures share their
+    ``lagrangian`` and ``tolerances`` dicts, and a group's record function
+    runs once per (sample, index): the ``dec_energy`` and ``dec_flux``
+    fixtures of one direction share its ``direction`` list and ``recorded``
+    dict.  So each value is built once and ``campaign.dump_json`` formats it
+    once.  Pickling keeps the sharing.
     """
     m1 = int(config["m_plus_1"])
     n = int(config["n"])
@@ -300,10 +304,13 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
             if group[0][0] not in failed:
                 continue
             for i in range(failed[group[0][0]].shape[1]):
+                made = None  # (record function, its fields) at this (k, i)
                 for kind, record in group:
                     if not failed[kind][k, i]:
                         continue
                     if len(fixtures) >= max_fixtures:
                         return out
-                    fixtures.append({**block, "kind": kind, **record(st, k, i)})
+                    if made is None or made[0] is not record:
+                        made = record, record(st, k, i)
+                    fixtures.append({**block, "kind": kind, **made[1]})
     return out

@@ -31,7 +31,7 @@ from straindec import (
     run_campaign,
     sample_geometry,
 )
-from straindec import campaign, engine
+from straindec import campaign, dec, engine
 from straindec.campaign import MAX_DIRECTIONS_PER_SAMPLE, dump_json, write_json
 from straindec.cli import main
 from straindec.dec import CheckStack, DirectedStack
@@ -603,6 +603,16 @@ def _memo_fixture_sets():
     yield json.loads(dump_json(report.fixtures))
 
 
+def _count_witnesses(monkeypatch) -> list:
+    """A list that gains an entry at each ``dec.batch_dec_witness`` call."""
+    calls = []
+    witness = dec.batch_dec_witness
+    monkeypatch.setattr(
+        dec, "batch_dec_witness", lambda *args: calls.append(1) or witness(*args)
+    )
+    return calls
+
+
 def _replay_key(fixture):
     """The memo key ``replay_fixture`` computes; None if its settings do not validate."""
     try:
@@ -694,6 +704,53 @@ class TestReplayMemo:
         assert len(fixtures) > len(stacks) > 1
         assert len(calls) == len(stacks)
 
+    @pytest.mark.parametrize("parsed", [False, True])
+    def test_a_twin_reuses_the_witness(self, monkeypatch, parsed):
+        fixtures = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
+        )["fixtures"]
+        energy, flux = test_engine._dec_twins(fixtures)[0]
+        if parsed:  # a report read back shares no object between the twins
+            energy, flux = json.loads(dump_json([energy, flux]))
+        expected = _fresh(flux)
+        calls = _count_witnesses(monkeypatch)
+        campaign._last_replay = None
+        replay_fixture(energy)
+        assert _replay_repr(flux) == expected
+        assert len(calls) == 1
+
+    def test_no_stale_view(self, monkeypatch):
+        # Negative tolerances fail every direction and every degree, so one
+        # sample has DEC fixtures along several directions and degree kinds.
+        fixtures = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[0], max_fixtures=10**6), 0, 60
+        )["fixtures"]
+        sample = [fx for fx in fixtures if fx["sample_index"] == fixtures[0]["sample_index"]]
+        energy, flux = test_engine._dec_twins(sample)[0]
+        other = next(
+            fx for fx in sample
+            if fx["kind"] == "dec_energy" and fx["direction"] != energy["direction"]
+        )
+        degree = next(fx for fx in sample if "degree" in fx)
+        other_sample = next(
+            fx for fx in fixtures
+            if fx["kind"] == "dec_flux" and fx["sample_index"] != energy["sample_index"]
+        )
+        calls = _count_witnesses(monkeypatch)
+        sequences = [
+            ([energy, other], 2),
+            ([energy, other, flux], 3),
+            ([energy, degree, flux], 1),
+            ([energy, degree, other], 2),
+            ([energy, other_sample, flux], 3),
+        ]
+        for sequence, witnesses in sequences:
+            expected = [_fresh(fx) for fx in sequence]
+            campaign._last_replay = None
+            calls.clear()
+            assert [_replay_repr(fx) for fx in sequence] == expected
+            assert len(calls) == witnesses
+
     def test_views_share_a_stack_without_writing_to_it(self):
         geom = sample_geometry(3, 3, rng=np.random.default_rng(3))
         lagr = resolve_lagrangian("skyrme", {"c1": 1.0, "c2": 1.0}, 3)
@@ -755,7 +812,7 @@ class TestReplayMemo:
             (base, with_lagrangian(base, [1.0, -5.0])),
             (base, dict(base, lagrangian={"name": "skyrme",
                                           "parameters": {"c1": 1.0, "c2": 5.0}})),
-            # Keys that cannot be built.
+            # Geometry or settings that do not validate; some still give a key.
             (base, dict(base, metric=[[-1.0, 0.0, 0.0], [0.0, 1.0]])),
             (base, dict(base, metric=[["x"] * 3] * 3)),
             (base, dict(base, dphi=None)),
@@ -786,6 +843,33 @@ class TestReplayMemo:
                 assert isinstance(expected, tuple), i
             elif key is not None:
                 assert key != _replay_key(valid), i
+
+    def test_buffers_never_leave_a_key(self):
+        # marshal writes a numpy array or scalar as its bare bytes, so another
+        # shape or dtype with the same bits gives the same key.  Replay keeps
+        # no key for such values, so the second fixture never hits.
+        base = run_chunk(
+            dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
+        )["fixtures"][0]
+        dphi, metric = np.array(base["dphi"]), np.array(base["metric"])
+
+        def scalars(rows, dtype):
+            return [[np.float64(x).view(dtype) for x in row] for row in rows]
+
+        cases = [
+            (dict(base, dphi=dphi), dict(base, dphi=dphi.reshape(9))),
+            (dict(base, metric=metric), dict(base, metric=metric.view(np.int64))),
+            (dict(base, dphi=scalars(base["dphi"], np.float64)),
+             dict(base, dphi=scalars(base["dphi"], np.int64))),
+        ]
+        for i, (valid, near) in enumerate(cases):
+            assert _replay_key(valid) == _replay_key(near), i
+            expected = _fresh(near)
+            assert expected != _fresh(valid), i
+            campaign._last_replay = None
+            assert replay_fixture(valid).matches, i
+            assert campaign._last_replay is None, i
+            assert _outcome(near) == expected, i
 
     def test_returned_arrays_do_not_alias_the_memo(self):
         fixtures = run_chunk(

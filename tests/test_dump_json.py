@@ -119,6 +119,42 @@ def test_one_list_at_several_depths(shared, flat, other):
     assert dump_json({"x": doc, "y": [doc]}) == oracle({"x": doc, "y": [doc]})
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(texts, json_values(scalars, keys=texts), max_size=4),
+    st.lists(json_values(scalars, keys=texts), max_size=4),
+    json_values(scalars, keys=texts),
+)
+def test_shared_dicts_and_lists_at_one_level_and_at_several(table, row, other):
+    # Every container below the top is memoized by object and indent level:
+    # the same dict or list, at the same level inside lists and inside dicts,
+    # and again at other levels, must give the oracle's text each time.
+    twins = [{"kind": "a", "recorded": table, "row": row},
+             {"kind": "b", "recorded": table, "row": row}]
+    doc = {
+        "in_a_list": [table, table, row, row, other],
+        "in_a_dict": {"p": table, "q": table, "r": row, "s": row},
+        "deeper": [{"t": table, "u": [row, {"t": table, "r": row}]}, (table, row)],
+        "twins": twins,
+    }
+    assert dump_json(doc) == oracle(doc)
+    nested = [doc, {"again": doc, "twins": twins}, (doc,), twins]
+    assert dump_json(nested) == oracle(nested)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_in_a_shared_dict_names_its_first_path(bad):
+    shared = {"energy": bad, "ok": True}
+    # Insertion order meets "z" first; output order meets "b" first.
+    doc = {"z": [shared], "b": [{"r": shared}, shared], "a": {"ok": [1.0]}}
+    with pytest.raises(ValueError):
+        oracle(doc)
+    with pytest.raises(ValueError, match=re.escape(" at b[0].r.energy")):
+        dump_json(doc)
+    with pytest.raises(ValueError, match=re.escape(" at [0][0].energy")):
+        dump_json([[shared], shared, {"x": shared}])
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_non_finite_values_raise_value_error_naming_the_path(bad):
     doc = {"b": [1.0, {"c": bad}], "a": {"z": 1.5}, "d": bad}
@@ -159,7 +195,26 @@ def _cycles():
     return [looped_list, looped_dict, outer, [[0.0], inner]]
 
 
-@pytest.mark.parametrize("value", _cycles())
+def _cycles_past_formatted_dicts():
+    """Cycles met after a dict on or next to them was formatted at another level."""
+    shared = {"v": 1.0}
+    loop = {"shared": shared}
+    loop["self"] = [shared, loop]
+    node = {"v": 2.0}
+    back = [node]
+    node["back"] = back
+    twin = {"x": [1.0]}
+    ring = {"twin": twin}
+    ring["ring"] = {"twin": twin, "again": ring}
+    return [
+        [shared, {"deep": {"loop": loop}}],
+        {"a": shared, "b": [[shared]], "c": loop},
+        {"first": {"twin": twin}, "second": [ring]},
+        [twin, [twin], back],
+    ]
+
+
+@pytest.mark.parametrize("value", _cycles() + _cycles_past_formatted_dicts())
 def test_cycles_raise_value_error(value):
     with pytest.raises(ValueError):
         oracle(value)

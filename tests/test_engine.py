@@ -30,6 +30,7 @@ from straindec import (
     stress_scale_general,
     wedge_decomposition,
 )
+from straindec import engine
 from straindec.engine import (
     CHECK_NAMES,
     MAX_DOMAIN_TRIES,
@@ -413,12 +414,49 @@ class TestFixtureScan:
         assert result.recomputed["holds"] is True
         assert result.matches is False
 
+    @pytest.mark.parametrize("config", [CONFIGS[0], CONFIGS[3]])
+    def test_dec_twins_share_direction_and_recorded(self, config):
+        fixtures = run_chunk(dict(config, max_fixtures=10**6), 0, 60)["fixtures"]
+        dec = [fx for fx in fixtures if fx["kind"] in ("dec_energy", "dec_flux")]
+        twins = _dec_twins(fixtures)
+        assert twins and len(twins) < len(dec)
+        for energy, flux in twins:
+            assert energy["direction"] is flux["direction"]
+            assert energy["recorded"] is flux["recorded"]
+        # Fixtures of different directions share no record.
+        directions = {(fx["sample_index"], tuple(fx["direction"])) for fx in dec}
+        assert len({id(fx["recorded"]) for fx in dec}) == len(directions)
+        assert len({id(fx["direction"]) for fx in dec}) == len(directions)
+
+    @pytest.mark.parametrize("config", [CONFIGS[0], CONFIGS[3]])
+    def test_record_dec_runs_once_per_direction(self, config, monkeypatch):
+        calls = []
+
+        def counted(st, k, i):
+            calls.append((k, i))
+            return engine._record_dec(st, k, i)
+
+        groups = ((("dec_energy", counted), ("dec_flux", counted)),)
+        monkeypatch.setattr(engine, "FIXTURE_GROUPS", groups + engine.FIXTURE_GROUPS[1:])
+        fixtures = run_chunk(dict(config, max_fixtures=10**6), 0, 60)["fixtures"]
+        dec = [fx for fx in fixtures if fx["kind"] in ("dec_energy", "dec_flux")]
+        assert len(calls) == len(set(calls)) == len(dec) - len(_dec_twins(fixtures))
+
     @pytest.mark.parametrize("cap", [0, 1, 7, 50])
     def test_cap_truncates_the_same_sequence(self, cap):
         config = self.CONFIGS[0]
         full = run_chunk(dict(config, max_fixtures=10**6), 0, 30)["fixtures"]
         capped = run_chunk(dict(config, max_fixtures=cap), 0, 30)["fixtures"]
         assert capped == full[:cap]
+
+
+def _dec_twins(fixtures):
+    """(dec_energy, dec_flux) pairs of one sample and direction, adjacent as recorded."""
+    return [
+        (a, b) for a, b in zip(fixtures, fixtures[1:])
+        if (a["kind"], b["kind"]) == ("dec_energy", "dec_flux")
+        and a["sample_index"] == b["sample_index"] and a["direction"] == b["direction"]
+    ]
 
 
 class TestFold:

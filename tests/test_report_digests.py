@@ -8,8 +8,12 @@ chunk at the fixture room left.  ``replay_fixtures`` digests the replay of the
 560 fixtures of the violation_search campaign and the four chunks; it was
 taken before g^{-1} became a ``CheckStack`` field.  ``dense_directions_4x4``
 (skyrme at 4x4, 256 directions per sample) was taken before the boosted
-directions were assembled one component row at a time.  A change that alters any
-report or replay byte fails here.
+directions were assembled one component row at a time.  ``replay_verdicts``
+digests the full verdict of each of those replays (both statuses, every
+witness float as ``float.hex``, the causal classes, the tensor norm and
+scale); it was taken before replay reused a view across fixtures and before
+``DECWitness`` copied its arrays.  A change that alters any report or replay
+byte fails here.
 """
 
 import os
@@ -35,6 +39,7 @@ bad43a0eab7af8333d1fc324e6bd51df4caf1009fff861b5ea862bc543276580  violation_sear
 fff8601be4fe57fb9bfd228e4080b8088c216302c6d2b183f9bb5c774b1381d5  chunk_zero_algebraic_tolerance
 6c3ac0e63f81c6941785b2dbf1d7e9b7193d3cab53e68c53ef335777eb3f1437  chunk_sign_flipped
 7ae3ad8f9942e3e13956bb72a2bd29c38b718f9113104722d98df12ab6ae7c7e  replay_fixtures
+a90be89faae761ba47584ef8b2a4bebd5406d22b54b087a5809a498e948caa43  replay_verdicts
 """
 
 
