@@ -168,9 +168,10 @@ class _Encoder:
 
     def __init__(self) -> None:
         self.parts = []
-        # (id, indent level) -> (the container, its text); holding the object
-        # keeps its id from being reused during the call.
-        self.memo = {}
+        # (id, indent level) -> the container's text.  ``kept`` holds each
+        # container, so that no other object takes its id during the call and
+        # no scalar's id can match a key.
+        self.memo, self.kept = {}, []
         self.active = set()  # ids of the containers being written, to catch cycles
         self.newlines = ["\n"]  # newlines[level]: a line break and that level's indent
 
@@ -193,19 +194,14 @@ class _Encoder:
             return self.mapping
         raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
 
-    def enter(self, container, level: int) -> bool:
-        """Start a container: True if its memoized text was appended instead."""
-        key = (id(container), level)
-        if key in self.memo:
-            self.parts.append(self.memo[key][1])
-            return True
-        if key[0] in self.active:
+    def enter(self, container, level: int) -> None:
+        marker = id(container)
+        if marker in self.active:
             raise ValueError("Circular reference detected")
-        self.active.add(key[0])
+        self.active.add(marker)
         newlines = self.newlines
         while len(newlines) < level + 2:
             newlines.append(newlines[-1] + "  ")
-        return False
 
     def leave(self, container, level: int, start: int) -> None:
         """Close a container whose text is ``parts[start:]``; memoize it below the top."""
@@ -214,7 +210,8 @@ class _Encoder:
         if level:
             parts = self.parts
             text = "".join(parts[start:])
-            self.memo[marker, level] = (container, text)
+            self.memo[marker, level] = text
+            self.kept.append(container)
             parts[start:] = (text,)
 
     def array(self, items, level: int) -> None:
@@ -223,16 +220,15 @@ class _Encoder:
         if not items:
             parts.append("[]")
             return
-        start = len(parts)
-        if self.enter(items, level):
-            return
-        inner = self.newlines[level + 1]
+        start, memo, deeper = len(parts), self.memo, level + 1
+        self.enter(items, level)
+        inner = self.newlines[deeper]
         head, separator = "[" + inner, "," + inner
         for item in items:
-            text = _scalar_text(item)
+            text = memo.get((id(item), deeper)) or _scalar_text(item)
             if text is None:
                 parts.append(head)
-                self.writer(item)(item, level + 1)
+                self.writer(item)(item, deeper)
             else:
                 parts.append(head + text)
             head = separator
@@ -245,17 +241,16 @@ class _Encoder:
         if not items:
             parts.append("{}")
             return
-        start = len(parts)
-        if self.enter(items, level):
-            return
-        inner = self.newlines[level + 1]
+        start, memo, deeper = len(parts), self.memo, level + 1
+        self.enter(items, level)
+        inner = self.newlines[deeper]
         head, separator = "{" + inner, "," + inner
         for key, item in sorted(items.items()):
             head += (_encode_str(key) if type(key) is str else _key_text(key)) + ": "
-            text = _scalar_text(item)
+            text = memo.get((id(item), deeper)) or _scalar_text(item)
             if text is None:
                 parts.append(head)
-                self.writer(item)(item, level + 1)
+                self.writer(item)(item, deeper)
             else:
                 parts.append(head + text)
             head = separator
@@ -718,8 +713,7 @@ def replay_fixture(source) -> ReplayResult:
         lagr = resolve_lagrangian(name, params, geom.dim)
         stack = CheckStack.at(geom, lagr, *tols)
         view_key = view = None
-        geometry = (data["metric"], data["target_metric"], data["dphi"])
-        if not _plain_json((*geometry, params)):
+        if not _plain_json((data["metric"], data["target_metric"], data["dphi"], params)):
             memo_key = None  # a buffer's bytes could stand for other values
     index, checks = 0, stack
     if kind in _DEC_KINDS or kind == "convexity_lemma":
