@@ -61,6 +61,21 @@ def _json_optional_int(value) -> int | None:
     return None if value is None else _json_int(value)
 
 
+def _json_float(value) -> float:
+    """A JSON number as a float; a bool or a string is an error."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_finite(value) -> float:
+    """A JSON number as a finite float; NaN and infinity are errors too."""
+    value = _json_float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def _json_object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {type(value).__name__}")
@@ -85,11 +100,11 @@ _FROM_JSON = {
     "num_samples": ("num_samples", _json_int),
     "num_directions_per_sample": ("num_directions_per_sample", _json_int),
     "seed": ("seed", _json_int),
-    "algebraic_tol": ("tolerances.algebraic", float),
-    "dec_tol": ("tolerances.dec", float),
-    "oracle_tol": ("tolerances.oracle", float),
-    "entry_range": ("entry_range", float),
-    "boost_cap": ("boost_cap", float),
+    "algebraic_tol": ("tolerances.algebraic", _json_float),
+    "dec_tol": ("tolerances.dec", _json_float),
+    "oracle_tol": ("tolerances.oracle", _json_float),
+    "entry_range": ("entry_range", _json_float),
+    "boost_cap": ("boost_cap", _json_float),
     "rank_override": ("rank_override", _json_optional_int),
     "mode": ("mode", str),
     "max_fixtures": ("max_fixtures", _json_int),
@@ -110,152 +125,88 @@ class _NonFinite(Exception):
     """A NaN or infinity met by the encoder; ``dump_json`` names its place."""
 
 
-def _float_text(value) -> str:
+def _scalar_text(value):
+    """The JSON text of a str, None, bool, int or float; None for anything else.
+
+    Exact float, str and int come first.  Subclasses are written as their
+    base type, as ``json`` writes them.
+    """
+    kind = type(value)
+    if kind is not float:
+        if kind is str:
+            return _encode_str(value)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, str):
+            return _encode_str(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if not isinstance(value, float):
+            return None
     text = float.__repr__(value)
     if text in _NONFINITE_TEXTS:
         raise _NonFinite(value)
     return text
 
 
-def _scalar_text(value):
-    """The JSON text of a str, None, bool, int or float; None for anything else.
-
-    Exact str, float and int come first.  Subclasses are written as their
-    base type, as ``json`` writes them.
-    """
-    kind = type(value)
-    if kind is float:
-        return _float_text(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
 def _key_text(key) -> str:
     if isinstance(key, str):
         return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_text(key))
-    if isinstance(key, int) or key is None:  # bool is an int
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
         return _encode_str(_scalar_text(key))
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
     )
 
 
-class _Encoder:
-    """The state of one ``dump_json`` call: the output parts and the container memo.
+def _pieces(obj, level: int, memo: dict, kept: list, active: set) -> list:
+    """The text of a list, tuple or dict at indent ``level``, as a list of pieces.
 
-    Every list, tuple and dict below the top-level object is formatted once
-    per indent level, and its text is reused wherever the same object
-    appears again at that level.  A plain object rather than closures, so that
-    nothing is left in a reference cycle to hold the parts after the call.
+    A child container's text is ``memo[id, level]`` if it was formatted at
+    its level before; otherwise this function formats it, joins its pieces
+    once and stores the text there, and ``kept`` holds the child so that no
+    other object takes its id during the call.  ``active`` holds the ids of
+    the containers being formatted, to catch cycles.  A level of nesting
+    costs one stack frame, as in ``json``.
     """
-
-    def __init__(self) -> None:
-        self.parts = []
-        # (id, indent level) -> the container's text.  ``kept`` holds each
-        # container, so that no other object takes its id during the call and
-        # no scalar's id can match a key.
-        self.memo, self.kept = {}, []
-        self.active = set()  # ids of the containers being written, to catch cycles
-        self.newlines = ["\n"]  # newlines[level]: a line break and that level's indent
-
-    def write(self, obj) -> None:
-        text = _scalar_text(obj)
-        if text is None:
-            self.writer(obj)(obj, 0)
-        else:
-            self.parts.append(text)
-
-    def writer(self, item):
-        """``array`` for a list or tuple, ``mapping`` for a dict.
-
-        The caller calls the writer itself, so a level of nesting costs one
-        stack frame, as in ``json``.
-        """
-        if isinstance(item, (list, tuple)):
-            return self.array
-        if isinstance(item, dict):
-            return self.mapping
-        raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
-
-    def enter(self, container, level: int) -> None:
-        marker = id(container)
-        if marker in self.active:
-            raise ValueError("Circular reference detected")
-        self.active.add(marker)
-        newlines = self.newlines
-        while len(newlines) < level + 2:
-            newlines.append(newlines[-1] + "  ")
-
-    def leave(self, container, level: int, start: int) -> None:
-        """Close a container whose text is ``parts[start:]``; memoize it below the top."""
-        marker = id(container)
-        self.active.discard(marker)
-        if level:
-            parts = self.parts
-            text = "".join(parts[start:])
-            self.memo[marker, level] = text
-            self.kept.append(container)
-            parts[start:] = (text,)
-
-    def array(self, items, level: int) -> None:
-        """Append a list or tuple."""
-        parts = self.parts
-        if not items:
-            parts.append("[]")
-            return
-        start, memo, deeper = len(parts), self.memo, level + 1
-        self.enter(items, level)
-        inner = self.newlines[deeper]
-        head, separator = "[" + inner, "," + inner
-        for item in items:
-            text = memo.get((id(item), deeper)) or _scalar_text(item)
-            if text is None:
-                parts.append(head)
-                self.writer(item)(item, deeper)
-            else:
-                parts.append(head + text)
-            head = separator
-        parts.append(self.newlines[level] + "]")
-        self.leave(items, level, start)
-
-    def mapping(self, items: dict, level: int) -> None:
-        """Append a dict."""
-        parts = self.parts
-        if not items:
-            parts.append("{}")
-            return
-        start, memo, deeper = len(parts), self.memo, level + 1
-        self.enter(items, level)
-        inner = self.newlines[deeper]
-        head, separator = "{" + inner, "," + inner
-        for key, item in sorted(items.items()):
+    keyed = isinstance(obj, dict)
+    if keyed:
+        entries, brackets = sorted(obj.items()), "{}"
+    elif isinstance(obj, (list, tuple)):
+        entries, brackets = obj, "[]"
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if not entries:
+        return [brackets]
+    marker = id(obj)
+    if marker in active:
+        raise ValueError("Circular reference detected")
+    active.add(marker)
+    deeper = level + 1
+    separator = ",\n" + "  " * deeper
+    head, pieces = brackets[0] + separator[1:], []
+    for item in entries:
+        if keyed:
+            key, item = item
             head += (_encode_str(key) if type(key) is str else _key_text(key)) + ": "
-            text = memo.get((id(item), deeper)) or _scalar_text(item)
-            if text is None:
-                parts.append(head)
-                self.writer(item)(item, deeper)
-            else:
-                parts.append(head + text)
-            head = separator
-        parts.append(self.newlines[level] + "}")
-        self.leave(items, level, start)
+        text = memo.get((id(item), deeper)) or _scalar_text(item)
+        if text is None:
+            text = "".join(_pieces(item, deeper, memo, kept, active))
+            memo[id(item), deeper] = text
+            kept.append(item)
+            pieces += (head, text)
+        else:
+            pieces.append(head + text)
+        head = separator
+    pieces.append("\n" + "  " * level + brackets[1])
+    active.discard(marker)
+    return pieces
 
 
 def _nonfinite_path(obj, path: str = "") -> str | None:
@@ -285,24 +236,26 @@ def dump_json(obj) -> str:
     allow_nan=False) + "\\n"`` for every ``obj`` that call accepts, and an
     ``obj`` it refuses raises the same exception type: ``TypeError`` for a
     value or key JSON cannot hold, ``ValueError`` for a cycle or a NaN or
-    infinity.  The ``ValueError`` for a NaN or infinity names the JSON path of
-    the first one in output order, such as ``fixtures[3].recorded.energy``.
-    Every list, tuple and dict below ``obj`` itself is formatted once per
-    call and indent level, however often the same object appears there, so
-    values shared in memory (such as the fixtures' geometry lists and twin
-    ``recorded`` dicts) cost one formatting; ``obj`` must not change during
-    the call.
+    infinity, ``RecursionError`` for nesting past the recursion limit.  The
+    ``ValueError`` for a NaN or infinity names the JSON path of the first one
+    in output order, such as ``fixtures[3].recorded.energy``.  ``_pieces``
+    formats every list, tuple and dict, and joins the text of each one below
+    ``obj`` itself once per call and indent level, however often the same
+    object appears there, so values shared in memory (such as the fixtures'
+    geometry lists and twin ``recorded`` dicts) cost one formatting; ``obj``
+    must not change during the call.  The top level's pieces and the final
+    newline are joined once.
     """
-    encoder = _Encoder()
     try:
-        encoder.write(obj)
+        text = _scalar_text(obj)
+        pieces = [text] if text is not None else _pieces(obj, 0, {}, [], set())
     except _NonFinite as exc:
         where = _nonfinite_path(obj) or "the top level"
         raise ValueError(
             f"Out of range float values are not JSON compliant: {exc.args[0]!r} at {where}"
         ) from None
-    encoder.parts.append("\n")
-    return "".join(encoder.parts)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def write_json(path, obj) -> None:
@@ -616,8 +569,10 @@ _last_replay = None
 def _replay_settings(data: dict, context: str) -> tuple:
     """A fixture's Lagrangian name and parameters and its (dec, algebraic) tolerances.
 
-    Validated: a missing tolerance is ``DEC_TOL``, and a malformed field is a
-    ``ConfigError`` that names it.
+    Validated: a missing tolerance is ``DEC_TOL``, a present one must be a
+    finite number, and a malformed field is a ``ConfigError`` that names it.
+    Zero and negative tolerances replay: ``engine.run_chunk`` records them
+    from a raw config dict, and they force checks to fail.
     """
     lagr_info, tol = _lagrangian_and_tolerances(data, context)
     field = f"{context} field"
@@ -625,7 +580,7 @@ def _replay_settings(data: dict, context: str) -> tuple:
         lagr_info.get("parameters", {}), _json_object, f"{field} 'lagrangian.parameters'"
     )
     tols = tuple(
-        _convert(tol.get(key, DEC_TOL), float, f"{field} 'tolerances.{key}'")
+        _convert(tol.get(key, DEC_TOL), _json_finite, f"{field} 'tolerances.{key}'")
         for key in ("dec", "algebraic")
     )
     return str(lagr_info["name"]), params, tols
@@ -698,7 +653,7 @@ def replay_fixture(source) -> ReplayResult:
     context = "fixture" if isinstance(source, dict) else f"fixture {source}"
     _check_schema_version(data, context)
     kind = _require(data, "kind", context)
-    if kind not in engine.FIXTURES:
+    if not isinstance(kind, str) or kind not in engine.FIXTURES:
         raise ConfigError(f"{context} has unknown kind {kind!r}")
     field = f"{context} field"
     name, params, tols = _replay_settings(data, context)
@@ -710,15 +665,19 @@ def replay_fixture(source) -> ReplayResult:
         geom = load_geometry(
             {key: _require(data, key, context) for key in ("metric", "target_metric", "dphi")}
         )
-        lagr = resolve_lagrangian(name, params, geom.dim)
+        lagr = _convert(
+            params, lambda p: resolve_lagrangian(name, p, geom.dim), f"{field} 'lagrangian'"
+        )
         stack = CheckStack.at(geom, lagr, *tols)
         view_key = view = None
         if not _plain_json((data["metric"], data["target_metric"], data["dphi"], params)):
             memo_key = None  # a buffer's bytes could stand for other values
     index, checks = 0, stack
     if kind in _DEC_KINDS or kind == "convexity_lemma":
-        direction = require_timelike(
-            geom.metric, _require(data, "direction", context), kind == "convexity_lemma"
+        direction = _convert(
+            _require(data, "direction", context),
+            lambda x: require_timelike(geom.metric, x, kind == "convexity_lemma"),
+            f"{field} 'direction'",
         )
         direction_key = (direction.shape, direction.tobytes())
         if direction_key != view_key:

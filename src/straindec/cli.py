@@ -1,15 +1,12 @@
 """Command-line interface: verify, invariants, stress, replay, audit-lagrangian.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.  The
-environment variable STRAIN_DEC_JOBS, when set, overrides the --jobs flag of
-``verify``.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -87,17 +84,6 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _jobs_from_env(default: int) -> int:
-    raw = os.environ.get("STRAIN_DEC_JOBS")
-    if raw is None:
-        return default
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"STRAIN_DEC_JOBS must be an integer, got {raw!r}") from exc
-    return jobs
-
-
 def _print_report(report: CampaignReport) -> None:
     print(f"campaign: {report.config.lagrangian_name}  "
           f"m+1={report.config.m_plus_1} n={report.config.n}  "
@@ -127,8 +113,7 @@ def _print_report(report: CampaignReport) -> None:
 
 def _cmd_verify(args) -> int:
     config = load_config(args.config)
-    jobs = _jobs_from_env(args.jobs)
-    report = run_campaign(config, jobs=jobs, out_path=args.out)
+    report = run_campaign(config, jobs=args.jobs, out_path=args.out)
     _print_report(report)
     if config.mode == "violation_search":
         return 0

@@ -963,6 +963,10 @@ class TestCLI:
         ("num_samples", None),
         ("seed", [1]),
         ("lagrangian", {"name": "skyrme", "parameters": [1, 2]}),
+        ("entry_range", True),
+        ("boost_cap", "3"),
+        ("tolerances", {"dec": "1e-3"}),
+        ("tolerances", {"algebraic": False}),
     ])
     def test_verify_wrong_json_type_exit_two(self, tmp_path, capsys, path, value):
         data = _skyrme_config_dict()
@@ -996,17 +1000,10 @@ class TestCLI:
         value = value_at(report, path)
         assert isinstance(value, float) and not math.isfinite(value), (path, value)
 
-    def test_jobs_env_override(self, tmp_path, monkeypatch, capsys):
+    def test_jobs_flag_two(self, tmp_path, capsys):
         config = _write_config(tmp_path, _wave_config(num_samples=25))
-        monkeypatch.setenv("STRAIN_DEC_JOBS", "2")
-        assert main(["verify", "--config", config]) == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("value", ["zero", "0"])
-    def test_jobs_env_invalid_exit_two(self, tmp_path, monkeypatch, value):
-        config = _write_config(tmp_path, _wave_config(num_samples=10))
-        monkeypatch.setenv("STRAIN_DEC_JOBS", value)
-        assert main(["verify", "--config", config]) == 2
+        assert main(["verify", "--config", config, "--jobs", "2"]) == 0
+        assert "failures=0" in capsys.readouterr().out
 
     def test_jobs_flag_zero_exit_two(self, tmp_path, capsys):
         config = _write_config(tmp_path, _wave_config(num_samples=10))
@@ -1069,6 +1066,14 @@ class TestCLI:
         ("degree", 2.7),
         ("degree", True),
         ("degree", "2"),
+        ("kind", ["dec"]),
+        ("direction", {"t": 1.0}),
+        ("lagrangian", {"name": "linear_combination", "parameters": {"coefficients": {"a": 1}}}),
+        ("tolerances", {"dec": "nan"}),
+        ("tolerances", {"dec": math.inf}),
+        ("tolerances", {"dec": -math.inf}),
+        ("tolerances", {"algebraic": math.nan}),
+        ("tolerances", {"dec": "1e-3"}),
     ])
     def test_replay_malformed_field_exits_two(self, tmp_path, capsys, name, value):
         data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
@@ -1076,7 +1081,7 @@ class TestCLI:
             data["kind"] = "rank_condition"
         data[name] = value
         path = tmp_path / "fixture.json"
-        write_json(path, data)
+        path.write_text(json.dumps(data))  # json writes NaN and Infinity
         assert main(["replay", str(path)]) == 2
         assert name in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ import enum
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +183,26 @@ def test_the_named_path_holds_the_first_non_finite_value(value, data):
     path = str(err.value).rsplit(" at ", 1)[1]
     assert path == "b.y[1]"
     assert not math.isfinite(value_at(doc, path))
+
+
+def _nested(wrap, depth: int):
+    value = 0.5
+    for _ in range(depth):
+        value = wrap(value)
+    return value
+
+
+@pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"a": v}, lambda v: (1, v)])
+def test_nesting_past_the_recursion_limit_raises_recursion_error(wrap):
+    # A level of nesting costs each encoder about one stack frame, so half
+    # the limit formats and the limit itself overflows the stack.
+    shallow = _nested(wrap, sys.getrecursionlimit() // 2)
+    assert dump_json(shallow) == oracle(shallow)
+    deep = _nested(wrap, sys.getrecursionlimit())
+    with pytest.raises(RecursionError):
+        oracle(deep)
+    with pytest.raises(RecursionError):
+        dump_json(deep)
 
 
 def _cycles():
