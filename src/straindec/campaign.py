@@ -342,6 +342,9 @@ class CampaignConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
+        for name, (_, convert) in _FROM_JSON.items():
+            if convert is _json_float:
+                _convert(getattr(self, name), _json_float, name)
         for name in ("algebraic_tol", "dec_tol", "oracle_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):

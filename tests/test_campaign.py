@@ -284,6 +284,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             _wave_config(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("dec_tol", "1e-3"),
+        ("entry_range", True),
+        ("boost_cap", None),
+    ])
+    def test_direct_construction_rejects_non_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            _wave_config(**{name: value})
+
     def test_direct_construction_stores_numpy_integers_as_int(self):
         config = _wave_config(num_samples=np.int64(7), seed=np.uint64(2**63),
                               rank_override=np.int32(1), max_fixtures=np.int8(3))
