@@ -31,7 +31,7 @@ from .dec import (
     require_timelike,
 )
 from .errors import ConfigError
-from .lagrangians import resolve_lagrangian
+from .lagrangians import _json_float, resolve_lagrangian
 from .multilinear import LorentzianMetric, RiemannianMetric
 from .sampling import BOOST_CAP, MAX_BOOST_CAP
 from .strain import PointGeometry
@@ -59,13 +59,6 @@ def _json_int(value) -> int:
 
 def _json_optional_int(value) -> int | None:
     return None if value is None else _json_int(value)
-
-
-def _json_float(value) -> float:
-    """A JSON number as a float; a bool or a string is an error."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _json_finite(value) -> float:

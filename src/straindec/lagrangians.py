@@ -21,7 +21,7 @@ respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -235,35 +235,60 @@ def minimal_surface(dim: int, delta: float = DOMAIN_DELTA) -> LagrangianSpec:
     )
 
 
-# The parameter names each built-in reads; "flags" overrides the declared
-# flags of a linear combination.
-_PARAMETER_NAMES = {
-    "wave_map": (),
-    "skyrme": ("c1", "c2"),
-    "born_infeld": ("b", "delta"),
-    "linear_combination": ("coefficients", "flags"),
-    "minimal_surface": ("delta",),
+def _json_float(value) -> float:
+    """A JSON number as a float; a bool or a string is an error."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_coefficients(value):
+    """A JSON number or a list of them as a float or a list of floats."""
+    return [_json_float(c) for c in value] if isinstance(value, list) else _json_float(value)
+
+
+def _json_flags(value) -> LagrangianFlags:
+    """An object of exactly the three declared flags, each a JSON boolean."""
+    names = {f.name for f in fields(LagrangianFlags)}
+    if not (isinstance(value, dict) and set(value) == names
+            and all(isinstance(v, bool) for v in value.values())):
+        raise TypeError(f"expected an object of booleans {sorted(names)}, got {value!r}")
+    return LagrangianFlags(**value)
+
+
+# The parameters each built-in reads and the conversion of their JSON values;
+# "flags" overrides the declared flags of a linear combination.
+_PARAMETERS = {
+    "wave_map": {},
+    "skyrme": {"c1": _json_float, "c2": _json_float},
+    "born_infeld": {"b": _json_float, "delta": _json_float},
+    "linear_combination": {"coefficients": _json_coefficients, "flags": _json_flags},
+    "minimal_surface": {"delta": _json_float},
 }
-BUILTIN_NAMES = tuple(_PARAMETER_NAMES)
+BUILTIN_NAMES = tuple(_PARAMETERS)
 
 
 def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> LagrangianSpec:
     """Rebuild a built-in Lagrangian from its serialized (name, parameters) form.
 
     A parameter name the Lagrangian does not read is an error, so a misspelt
-    optional parameter cannot silently run with its default.
+    optional parameter cannot silently run with its default; so is a value
+    of the wrong JSON type, such as a bool or a string for a number.
     """
-    if name not in _PARAMETER_NAMES:
+    if name not in _PARAMETERS:
         raise ConfigError(f"unknown lagrangian {name!r}; built-ins are {BUILTIN_NAMES}")
     p = dict(parameters or {})
-    unknown = sorted(set(p) - set(_PARAMETER_NAMES[name]))
+    unknown = sorted(set(p) - set(_PARAMETERS[name]))
     if unknown:
         raise ConfigError(
             f"lagrangian {name} has unknown parameters {unknown}; "
-            f"it reads {list(_PARAMETER_NAMES[name])}"
+            f"it reads {list(_PARAMETERS[name])}"
         )
-    declared = p.pop("flags", None)
-    flags = LagrangianFlags(**declared) if declared is not None else None
+    for key in p:
+        try:
+            p[key] = _PARAMETERS[name][key](p[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"lagrangian {name} parameter {key!r}: {exc}") from exc
     try:
         if name == "wave_map":
             return wave_map(dim)
@@ -272,7 +297,7 @@ def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> Lagrangi
         if name == "born_infeld":
             return born_infeld(p["b"], dim, p.get("delta", DOMAIN_DELTA))
         if name == "linear_combination":
-            return linear_combination(p["coefficients"], dim, flags=flags)
+            return linear_combination(p["coefficients"], dim, flags=p.get("flags"))
         return minimal_surface(dim, p.get("delta", DOMAIN_DELTA))
     except KeyError as exc:
         raise ConfigError(f"lagrangian {name} is missing parameter {exc}") from exc

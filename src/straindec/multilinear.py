@@ -20,8 +20,9 @@ the package:
   in increasing l, each lane from +0.0, and the two lane sums are then added,
   so l = 4 gives (p0 + p2) + (p1 + p3) and a zero sum is +0.0.  That order
   is written once, as ``lane_sum``, which ``sampling.batch_assemble_directions``
-  also uses.  The output is C-contiguous, because the ``"bdk,bdk->bd"``
-  reductions downstream take another summation order on strided input.
+  runs on every stack, at any depth.  The output is C-contiguous, because the
+  ``"bdk,bdk->bd"`` reductions downstream take another summation order on
+  strided input.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ CAUSAL_TOL = 1e-9
 # batch_contract sends stacks of fewer rows (B * K) to np.einsum, which costs
 # less per call there (measured crossover 512-1,024 rows).
 CONTRACT_MIN_ROWS = 1024
-# Rows per block of batch_contract's lane kernel (64 samples of 256
-# directions); bounds its temporaries.
+# Rows per block of the lane kernels, batch_contract's and the boosted
+# directions' (64 samples of 256 directions); bounds their temporaries.
 CONTRACT_BLOCK_ROWS = 16384
 # Deepest contraction whose einsum order the lane kernel reproduces; einsum
 # unrolls longer sums into four vectors at a time.
@@ -294,14 +295,14 @@ def batch_contract(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def lane_sum(left, right, out, work) -> np.ndarray:
     """Write sum_l left[l] * right[l] into ``out`` and return it.
 
-    ``left`` and ``right`` are equal-length lists of at most
-    CONTRACT_MAX_DEPTH arrays whose products have ``out``'s shape.  The sum
-    is einsum's two-lane order, bit for bit: lane 0 adds the even-l products
-    and lane 1 the odd-l ones in increasing l, the result is lane 0 + lane 1,
-    and a zero sum is +0.0.  ``work`` holds the lanes and the current term:
-    min(depth, 3) contiguous scratch arrays of the products' shape (a
-    (3, ...) array works), so callers reuse one buffer across calls.  Like
-    einsum, it warns of no inf or NaN.
+    ``left`` and ``right`` are equal-length lists of one or more arrays
+    whose products have ``out``'s shape.  Lane 0 adds the even-l products and
+    lane 1 the odd-l ones in increasing l, the result is lane 0 + lane 1, and
+    a zero sum is +0.0: einsum's order, bit for bit, up to CONTRACT_MAX_DEPTH
+    terms (einsum unrolls longer sums).  ``work`` holds the lanes and the
+    current term: min(depth, 3) contiguous scratch arrays of the products'
+    shape (a (3, ...) array works), so callers reuse one buffer across calls.
+    Like einsum, it warns of no inf or NaN.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         for l in range(len(left)):

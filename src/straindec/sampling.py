@@ -32,11 +32,10 @@ those of the one-sample-at-a-time loop, and every value is bit for bit the
 same.
 
 ``batch_assemble_directions`` boosts each frame's timelike leg along its
-directions.  A large stack runs one contiguous (samples, directions) row per
-normal component and per output component, in blocks that stay in cache,
-and keeps the summation orders of the stacked formula (``np.linalg.norm``'s
-for the lengths, einsum's two lanes for the spatial sum), so both give the
-same bits.
+directions.  Every stack, a batch of one included, runs one contiguous
+(samples, directions) row per normal component and per output component, in
+blocks that stay in cache, so the bits depend on neither the stack's size
+nor the frames' memory layout.
 """
 
 from __future__ import annotations
@@ -47,12 +46,9 @@ from .errors import ConditioningError, SamplerStarvationError
 from .lagrangians import LagrangianSpec, _always_inside
 from .multilinear import (
     CONTRACT_BLOCK_ROWS,
-    CONTRACT_MAX_DEPTH,
-    CONTRACT_MIN_ROWS,
     DEFAULT_CONDITION_BOUND,
     LorentzianMetric,
     RiemannianMetric,
-    batch_contract,
     lane_sum,
 )
 from .strain import PointGeometry, batch_charpoly_coefficients, batch_strain
@@ -388,35 +384,17 @@ def batch_assemble_directions(frames, rapidity, normals) -> np.ndarray:
     Frames (B, dim, dim) hold e_a as columns; rapidities (B, K) and sphere
     normals (B, K, dim-1) give K directions per frame, returned as a new
     C-contiguous (B, K, dim) array.  A normal whose length is not > 0 (zero,
-    or not finite) falls back to the first spatial leg.
-
-    The stacks whose spatial sum ``batch_contract`` gives to its lane kernel
-    (at least CONTRACT_MIN_ROWS rows B * K, at most CONTRACT_MAX_DEPTH spatial
-    legs, frames with a contiguous last axis) run ``_assemble_rows``, which
-    gives the bits of the stacked formula below in a fraction of its time.
-    The others take the stacked formula itself: small stacks, where the rows'
-    per-call overhead dominates, and the stacks whose spatial sum einsum
-    orders differently.
+    or not finite) falls back to the first spatial leg.  For dim >= 2,
+    ``_assemble_rows`` computes the stack in blocks of CONTRACT_BLOCK_ROWS
+    rows (B * K) with reused scratch.
     """
     batch, dim, _ = frames.shape
     rows = rapidity.shape[1]
     if dim == 1:
         return np.broadcast_to(frames[:, None, :, 0], (batch, rows, dim)).copy()
-    if (
-        batch * rows < CONTRACT_MIN_ROWS
-        or dim - 1 > CONTRACT_MAX_DEPTH
-        or frames.strides[2] != frames.itemsize
-    ):
-        lengths = np.linalg.norm(normals, axis=2, keepdims=True)
-        fallback = np.zeros(dim - 1)
-        fallback[0] = 1.0
-        unit = np.where(
-            lengths > 0.0, normals / np.where(lengths == 0.0, 1.0, lengths), fallback
-        )
-        return np.cosh(rapidity)[:, :, None] * frames[:, None, :, 0] + np.sinh(
-            rapidity
-        )[:, :, None] * batch_contract(frames[:, :, 1:], unit)
     out = np.empty((batch, rows, dim))
+    if out.size == 0:  # no rows to block; K = 0 would divide by zero below
+        return out
     step = max(1, CONTRACT_BLOCK_ROWS // rows)
     work = np.empty((dim + 6, min(step, batch), rows))
     for start in range(0, batch, step):
@@ -427,15 +405,15 @@ def batch_assemble_directions(frames, rapidity, normals) -> np.ndarray:
 
 
 def _assemble_rows(frames, rapidity, normals, out, work) -> None:
-    """The stacked formula of ``batch_assemble_directions``, bit for bit, on (b, K) rows.
+    """Write the directions of ``batch_assemble_directions`` for (b, K) rows into ``out``.
 
     One normal component and one output component at a time, each a
     contiguous (b, K) row of ``work`` (dim + 6 of them, reused): |u|^2 as
-    u_0 u_0 + u_1 u_1 + ..., the order ``np.linalg.norm`` reduces a short
-    axis in; the divide, with the fallback written over it only where a
-    length is not > 0; the spatial sum sum_l e_(l+1) u_l in einsum's
-    two-lane order (``lane_sum``, as in ``batch_contract``); and
-    cosh(r) e_0 + sinh(r) sum written into the output component.
+    u_0 u_0 + u_1 u_1 + ... in increasing component (``np.linalg.norm``'s
+    order on up to 7 components); the divide, with the fallback written over
+    it only where a length is not > 0; the spatial sum sum_l e_(l+1) u_l in
+    ``lane_sum``'s two-lane order (einsum's on up to CONTRACT_MAX_DEPTH
+    legs); and cosh(r) e_0 + sinh(r) sum written into the output component.
     """
     dim = frames.shape[1]
     lanes, leg, lengths, cosh, sinh, units = (

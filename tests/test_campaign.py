@@ -976,6 +976,17 @@ class TestCLI:
         ("boost_cap", "3"),
         ("tolerances", {"dec": "1e-3"}),
         ("tolerances", {"algebraic": False}),
+        ("lagrangian", {"name": "skyrme", "parameters": {"c1": True, "c2": 1.0}}),
+        ("lagrangian", {"name": "born_infeld", "parameters": {"b": 1.0, "delta": "0.1"}}),
+        ("lagrangian", {"name": "minimal_surface", "parameters": {"delta": True}}),
+        ("lagrangian", {"name": "linear_combination", "parameters": {"coefficients": "15"}}),
+        ("lagrangian", {"name": "linear_combination",
+                        "parameters": {"coefficients": ["1", "-5", "0"]}}),
+        ("lagrangian", {"name": "linear_combination",
+                        "parameters": {"coefficients": [True, False]}}),
+        ("lagrangian", {"name": "linear_combination", "parameters": {
+            "coefficients": [1, 1],
+            "flags": {"defocusing": "no", "zeroed": "no", "nondegenerate": "no"}}}),
     ])
     def test_verify_wrong_json_type_exit_two(self, tmp_path, capsys, path, value):
         data = _skyrme_config_dict()
@@ -1047,12 +1058,22 @@ class TestCLI:
         assert main(["stress", geometry, "--lagrangian", "wave_map", f"--tol={tol}"]) == 2
         assert "--tol" in capsys.readouterr().err
 
-    def test_stress_bad_params_exit_two(self, tmp_path):
+    def test_stress_bad_params_exit_two(self, tmp_path, capsys):
         geometry = _write_geometry(tmp_path)
         assert main(["stress", geometry, "--lagrangian", "wave_map",
                      "--params", "not json"]) == 2
         assert main(["stress", geometry, "--lagrangian", "wave_map",
                      "--params", "[1,2]"]) == 2
+        for name, params, bad in [
+            ("linear_combination", '{"coefficients": [1, 1], "flags": {"defocusing": true}}',
+             "flags"),
+            ("linear_combination", '{"coefficients": {"a": 1}}', "coefficients"),
+            ("linear_combination", '{"coefficients": "15"}', "coefficients"),
+            ("skyrme", '{"c1": true, "c2": 1}', "c1"),
+        ]:
+            capsys.readouterr()
+            assert main(["stress", geometry, "--lagrangian", name, "--params", params]) == 2
+            assert f"parameter '{bad}'" in capsys.readouterr().err
 
     def test_stress_unknown_lagrangian_exit_two(self, tmp_path):
         geometry = _write_geometry(tmp_path)
@@ -1144,6 +1165,15 @@ class TestCLI:
                      "--params", params, "--dim", "2", "--samples", "400"])
         assert code == 1
         assert "refuted" in capsys.readouterr().out
+
+    def test_audit_malformed_flags_exit_two(self, capsys):
+        # JSON strings are not booleans: "no" must not declare a flag true.
+        params = json.dumps({"coefficients": [1.0, -5.0], "flags": {
+            "defocusing": "no", "zeroed": "no", "nondegenerate": "no"}})
+        code = main(["audit-lagrangian", "--lagrangian", "linear_combination",
+                     "--params", params, "--dim", "2", "--samples", "40"])
+        assert code == 2
+        assert "parameter 'flags'" in capsys.readouterr().err
 
     def test_audit_admissibility_defect_exit_one(self, capsys):
         # Root-type value on mixed-sign boxes breaks sub-additivity.

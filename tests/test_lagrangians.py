@@ -234,6 +234,42 @@ class TestResolve:
         with pytest.raises(ConfigError, match=f"{name} has unknown parameters.*{unknown}"):
             resolve_lagrangian(name, params, 3)
 
+    _NO_FLAGS = {"defocusing": "no", "zeroed": "no", "nondegenerate": "no"}
+
+    @pytest.mark.parametrize(
+        "name, params, bad",
+        [
+            ("linear_combination", {"coefficients": "15"}, "coefficients"),
+            ("linear_combination", {"coefficients": ["1", "-5", "0"]}, "coefficients"),
+            ("linear_combination", {"coefficients": [True, False]}, "coefficients"),
+            ("linear_combination", {"coefficients": {"a": 1}}, "coefficients"),
+            ("linear_combination", {"coefficients": None}, "coefficients"),
+            ("skyrme", {"c1": True, "c2": 1.0}, "c1"),
+            ("skyrme", {"c1": 1.0, "c2": [1.0]}, "c2"),
+            ("born_infeld", {"b": "1", "delta": 0.1}, "b"),
+            ("born_infeld", {"b": 1.0, "delta": "0.1"}, "delta"),
+            ("minimal_surface", {"delta": True}, "delta"),
+            ("linear_combination", {"coefficients": [1, 1], "flags": _NO_FLAGS}, "flags"),
+            ("linear_combination",
+             {"coefficients": [1, 1], "flags": {"defocusing": True}}, "flags"),
+            ("linear_combination",
+             {"coefficients": [1, 1], "flags": {**_NO_FLAGS, "zeroed": True, "x": True}},
+             "flags"),
+            ("linear_combination", {"coefficients": [1, 1], "flags": [True] * 3}, "flags"),
+            ("linear_combination", {"coefficients": [1, 1], "flags": None}, "flags"),
+        ],
+    )
+    def test_malformed_parameter_rejected(self, name, params, bad):
+        with pytest.raises(ConfigError, match=f"lagrangian {name} parameter '{bad}'"):
+            resolve_lagrangian(name, params, 3)
+
+    def test_json_numbers_accepted(self):
+        spec = resolve_lagrangian("linear_combination", {"coefficients": 2}, 3)
+        assert spec.parameters == {"coefficients": [2.0, 0.0, 0.0]}
+        assert resolve_lagrangian("skyrme", {"c1": 1, "c2": 0}, 3).parameters == {
+            "c1": 1.0, "c2": 0.0
+        }
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown lagrangian"):
             resolve_lagrangian("nope", {}, 2)

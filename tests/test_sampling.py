@@ -1,5 +1,7 @@
 """Seed-derived generators, geometry draws, and boosted timelike directions."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,30 @@ def _stacked_directions(frames, rapidity, normals):
     ] * np.einsum("bkl,bdl->bdk", frames[:, :, 1:], unit)
 
 
+def _two_lane_directions(frames, rapidity, normals):
+    """The directions summed term by term in the row kernel's orders.
+
+    Each length as u_0 u_0 + u_1 u_1 + ... in increasing component, and the
+    spatial sum in two lanes, the even and the odd legs, each in increasing
+    leg, then lane 0 + lane 1 + 0.0.  The oracle past CONTRACT_MAX_DEPTH
+    spatial legs, where einsum and ``np.linalg.norm`` order their sums
+    otherwise.
+    """
+    spatial = normals.shape[2]
+    squares = normals * normals
+    lengths = functools.reduce(np.add, [squares[..., l] for l in range(spatial)])
+    lengths = np.sqrt(lengths)[..., None]
+    fallback = np.zeros(spatial)
+    fallback[0] = 1.0
+    unit = np.where(lengths > 0.0, normals / np.where(lengths > 0.0, lengths, 1.0), fallback)
+    terms = frames[:, None, :, 1:] * unit[:, :, None, :]
+    lanes = [functools.reduce(np.add, [terms[..., l] for l in range(lane, spatial, 2)])
+             for lane in range(min(spatial, 2))]
+    leg = functools.reduce(np.add, lanes) + 0.0
+    return (np.cosh(rapidity)[:, :, None] * frames[:, None, :, 0]
+            + np.sinh(rapidity)[:, :, None] * leg)
+
+
 class TestBatchAssembleDirections:
     """The row kernel gives the stacked formula's bits, zero and non-finite normals included."""
 
@@ -242,9 +268,11 @@ class TestBatchAssembleDirections:
         return calls
 
     @staticmethod
-    def _check(frames, rapidity, normals):
+    def _check(frames, rapidity, normals, reference=_stacked_directions):
+        # The reference reads a C-ordered copy of the frames: the directions do
+        # not depend on the frames' memory layout.
         with np.errstate(all="ignore"):
-            want = _stacked_directions(frames, rapidity, normals)
+            want = reference(np.ascontiguousarray(frames), rapidity, normals)
             got = batch_assemble_directions(frames, rapidity, normals)
         assert got.shape == want.shape
         assert got.flags.c_contiguous
@@ -260,30 +288,41 @@ class TestBatchAssembleDirections:
     @pytest.mark.parametrize(
         "batch, rows", [(1, 1), (1, 8), (12, 8), (127, 8), (128, 8), (3, 341), (4, 256)]
     )
-    def test_either_side_of_the_size_rule(self, calls, batch, rows):
+    def test_either_side_of_the_size_rule(self, batch, rows):
         frames, rapidity, normals = self._inputs(4, rows, max(batch, 12), batch)
         self._check(frames[:batch], rapidity[:batch], normals[:batch])
-        assert bool(calls) == (batch * rows >= CONTRACT_MIN_ROWS)
 
     @pytest.mark.parametrize("spatial", [CONTRACT_MAX_DEPTH, CONTRACT_MAX_DEPTH + 1])
-    def test_either_side_of_the_depth_rule(self, calls, spatial):
-        self._check(*self._inputs(spatial + 1, 256, 16, spatial))
-        assert bool(calls) == (spatial <= CONTRACT_MAX_DEPTH)
+    def test_either_side_of_the_depth_rule(self, spatial):
+        # Up to CONTRACT_MAX_DEPTH spatial legs the rows keep the stacked
+        # formula's bits; past it, the two lanes of the rows.
+        reference = (_stacked_directions if spatial <= CONTRACT_MAX_DEPTH
+                     else _two_lane_directions)
+        self._check(*self._inputs(spatial + 1, 256, 16, spatial), reference)
 
     def test_blocks_cover_the_stack(self, calls):
         # 64 samples of 256 rows fill a block; 130 samples leave a partial one.
         self._check(*self._inputs(4, 256, 130, 1))
         assert len(calls) == 3
 
-    def test_strided_inputs(self, calls):
+    def test_strided_inputs(self):
         frames, rapidity, normals = self._inputs(4, 512, 12, 2)
         self._check(frames, rapidity[:, ::2], normals[:, ::2].copy()[:, :, ::-1])
-        assert calls
-        # einsum sums a frame's strided last axis in another order than the
-        # lanes, so such frames take the stacked formula.
-        calls.clear()
+        # A Fortran-ordered frame gives the bits of its C-ordered copy.
         self._check(np.asfortranarray(frames), rapidity, normals)
-        assert not calls
+        # So does a transposed basis given to the scalar API.
+        basis = np.ascontiguousarray(frames[5].T)
+        with np.errstate(all="ignore"):
+            got = assemble_directions(basis.T, rapidity[5], normals[5])
+            want = assemble_directions(basis.T.copy(), rapidity[5], normals[5])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("batch, rows", [(3, 0), (0, 8), (0, 0)])
+    def test_empty_stacks(self, dim, batch, rows):
+        frames = np.broadcast_to(np.eye(dim), (batch, dim, dim))
+        self._check(frames, np.zeros((batch, rows)), np.zeros((batch, rows, dim - 1)))
+        assert assemble_directions(np.eye(dim), [], []).shape == (0, dim)
 
     def test_scalar_api_equals_the_stacked_formula(self):
         frames, rapidity, normals = self._inputs(3, 8, 12, 3)
