@@ -15,7 +15,6 @@ import math
 import numbers
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,19 +30,30 @@ from .dec import (
     require_timelike,
 )
 from .errors import ConfigError
-from .lagrangians import _json_float, resolve_lagrangian
+from .lagrangians import _json_float, canonical_parameters, resolve_lagrangian
 from .multilinear import LorentzianMetric, RiemannianMetric
 from .sampling import BOOST_CAP, MAX_BOOST_CAP
 from .strain import PointGeometry
 from .stress import check_degree
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = engine.SCHEMA_VERSION
 
 _MODES = ("verify", "violation_search")
 # Largest num_directions_per_sample.  A chunk holds several (CHUNK_SIZE, K,
 # m+1) float64 stacks; at this cap one (512, 1024, 5) stack is 21 MB.  The
 # committed configs and scripts use at most 256.
 MAX_DIRECTIONS_PER_SAMPLE = 1024
+# Largest m_plus_1 and n.  m+1 = 8 is 7 spatial legs, the einsum order of
+# multilinear.CONTRACT_MAX_DEPTH, and the invariant routes sum 2**(m+1) - 1
+# principal minors per sample; one (512, 64, 64) stack is 16.8 MB.  The
+# committed configs and scripts use 5 or less.
+MAX_M_PLUS_1 = 8
+MAX_N = 64
+_CAPS = (
+    ("m_plus_1", MAX_M_PLUS_1),
+    ("n", MAX_N),
+    ("num_directions_per_sample", MAX_DIRECTIONS_PER_SAMPLE),
+)
 
 
 def _json_int(value) -> int:
@@ -119,11 +129,7 @@ class _NonFinite(Exception):
 
 
 def _scalar_text(value):
-    """The JSON text of a str, None, bool, int or float; None for anything else.
-
-    Exact float, str and int come first.  Subclasses are written as their
-    base type, as ``json`` writes them.
-    """
+    """The JSON text of an exact float, str, int, bool or None; None for anything else."""
     kind = type(value)
     if kind is not float:
         if kind is str:
@@ -136,61 +142,44 @@ def _scalar_text(value):
             return "true"
         if value is False:
             return "false"
-        if isinstance(value, str):
-            return _encode_str(value)
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if not isinstance(value, float):
-            return None
+        return None
     text = float.__repr__(value)
     if text in _NONFINITE_TEXTS:
         raise _NonFinite(value)
     return text
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return _encode_str(_scalar_text(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
-def _pieces(obj, level: int, memo: dict, kept: list, active: set) -> list:
-    """The text of a list, tuple or dict at indent ``level``, as a list of pieces.
+def _pieces(obj, level: int, memo: dict, kept: list) -> list:
+    """The text of a list or a dict with str keys at indent ``level``, as pieces.
 
     A child container's text is ``memo[id, level]`` if it was formatted at
     its level before; otherwise this function formats it, joins its pieces
     once and stores the text there, and ``kept`` holds the child so that no
-    other object takes its id during the call.  ``active`` holds the ids of
-    the containers being formatted, to catch cycles.  A level of nesting
-    costs one stack frame, as in ``json``.
+    other object takes its id during the call.  A level of nesting costs one
+    stack frame, as in ``json``, so a cycle nests until ``RecursionError``.
     """
-    keyed = isinstance(obj, dict)
+    kind = type(obj)
+    keyed = kind is dict
     if keyed:
         entries, brackets = sorted(obj.items()), "{}"
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list:
         entries, brackets = obj, "[]"
     else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not entries:
         return [brackets]
-    marker = id(obj)
-    if marker in active:
-        raise ValueError("Circular reference detected")
-    active.add(marker)
     deeper = level + 1
     separator = ",\n" + "  " * deeper
     head, pieces = brackets[0] + separator[1:], []
     for item in entries:
         if keyed:
             key, item = item
-            head += (_encode_str(key) if type(key) is str else _key_text(key)) + ": "
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head += _encode_str(key) + ": "
         text = memo.get((id(item), deeper)) or _scalar_text(item)
         if text is None:
-            text = "".join(_pieces(item, deeper, memo, kept, active))
+            text = "".join(_pieces(item, deeper, memo, kept))
             memo[id(item), deeper] = text
             kept.append(item)
             pieces += (head, text)
@@ -198,7 +187,6 @@ def _pieces(obj, level: int, memo: dict, kept: list, active: set) -> list:
             pieces.append(head + text)
         head = separator
     pieces.append("\n" + "  " * level + brackets[1])
-    active.discard(marker)
     return pieces
 
 
@@ -208,13 +196,10 @@ def _nonfinite_path(obj, path: str = "") -> str | None:
         return None if math.isfinite(obj) else path
     if isinstance(obj, dict):
         for key, item in sorted(obj.items()):
-            inner = f"{path}.{key}" if path else str(key)
-            if isinstance(key, float) and not math.isfinite(key):
-                return inner
-            found = _nonfinite_path(item, inner)
+            found = _nonfinite_path(item, f"{path}.{key}" if path else key)
             if found is not None:
                 return found
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         for i, item in enumerate(obj):
             found = _nonfinite_path(item, f"{path}[{i}]")
             if found is not None:
@@ -223,16 +208,18 @@ def _nonfinite_path(obj, path: str = "") -> str | None:
 
 
 def dump_json(obj) -> str:
-    """Canonical serialization: sorted keys, two-space indent, no NaN.
+    """Canonical serialization of plain JSON: sorted keys, two-space indent, no NaN.
 
-    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"`` for every ``obj`` that call accepts, and an
-    ``obj`` it refuses raises the same exception type: ``TypeError`` for a
-    value or key JSON cannot hold, ``ValueError`` for a cycle or a NaN or
-    infinity, ``RecursionError`` for nesting past the recursion limit.  The
-    ``ValueError`` for a NaN or infinity names the JSON path of the first one
-    in output order, such as ``fixtures[3].recorded.energy``.  ``_pieces``
-    formats every list, tuple and dict, and joins the text of each one below
+    Plain JSON is dicts with str keys, lists, and exact float, str, int,
+    bool and None; every value a config, report or fixture holds is one of
+    these when it is created.  For such an ``obj`` the text is exactly
+    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
+    Anything else, a subclass, a tuple, a numpy scalar or a non-str key
+    included, is a ``TypeError`` that names its type.  A NaN or infinity is
+    a ``ValueError`` that names the JSON path of the first one in output
+    order, such as ``fixtures[3].recorded.energy``, and nesting past the
+    recursion limit, a cycle included, is a ``RecursionError``.  ``_pieces``
+    formats every list and dict, and joins the text of each one below
     ``obj`` itself once per call and indent level, however often the same
     object appears there, so values shared in memory (such as the fixtures'
     geometry lists and twin ``recorded`` dicts) cost one formatting; ``obj``
@@ -241,7 +228,7 @@ def dump_json(obj) -> str:
     """
     try:
         text = _scalar_text(obj)
-        pieces = [text] if text is not None else _pieces(obj, 0, {}, [], set())
+        pieces = [text] if text is not None else _pieces(obj, 0, {}, [])
     except _NonFinite as exc:
         where = _nonfinite_path(obj) or "the top level"
         raise ValueError(
@@ -328,16 +315,17 @@ class CampaignConfig:
             raise ConfigError("num_samples must be at least 1")
         if self.num_directions_per_sample < 1:
             raise ConfigError("num_directions_per_sample must be at least 1")
-        if self.num_directions_per_sample > MAX_DIRECTIONS_PER_SAMPLE:
-            raise ConfigError(
-                f"num_directions_per_sample {self.num_directions_per_sample} exceeds "
-                f"{MAX_DIRECTIONS_PER_SAMPLE}, the cap that bounds a chunk's memory"
-            )
+        for name, cap in _CAPS:
+            if getattr(self, name) > cap:
+                raise ConfigError(
+                    f"{name} {getattr(self, name)} exceeds {cap}, the cap that bounds "
+                    "a chunk's memory"
+                )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         for name, (_, convert) in _FROM_JSON.items():
-            if convert is _json_float:
-                _convert(getattr(self, name), _json_float, name)
+            if convert in (_json_float, str):  # stored as the exact JSON type
+                object.__setattr__(self, name, _convert(getattr(self, name), convert, name))
         for name in ("algebraic_tol", "dec_tol", "oracle_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
@@ -372,11 +360,11 @@ class CampaignConfig:
         # Fail early if the catalog cannot rebuild this Lagrangian, or if no
         # map of the drawn rank has invariants in its domain.
         try:
-            lagr = resolve_lagrangian(
-                self.lagrangian_name, self.lagrangian_parameters, self.m_plus_1
-            )
+            params = canonical_parameters(self.lagrangian_name, self.lagrangian_parameters)
+            lagr = resolve_lagrangian(self.lagrangian_name, params, self.m_plus_1)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"lagrangian {self.lagrangian_name}: {exc}") from exc
+        object.__setattr__(self, "lagrangian_parameters", params)
         name, rank = "rank_override", self.rank_override
         if rank is None:
             name, rank = "n", min(self.m_plus_1, self.n)
@@ -504,6 +492,8 @@ def run_campaign(
         for a in range(0, total, engine.CHUNK_SIZE)
     ]
     if jobs > 1 and len(bounds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays the import
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
             results = list(pool.map(engine.run_chunk, [cfg] * len(bounds), *zip(*bounds)))
     else:

@@ -38,17 +38,8 @@ from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES re-exported)
 # Samples per engine chunk; fixed so chunk boundaries cannot depend on jobs.
 CHUNK_SIZE = 512
 
-CHECK_NAMES = (
-    "dec_energy",
-    "dec_flux",
-    "rank_condition",
-    "convexity_lemma",
-    "supporting_hyperplane",
-    "pointwise_corollary",
-    "invariant_routes",
-    "wedge_identity",
-    "cauchy_schwarz",
-)
+# The schema version configs, reports and fixtures write, and loading checks.
+SCHEMA_VERSION = 1
 
 # Margins, each with the function that folds two chunks' values into one.
 MARGIN_FOLDS = {
@@ -205,6 +196,8 @@ FIXTURE_GROUPS = (
 )
 FIXTURES = {"dec": _record_dec}
 FIXTURES.update(kind_record for group in FIXTURE_GROUPS for kind_record in group)
+# The checks a chunk counts, one per recorded fixture kind, in group order.
+CHECK_NAMES = tuple(kind for group in FIXTURE_GROUPS for kind, _ in group)
 
 
 def run_chunk(config: dict, start: int, stop: int) -> dict:
@@ -289,7 +282,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     flagged = np.any([mask.any(axis=1) for mask in failed.values()], axis=0)
     for k in np.flatnonzero(flagged).tolist():
         block = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "sample_index": start + k,
             "seed": seed,
             "m_plus_1": m1,

@@ -247,13 +247,13 @@ def _json_coefficients(value):
     return [_json_float(c) for c in value] if isinstance(value, list) else _json_float(value)
 
 
-def _json_flags(value) -> LagrangianFlags:
+def _json_flags(value) -> dict:
     """An object of exactly the three declared flags, each a JSON boolean."""
     names = {f.name for f in fields(LagrangianFlags)}
     if not (isinstance(value, dict) and set(value) == names
             and all(isinstance(v, bool) for v in value.values())):
         raise TypeError(f"expected an object of booleans {sorted(names)}, got {value!r}")
-    return LagrangianFlags(**value)
+    return dict(value)
 
 
 # The parameters each built-in reads and the conversion of their JSON values;
@@ -268,27 +268,41 @@ _PARAMETERS = {
 BUILTIN_NAMES = tuple(_PARAMETERS)
 
 
-def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> LagrangianSpec:
-    """Rebuild a built-in Lagrangian from its serialized (name, parameters) form.
+def canonical_parameters(name: str, parameters: dict | None) -> dict:
+    """A built-in Lagrangian's parameters as the JSON values it reads.
 
-    A parameter name the Lagrangian does not read is an error, so a misspelt
-    optional parameter cannot silently run with its default; so is a value
-    of the wrong JSON type, such as a bool or a string for a number.
+    Numbers become floats, ``coefficients`` a float or a list of floats and
+    ``flags`` a dict of three bools.  A parameter name the Lagrangian does
+    not read is an error, so a misspelt optional parameter cannot silently
+    run with its default; so is a value of the wrong JSON type, such as a
+    bool or a string for a number.
     """
     if name not in _PARAMETERS:
         raise ConfigError(f"unknown lagrangian {name!r}; built-ins are {BUILTIN_NAMES}")
-    p = dict(parameters or {})
-    unknown = sorted(set(p) - set(_PARAMETERS[name]))
+    readers, given = _PARAMETERS[name], dict(parameters or {})
+    unknown = sorted(set(given) - set(readers))
     if unknown:
         raise ConfigError(
-            f"lagrangian {name} has unknown parameters {unknown}; "
-            f"it reads {list(_PARAMETERS[name])}"
+            f"lagrangian {name} has unknown parameters {unknown}; it reads {list(readers)}"
         )
-    for key in p:
+    out = {}
+    for key, convert in readers.items():
         try:
-            p[key] = _PARAMETERS[name][key](p[key])
+            if key in given:
+                out[key] = convert(given[key])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"lagrangian {name} parameter {key!r}: {exc}") from exc
+    return out
+
+
+def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> LagrangianSpec:
+    """Rebuild a built-in Lagrangian from its serialized (name, parameters) form.
+
+    The parameters go through ``canonical_parameters`` first, so an unknown
+    name, an unknown parameter or a value of the wrong JSON type is a
+    ``ConfigError``.
+    """
+    p = canonical_parameters(name, parameters)
     try:
         if name == "wave_map":
             return wave_map(dim)
@@ -297,7 +311,8 @@ def resolve_lagrangian(name: str, parameters: dict | None, dim: int) -> Lagrangi
         if name == "born_infeld":
             return born_infeld(p["b"], dim, p.get("delta", DOMAIN_DELTA))
         if name == "linear_combination":
-            return linear_combination(p["coefficients"], dim, flags=p.get("flags"))
+            flags = LagrangianFlags(**p["flags"]) if "flags" in p else None
+            return linear_combination(p["coefficients"], dim, flags=flags)
         return minimal_surface(dim, p.get("delta", DOMAIN_DELTA))
     except KeyError as exc:
         raise ConfigError(f"lagrangian {name} is missing parameter {exc}") from exc

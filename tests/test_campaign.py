@@ -4,6 +4,7 @@ Determinism contract under test: for a fixed config the report bytes (minus
 wall-clock duration) are identical across runs and across worker counts.
 """
 
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -32,7 +33,13 @@ from straindec import (
     sample_geometry,
 )
 from straindec import campaign, dec, engine
-from straindec.campaign import MAX_DIRECTIONS_PER_SAMPLE, dump_json, write_json
+from straindec.campaign import (
+    MAX_DIRECTIONS_PER_SAMPLE,
+    MAX_M_PLUS_1,
+    MAX_N,
+    dump_json,
+    write_json,
+)
 from straindec.cli import main
 from straindec.dec import CheckStack, DirectedStack
 from straindec.engine import run_chunk
@@ -311,6 +318,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="num_directions_per_sample"):
             CampaignConfig.from_dict(data)
 
+    @pytest.mark.parametrize("name, value", [
+        ("m_plus_1", MAX_M_PLUS_1 + 1), ("m_plus_1", 40), ("n", MAX_N + 1), ("n", 100_000),
+    ])
+    def test_dimensions_capped_before_anything_is_built(self, monkeypatch, name, value):
+        at_caps = _wave_config(m_plus_1=MAX_M_PLUS_1, n=MAX_N)
+        assert (at_caps.m_plus_1, at_caps.n) == (MAX_M_PLUS_1, MAX_N)
+        data = _skyrme_config_dict()
+        data[name] = value
+        monkeypatch.setattr(campaign, "resolve_lagrangian", None)  # never reached
+        with pytest.raises(ConfigError, match=f"{name} {value} exceeds"):
+            _wave_config(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} {value} exceeds"):
+            CampaignConfig.from_dict(data)
+
     def test_unknown_lagrangian_parameter_names_it(self):
         data = _skyrme_config_dict()
         data["lagrangian"] = {"name": "born_infeld", "parameters": {"b": 1, "detla": 0.5}}
@@ -347,6 +368,76 @@ class TestConfigValidation:
         path.write_text(dump_json(_wave_config().to_dict())[:40])
         with pytest.raises(ConfigError, match="line"):
             load_config(path)
+
+
+def _exact_json(value) -> bool:
+    """Whether ``value`` is built of dicts with str keys, lists and exact JSON scalars."""
+    if type(value) is dict:
+        return all(type(k) is str and _exact_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_exact_json, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+# skyrme(1, 2) at 3x3 with every float field given as an integral number.
+_INTEGRAL = dict(
+    m_plus_1=3, n=3, lagrangian_name="skyrme", num_samples=20,
+    num_directions_per_sample=2, seed=4, entry_range=1, boost_cap=2, oracle_tol=1,
+)
+_FLOAT_FIELDS = ("algebraic_tol", "dec_tol", "oracle_tol", "entry_range", "boost_cap")
+
+
+def _integral_config(number):
+    values = {k: number(v) if k in _FLOAT_FIELDS else v for k, v in _INTEGRAL.items()}
+    return CampaignConfig(**values, lagrangian_parameters={"c1": number(1), "c2": number(2)})
+
+
+def _integral_config_file():
+    data = _integral_config(float).to_dict()
+    data.update(entry_range=1, boost_cap=2)
+    data["tolerances"]["oracle"] = 1
+    data["lagrangian"]["parameters"] = {"c1": 1, "c2": 2}
+    return CampaignConfig.from_dict(json.loads(json.dumps(data)))
+
+
+class TestCanonicalValues:
+    @pytest.mark.parametrize("make", [
+        lambda: _integral_config(int),
+        lambda: _integral_config(np.float64),
+        _integral_config_file,
+    ], ids=["python_ints", "numpy_floats", "file_ints"])
+    def test_equal_configs_give_equal_report_bytes(self, make):
+        config, reference = make(), _integral_config(float)
+        assert config == reference
+        echo = config.to_dict()
+        assert _exact_json(echo) and echo == reference.to_dict()
+        assert [type(getattr(config, name)) for name in _FLOAT_FIELDS] == [float] * 5
+        assert dump_json(echo) == dump_json(reference.to_dict())
+        assert report_bytes(run_campaign(config).to_dict()) == report_bytes(
+            run_campaign(reference).to_dict()
+        )
+
+    @pytest.mark.parametrize("config", [
+        _integral_config(int),
+        _violating_config(
+            lagrangian_parameters={"coefficients": [1, -5, 0], "flags": {
+                "defocusing": True, "zeroed": True, "nondegenerate": True}},
+            entry_range=2, mode="violation_search", max_fixtures=5,
+        ),
+    ], ids=["skyrme", "linear_combination"])
+    def test_a_reports_config_echo_reproduces_it(self, config):
+        first = run_campaign(config).to_dict()
+        echo = json.loads(dump_json(first["config"]))
+        again = run_campaign(CampaignConfig.from_dict(echo)).to_dict()
+        assert report_bytes(again) == report_bytes(first)
+
+    def test_names_and_mode_stored_as_str(self):
+        class Text(str):
+            pass
+
+        config = _wave_config(lagrangian_name=Text("wave_map"), mode=Text("verify"))
+        assert type(config.lagrangian_name) is str and type(config.mode) is str
+        assert _exact_json(config.to_dict())
 
 
 class TestRunCampaign:
@@ -397,7 +488,7 @@ class TestRunCampaign:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         # Three chunks of at most 512 samples.
         config = _wave_config(n=1, num_samples=1030, seed=19,
                               num_directions_per_sample=2)
@@ -995,6 +1086,15 @@ class TestCLI:
         write_json(config, data)
         assert main(["verify", "--config", str(config)]) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("m_plus_1", MAX_M_PLUS_1 + 1), ("n", MAX_N + 1)])
+    def test_verify_dimension_past_its_cap_exit_two(self, tmp_path, capsys, name, value):
+        data = _skyrme_config_dict()
+        data[name] = value
+        config = tmp_path / "config.json"
+        write_json(config, data)
+        assert main(["verify", "--config", str(config)]) == 2
+        assert f"{name} {value} exceeds" in capsys.readouterr().err
 
     def test_verify_rank_below_the_domain_exit_two(self, tmp_path, capsys):
         data = _wave_config(m_plus_1=4).to_dict()
