@@ -28,7 +28,7 @@ from .dec import (  # noqa: F401 (VACUOUS_RTOL re-exported)
     DirectedStack,
     corollary_applies,
 )
-from .lagrangians import resolve_lagrangian
+from .lagrangians import canonical_parameters, resolve_lagrangian
 from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES re-exported)
     MAX_DOMAIN_TRIES,
     batch_assemble_directions,
@@ -204,16 +204,16 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     """Evaluate all campaign checks on samples [start, stop) of a config.
 
     Takes the canonical config dict (see campaign.CampaignConfig.to_dict) and
-    returns plain counters, margins, and fixture dicts so results can cross
-    process boundaries.  The config's ``max_fixtures`` caps the fixtures this
-    chunk builds; counts and margins always cover every sample.  Each fixture
-    is its own dict, but the fixtures of one sample share their ``metric``,
-    ``target_metric`` and ``dphi`` lists, the chunk's fixtures share their
-    ``lagrangian`` and ``tolerances`` dicts, and a group's record function
-    runs once per (sample, index): the ``dec_energy`` and ``dec_flux``
-    fixtures of one direction share its ``direction`` list and ``recorded``
-    dict.  So each value is built once and ``campaign.dump_json`` formats it
-    once.  Pickling keeps the sharing.
+    returns plain JSON counters, margins, and fixture dicts, so results can
+    cross process boundaries.  The config's ``max_fixtures`` caps the fixtures
+    this chunk builds; counts and margins always cover every sample.  Each
+    fixture is its own dict, but the fixtures of one sample share their
+    ``metric``, ``target_metric`` and ``dphi`` lists, the chunk's fixtures
+    share their ``lagrangian`` and ``tolerances`` dicts, and a group's record
+    function runs once per (sample, index): the ``dec_energy`` and
+    ``dec_flux`` fixtures of one direction share its ``direction`` list and
+    ``recorded`` dict.  So each value is built once and ``campaign.dump_json``
+    formats it once.  Pickling keeps the sharing.
     """
     m1 = int(config["m_plus_1"])
     n = int(config["n"])
@@ -222,7 +222,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     tol_dec = float(config["tolerances"]["dec"])
     max_fixtures = int(config["max_fixtures"])
     lagr_name = config["lagrangian"]["name"]
-    lagr_params = config["lagrangian"]["parameters"]
+    lagr_params = canonical_parameters(lagr_name, config["lagrangian"]["parameters"])
     lagr = resolve_lagrangian(lagr_name, lagr_params, m1)
     out = empty_chunk_result()
     batch = stop - start

@@ -5,6 +5,8 @@ using only public functions; the engine must reproduce the same counters
 exactly and the same extremal margins up to roundoff reordering.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from straindec import (
     wedge_decomposition,
 )
 from straindec import engine
+from straindec.campaign import dump_json
 from straindec.engine import (
     CHECK_NAMES,
     MAX_DOMAIN_TRIES,
@@ -441,6 +444,20 @@ class TestFixtureScan:
         fixtures = run_chunk(dict(config, max_fixtures=10**6), 0, 60)["fixtures"]
         dec = [fx for fx in fixtures if fx["kind"] in ("dec_energy", "dec_flux")]
         assert len(calls) == len(set(calls)) == len(dec) - len(_dec_twins(fixtures))
+
+    def test_fixtures_hold_canonical_parameters(self):
+        # A hand-built chunk config may give numbers as ints or numpy floats;
+        # the fixtures hold the floats a CampaignConfig would store.
+        config = _config(lagrangian={
+            "name": "linear_combination",
+            "parameters": {"coefficients": [np.float64(1.0), -5, 0]},
+        })
+        fixtures = run_chunk(config, 0, 20)["fixtures"]
+        assert fixtures
+        params = fixtures[0]["lagrangian"]["parameters"]
+        assert params == {"coefficients": [1.0, -5.0, 0.0]}
+        assert all(type(c) is float for c in params["coefficients"])
+        assert dump_json(fixtures) == json.dumps(fixtures, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("cap", [0, 1, 7, 50])
     def test_cap_truncates_the_same_sequence(self, cap):
