@@ -14,7 +14,9 @@ The campaigns cover the example config, the determinism criterion's config, a
 born_infeld cell with many domain rejections, minimal_surface, rank overrides,
 a violation search that records fixtures, a one-dimensional source, a
 violation search whose kept fixtures come from three chunks, and skyrme at
-4x4 with 256 directions per sample, the dense-directions shape.  Four
+4x4 with 256 directions per sample, the dense-directions shape, and a
+violation search with 1,024 directions per sample whose kept fixtures come
+from several of a chunk's row blocks.  Four
 single chunks (``engine.run_chunk`` on samples 0-59, with the failure-forcing
 configs of ``tests/test_engine.py::TestFixtureScan``) cover every fixture kind
 but convexity_lemma, which no config fails.  The line ``replay_fixtures``
@@ -74,6 +76,13 @@ def campaigns():
     )
     yield "dense_directions_4x4", _config(
         "skyrme", {"c1": 1.0, "c2": 1.0}, m1=4, n=4, num_directions_per_sample=256,
+    )
+    # 1,024 directions per sample, so a chunk's direction checks run in
+    # blocks of 16 samples; the 2,000 kept fixtures span about nine blocks.
+    yield "violation_search_blocks", _config(
+        "linear_combination", {"coefficients": [1.0, -0.02, 0.0]},
+        num_samples=512, num_directions_per_sample=1024,
+        mode="violation_search", max_fixtures=2000,
     )
 
 

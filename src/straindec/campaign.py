@@ -9,13 +9,14 @@ serially or across a worker pool.
 
 from __future__ import annotations
 
+import copy
 import json
 import marshal
 import math
 import numbers
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,10 @@ from .stress import check_degree
 SCHEMA_VERSION = engine.SCHEMA_VERSION
 
 _MODES = ("verify", "violation_search")
-# Largest num_directions_per_sample.  A chunk holds several (CHUNK_SIZE, K,
-# m+1) float64 stacks; at this cap one (512, 1024, 5) stack is 21 MB.  The
+# Largest num_directions_per_sample.  A chunk runs its direction checks one
+# block of multilinear.CONTRACT_BLOCK_ROWS direction rows at a time, so its
+# largest (CHUNK_SIZE, K, .) arrays are the drawn rapidities and sphere
+# normals; at this cap the (512, 1024, 7) normals of m+1 = 8 are 29 MB.  The
 # committed configs and scripts use at most 256.
 MAX_DIRECTIONS_PER_SAMPLE = 1024
 # Largest m_plus_1 and n.  m+1 = 8 is 7 spatial legs, the einsum order of
@@ -271,6 +274,15 @@ def _lagrangian_and_tolerances(data: dict, context: str) -> tuple[dict, dict]:
     return lagr, tol
 
 
+def _frozen(value):
+    """A hashable form of a JSON value: equal values give equal forms, and equal hashes."""
+    if isinstance(value, dict):
+        return frozenset((key, _frozen(item)) for key, item in value.items())
+    if isinstance(value, list):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
 def _check_schema_version(data, context: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
@@ -375,14 +387,20 @@ class CampaignConfig:
                 "it every invariant vector lies outside its domain"
             )
 
+    def __hash__(self) -> int:
+        # Agrees with the generated ``==``, which compares the fields.
+        return hash(tuple(_frozen(getattr(self, f.name)) for f in fields(self)))
+
     def to_dict(self) -> dict:
-        """The config file's JSON object, laid out by ``_FROM_JSON``."""
+        """The config file's JSON object, laid out by ``_FROM_JSON``.
+
+        Every container in it is new, so editing it leaves the config as it was.
+        """
         out = {"schema_version": SCHEMA_VERSION}
         for name, (path, _) in _FROM_JSON.items():
             section, _, key = path.rpartition(".")
             target = out.setdefault(section, {}) if section else out
-            value = getattr(self, name)
-            target[key] = dict(value) if isinstance(value, dict) else value
+            target[key] = copy.deepcopy(getattr(self, name))
         return out
 
     @classmethod
@@ -478,8 +496,9 @@ def run_campaign(
     serial run.  The serial loop caps each chunk's ``max_fixtures`` at the
     room the chunks before it left, so it builds only fixtures the report
     keeps; the pool gives every chunk the full cap.  The bytes agree because a
-    chunk tallies before it records fixtures, in a fixed order, and the fold
-    keeps the first ``max_fixtures`` in chunk order.  When ``out_path`` is
+    chunk tallies every sample whatever its cap and records fixtures in a
+    fixed order, and the fold keeps the first ``max_fixtures`` in chunk
+    order.  When ``out_path`` is
     given the report JSON is written there.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:

@@ -13,9 +13,9 @@ tensor counts as vacuously zero when its norm is negligible against them.
 ``CheckStack`` evaluates every pointwise check of a campaign on a stack of
 geometries with the batched kernels (``batch_dec_witness``, ``batch_flux``
 and those of strain and stress); its view ``CheckStack.along(directions)``
-adds the checks that read timelike directions.  The campaign engine runs it
-on whole chunks; fixture replay and the single-point functions here run it on
-a batch of one.
+adds the checks that read timelike directions.  The campaign engine runs the
+stack on whole chunks and its views on row blocks (``CheckStack.rows``);
+fixture replay and the single-point functions here run it on a batch of one.
 """
 
 from __future__ import annotations
@@ -252,6 +252,23 @@ class CheckStack:
     def along(self, directions: np.ndarray) -> "DirectedStack":
         """This stack's checks along a (B, K, m+1) stack of timelike vectors."""
         return DirectedStack(self, directions)
+
+    def rows(self, block: slice) -> "CheckStack":
+        """Samples ``block`` of this stack, sharing g^{-1}, T_j, the terms and T.
+
+        Those are the fields a view ``along`` directions reads, so the view
+        of a row block recomputes none of them; they are row views of this
+        stack's arrays, computed here first if they were not yet.
+        """
+        sub = CheckStack(
+            self.g[block], self.h[block], self.dphi[block], self.lagr, self.tol,
+            self.algebraic_tol,
+        )
+        sub.g_inv, sub.elementary, sub.tensor = (
+            self.g_inv[block], self.elementary[block], self.tensor[block]
+        )
+        sub.terms = tuple(a[block] for a in self.terms)
+        return sub
 
     # g^{-1}, (pullbacks, strains), invariants, and (dF/ds, F, grad F . s).
     g_inv = cached_property(lambda st: np.linalg.inv(st.g))

@@ -3,9 +3,13 @@
 The batched kernels in strain, stress, multilinear, sampling and dec (run
 together by ``dec.CheckStack``) are the only implementation of each formula
 and fix the report bytes; the single-point API and fixture replay call the
-same kernels on a batch of one.  ``FIXTURES`` is the one table of fixture
-kinds: ``run_chunk`` records failures with it, and ``campaign.replay_fixture``
-recomputes a fixture's record with the same function.
+same kernels on a batch of one.  ``run_chunk`` runs the checks that read no
+direction on the whole chunk and the DIRECTED ones on one block of
+CONTRACT_BLOCK_ROWS direction rows at a time, so a chunk holds one block of
+direction rows; the drawn normals and rapidities are its largest (B, K, .)
+arrays.  ``FIXTURES`` is the one table of fixture kinds: ``run_chunk``
+records failures with it, and ``campaign.replay_fixture`` recomputes a
+fixture's record with the same function.
 
 Determinism: chunk boundaries are a fixed constant (never derived from the
 worker count), and chunk results are folded in index order.  Each sample still
@@ -29,6 +33,7 @@ from .dec import (  # noqa: F401 (VACUOUS_RTOL re-exported)
     corollary_applies,
 )
 from .lagrangians import canonical_parameters, resolve_lagrangian
+from .multilinear import CONTRACT_BLOCK_ROWS
 from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES re-exported)
     MAX_DOMAIN_TRIES,
     batch_assemble_directions,
@@ -198,6 +203,45 @@ FIXTURES = {"dec": _record_dec}
 FIXTURES.update(kind_record for group in FIXTURE_GROUPS for kind_record in group)
 # The checks a chunk counts, one per recorded fixture kind, in group order.
 CHECK_NAMES = tuple(kind for group in FIXTURE_GROUPS for kind, _ in group)
+# The checks that read directions: run_chunk evaluates them on a
+# ``DirectedStack`` view of one row block at a time.
+DIRECTED = ("dec_energy", "dec_flux", "convexity_lemma")
+
+
+def _tally(count: dict, passed: np.ndarray, failed: np.ndarray) -> None:
+    count["total"] += passed.size
+    count["pass"] += int(passed.sum())
+    count["fail"] += int(failed.sum())
+
+
+def _record_failures(fixtures, max_fixtures, failed, st, view, lo, sample) -> bool:
+    """Append the fixtures of one row block's failures; False once the cap is met.
+
+    ``failed`` maps each check to its failure mask over the block's samples
+    (local row j is chunk row lo + j), in sample order, then group order.
+    The DIRECTED groups record from the block's view ``view`` at j, the rest
+    from the chunk stack ``st`` at lo + j; ``sample(k)`` gives the fields
+    every fixture of chunk row k shares.
+    """
+    flagged = np.any([mask.any(axis=1) for mask in failed.values()], axis=0)
+    for j in np.flatnonzero(flagged).tolist():
+        shared = sample(lo + j)
+        for group in FIXTURE_GROUPS:
+            first = group[0][0]
+            if first not in failed:
+                continue
+            src, at = (view, j) if first in DIRECTED else (st, lo + j)
+            for i in range(failed[first].shape[1]):
+                made = None  # (record function, its fields) at this (j, i)
+                for kind, record in group:
+                    if not failed[kind][j, i]:
+                        continue
+                    if len(fixtures) >= max_fixtures:
+                        return False
+                    if made is None or made[0] is not record:
+                        made = record, record(src, at, i)
+                    fixtures.append({**shared, "kind": kind, **made[1]})
+    return len(fixtures) < max_fixtures
 
 
 def run_chunk(config: dict, start: int, stop: int) -> dict:
@@ -214,10 +258,20 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     ``dec_flux`` fixtures of one direction share its ``direction`` list and
     ``recorded`` dict.  So each value is built once and ``campaign.dump_json``
     formats it once.  Pickling keeps the sharing.
+
+    The checks that read no direction run on the whole chunk's
+    ``CheckStack``.  The DIRECTED checks run one block of
+    CONTRACT_BLOCK_ROWS // K samples at a time, on a view of the stack's rows
+    along that block's directions, which is tallied, folded into the margins
+    and scanned for fixtures before the next block is assembled.  So a chunk
+    holds one block of direction rows whatever K is; the drawn rapidities and
+    normals are its largest (B, K, .) arrays.  Min and max fold exactly, so
+    the result does not depend on the block size.
     """
     m1 = int(config["m_plus_1"])
     n = int(config["n"])
     seed = int(config["seed"])
+    num_dirs = int(config["num_directions_per_sample"])
     tol_alg = float(config["tolerances"]["algebraic"])
     tol_dec = float(config["tolerances"]["dec"])
     max_fixtures = int(config["max_fixtures"])
@@ -231,57 +285,41 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
 
     # Draw.
     gs, hs, dps, raps, normals, drawn = draw_chunk_arrays(
-        seed, start, stop, m1, n, int(config["num_directions_per_sample"]),
+        seed, start, stop, m1, n, num_dirs,
         float(config["entry_range"]), float(config["boost_cap"]),
         config["rank_override"], lagr,
     )
     out["sampling"].update(drawn)
 
-    # Kernels: every check's pass mask, as (B, K), (B, m+1) or (B, 1).
+    # The checks without directions, on the whole chunk: failure masks as
+    # (B, m+1) or (B, 1), tallies and margins.
     st = CheckStack(gs, hs, dps, lagr, tol_dec, tol_alg)
     frames, out["sampling"]["frame_fallbacks"] = st.frames
-    st = st.along(batch_assemble_directions(frames, raps, normals))
-    counted = ~st.vacuous[:, None]
+    counts, margins = out["counts"], out["margins"]
     checks = CHECK_NAMES
     if not corollary_applies(lagr):
         checks = tuple(name for name in CHECK_NAMES if name != "pointwise_corollary")
-    passed, failed = {}, {}
+    failed = {}
     for name in checks:
+        if name in DIRECTED:
+            continue
         ok = getattr(st, name).reshape(batch, -1)
-        passed[name], failed[name] = (
-            (ok & counted, ~ok & counted) if name.startswith("dec_") else (ok, ~ok)
-        )
-    failed["rank_condition"] &= ~st.vanished
-
-    # Tally.
-    counts = out["counts"]
-    for name in checks:
-        counts[name]["total"] += passed[name].size
-        counts[name]["pass"] += int(passed[name].sum())
-        counts[name]["fail"] += int(failed[name].sum())
+        failed[name] = ~ok & ~st.vanished if name == "rank_condition" else ~ok
+        _tally(counts[name], ok, failed[name])
     for name in ("dec_energy", "dec_flux"):
-        counts[name]["vacuous"] += int(st.vacuous.sum()) * passed[name].shape[1]
+        counts[name]["vacuous"] += int(st.vacuous.sum()) * num_dirs
     counts["rank_condition"]["warning"] += int((~st.rank_condition & st.vanished).sum())
-
-    margins = out["margins"]
-    if counted.any():
-        w, rows = st.witness, counted[:, 0]
-        margins["min_energy_margin"] = float(np.min(_ratio(w.energy, w.energy_scale)[rows]))
-        margins["max_flux_quadratic_margin"] = float(
-            np.max(_ratio(w.flux.quadratic, w.flux.scale)[rows])
-        )
     margins["min_hyperplane_margin"] = float(np.min(st.hyperplane_margin))
     margins["max_invariant_route_residual"] = float(np.max(st.route_residual))
     margins["max_wedge_identity_residual"] = float(np.max(st.wedge[0]))
     margins["max_cauchy_schwarz_excess"] = float(np.max(st.wedge[1]))
 
-    # Failure fixtures, in sample order, then group order, capped.
     fixtures = out["fixtures"]
     lagr_info = {"name": lagr_name, "parameters": lagr_params}
     tolerances = {"algebraic": tol_alg, "dec": tol_dec}
-    flagged = np.any([mask.any(axis=1) for mask in failed.values()], axis=0)
-    for k in np.flatnonzero(flagged).tolist():
-        block = {
+
+    def sample(k: int) -> dict:
+        return {
             "schema_version": SCHEMA_VERSION,
             "sample_index": start + k,
             "seed": seed,
@@ -293,17 +331,35 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
             "target_metric": hs[k].tolist(),
             "dphi": dps[k].tolist(),
         }
-        for group in FIXTURE_GROUPS:
-            if group[0][0] not in failed:
-                continue
-            for i in range(failed[group[0][0]].shape[1]):
-                made = None  # (record function, its fields) at this (k, i)
-                for kind, record in group:
-                    if not failed[kind][k, i]:
-                        continue
-                    if len(fixtures) >= max_fixtures:
-                        return out
-                    if made is None or made[0] is not record:
-                        made = record, record(st, k, i)
-                    fixtures.append({**block, "kind": kind, **made[1]})
+
+    # The DIRECTED checks, one row block at a time: tallies, the witness
+    # margins of counted (non-vacuous) rows, and the block's fixtures.
+    counted = ~st.vacuous[:, None]
+    energy_mins, flux_maxes = [], []
+    room = max_fixtures > 0
+    step = max(1, CONTRACT_BLOCK_ROWS // num_dirs)
+    for lo in range(0, batch, step):
+        rows = slice(lo, lo + step)
+        view = st.rows(rows).along(
+            batch_assemble_directions(frames[rows], raps[rows], normals[rows])
+        )
+        live = counted[rows]
+        block_failed = {}
+        for name in DIRECTED:
+            ok = getattr(view, name).reshape(len(live), -1)
+            passed, bad = (ok & live, ~ok & live) if name.startswith("dec_") else (ok, ~ok)
+            _tally(counts[name], passed, bad)
+            block_failed[name] = bad
+        if live.any():
+            w, keep = view.witness, live[:, 0]
+            energy_mins.append(np.min(_ratio(w.energy, w.energy_scale)[keep]))
+            flux_maxes.append(np.max(_ratio(w.flux.quadratic, w.flux.scale)[keep]))
+        if room:
+            block_failed.update((name, bad[rows]) for name, bad in failed.items())
+            room = _record_failures(
+                fixtures, max_fixtures, block_failed, st, view, lo, sample
+            )
+    if energy_mins:
+        margins["min_energy_margin"] = float(np.min(energy_mins))
+        margins["max_flux_quadratic_margin"] = float(np.max(flux_maxes))
     return out

@@ -431,6 +431,35 @@ class TestCanonicalValues:
         again = run_campaign(CampaignConfig.from_dict(echo)).to_dict()
         assert report_bytes(again) == report_bytes(first)
 
+    def test_equal_configs_hash_equal(self):
+        configs = [_integral_config(number) for number in (int, float, np.float64)]
+        configs.append(_integral_config_file())
+        assert len({hash(config) for config in configs}) == 1
+        keyed = {configs[0]: "first"}
+        for config in configs:
+            keyed[config] = "last"
+        assert keyed == {configs[0]: "last"} and len(set(configs)) == 1
+        # 0.0 == -0.0, so the hash may not see the sign of a zero either.
+        zeros = [_violating_config(lagrangian_parameters={"coefficients": [1, -5, z]})
+                 for z in (0.0, -0.0)]
+        assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
+        other = dataclasses.replace(configs[0], seed=5)
+        assert other != configs[0] and other not in keyed
+
+    def test_editing_to_dict_leaves_the_config(self):
+        config = _violating_config(
+            lagrangian_parameters={"coefficients": [1, -5, 0], "flags": {
+                "defocusing": True, "zeroed": True, "nondegenerate": True}},
+        )
+        before, digest = config.to_dict(), hash(config)
+        echo = config.to_dict()
+        echo["lagrangian"]["parameters"]["coefficients"][0] = "oops"
+        echo["lagrangian"]["parameters"]["flags"]["zeroed"] = False
+        echo["lagrangian"]["parameters"]["extra"] = 1.0
+        assert config.lagrangian_parameters["coefficients"] == [1.0, -5.0, 0.0]
+        assert config.to_dict() == before and hash(config) == digest
+        assert run_campaign(config).to_dict()["config"] == before
+
     def test_names_and_mode_stored_as_str(self):
         class Text(str):
             pass

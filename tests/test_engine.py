@@ -6,6 +6,7 @@ exactly and the same extremal margins up to roundoff reordering.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from straindec import (
     stress_scale_general,
     wedge_decomposition,
 )
-from straindec import engine
-from straindec.campaign import dump_json
+from straindec import CampaignConfig, engine, run_campaign
+from straindec.campaign import dump_json, report_bytes
 from straindec.engine import (
     CHECK_NAMES,
     MAX_DOMAIN_TRIES,
@@ -42,8 +43,8 @@ from straindec.engine import (
     fold_chunk_results,
     run_chunk,
 )
-from straindec.dec import batch_dec_witness, batch_flux
-from straindec.lagrangians import _always_inside
+from straindec.dec import CheckStack, batch_dec_witness, batch_flux, corollary_applies
+from straindec.lagrangians import _always_inside, canonical_parameters
 from straindec.multilinear import (
     CONTRACT_MIN_ROWS,
     batch_contract,
@@ -587,3 +588,157 @@ class TestKernelBatchInvariance:
             row = self._kernels(lagr, *(a[k : k + 1] for a in arrays))
             for name, value in full.items():
                 assert np.array_equal(value[k : k + 1], row[name]), (name, k)
+
+
+def _whole_chunk(config, start, stop):
+    """run_chunk's result from one view along every direction of the chunk at once.
+
+    The reference for the row blocks: ``CheckStack(...).along(directions)`` on
+    the whole chunk, tallied, folded and scanned for fixtures in one pass, each
+    record function reading that one view.
+    """
+    m1, n, seed = config["m_plus_1"], config["n"], config["seed"]
+    tol_alg, tol_dec = config["tolerances"]["algebraic"], config["tolerances"]["dec"]
+    name, params = config["lagrangian"]["name"], config["lagrangian"]["parameters"]
+    params = canonical_parameters(name, params)
+    lagr = resolve_lagrangian(name, params, m1)
+    out, batch = empty_chunk_result(), stop - start
+    gs, hs, dps, raps, normals, drawn = draw_chunk_arrays(
+        seed, start, stop, m1, n, config["num_directions_per_sample"],
+        config["entry_range"], config["boost_cap"], config["rank_override"], lagr,
+    )
+    out["sampling"].update(drawn)
+    st = CheckStack(gs, hs, dps, lagr, tol_dec, tol_alg)
+    frames, out["sampling"]["frame_fallbacks"] = st.frames
+    st = st.along(batch_assemble_directions(frames, raps, normals))
+    counted = ~st.vacuous[:, None]
+    failed = {}
+    for check in CHECK_NAMES:
+        if check == "pointwise_corollary" and not corollary_applies(lagr):
+            continue
+        ok = getattr(st, check).reshape(batch, -1)
+        passed, failed[check] = (
+            (ok & counted, ~ok & counted) if check.startswith("dec_") else (ok, ~ok)
+        )
+        if check == "rank_condition":
+            failed[check] &= ~st.vanished
+        count = out["counts"][check]
+        count["total"] += passed.size
+        count["pass"] += int(passed.sum())
+        count["fail"] += int(failed[check].sum())
+        if check.startswith("dec_"):
+            count["vacuous"] += int(st.vacuous.sum()) * passed.shape[1]
+    out["counts"]["rank_condition"]["warning"] += int((~st.rank_condition & st.vanished).sum())
+    margins, w, rows = out["margins"], st.witness, counted[:, 0]
+    if rows.any():
+        margins["min_energy_margin"] = float(
+            np.min(engine._ratio(w.energy, w.energy_scale)[rows])
+        )
+        margins["max_flux_quadratic_margin"] = float(
+            np.max(engine._ratio(w.flux.quadratic, w.flux.scale)[rows])
+        )
+    margins["min_hyperplane_margin"] = float(np.min(st.hyperplane_margin))
+    margins["max_invariant_route_residual"] = float(np.max(st.route_residual))
+    margins["max_wedge_identity_residual"] = float(np.max(st.wedge[0]))
+    margins["max_cauchy_schwarz_excess"] = float(np.max(st.wedge[1]))
+    fixtures = out["fixtures"]
+    shared = {
+        "lagrangian": {"name": name, "parameters": params},
+        "tolerances": {"algebraic": tol_alg, "dec": tol_dec},
+    }
+    flagged = np.any([mask.any(axis=1) for mask in failed.values()], axis=0)
+    for k in np.flatnonzero(flagged).tolist():
+        sample = {
+            "schema_version": engine.SCHEMA_VERSION, "sample_index": start + k,
+            "seed": seed, "m_plus_1": m1, "n": n, **shared, "metric": gs[k].tolist(),
+            "target_metric": hs[k].tolist(), "dphi": dps[k].tolist(),
+        }
+        for group in engine.FIXTURE_GROUPS:
+            if group[0][0] not in failed:
+                continue
+            for i in range(failed[group[0][0]].shape[1]):
+                for kind, record in group:
+                    if failed[kind][k, i]:
+                        if len(fixtures) >= config["max_fixtures"]:
+                            return out
+                        fixtures.append({**sample, "kind": kind, **record(st, k, i)})
+    return out
+
+
+def _assert_blocks_equal_whole(config, start, stop):
+    got, want = run_chunk(config, start, stop), _whole_chunk(config, start, stop)
+    assert got["counts"] == want["counts"]
+    assert got["sampling"] == want["sampling"]
+    assert dump_json(got["margins"]) == dump_json(want["margins"])
+    assert dump_json(got["fixtures"]) == dump_json(want["fixtures"])
+    return got
+
+
+class TestRowBlocks:
+    """run_chunk's direction checks, one row block at a time, equal the whole chunk's."""
+
+    SMALL_DIRECTIONS = {"name": "linear_combination",
+                        "parameters": {"coefficients": [1.0, -0.02, 0.0]}}
+
+    def test_uneven_blocks_with_a_remainder(self):
+        # 16,384 // 300 = 54 samples a block: nine full blocks and one of 26.
+        config = _config(num_directions_per_sample=300, lagrangian=self.SMALL_DIRECTIONS,
+                         max_fixtures=10**6)
+        assert 512 % (engine.CONTRACT_BLOCK_ROWS // 300) == 26
+        got = _assert_blocks_equal_whole(config, 100, 612)
+        indices = [fx["sample_index"] for fx in got["fixtures"]]
+        assert indices[0] < 154 and indices[-1] >= 100 + 9 * 54
+
+    def test_violation_search_fixtures_span_blocks(self):
+        # The violation_search_blocks golden chunk: 2,000 fixtures from
+        # samples 8 to 128, about nine 16-sample blocks.
+        config = _config(num_directions_per_sample=1024, lagrangian=self.SMALL_DIRECTIONS,
+                         max_fixtures=2000, seed=7)
+        got = _assert_blocks_equal_whole(config, 0, 512)
+        assert len(got["fixtures"]) == 2000
+        assert got["fixtures"][-1]["sample_index"] // 16 >= 8
+
+    def test_cap_inside_a_later_block(self):
+        config = _config(num_directions_per_sample=300, lagrangian=self.SMALL_DIRECTIONS,
+                         max_fixtures=10**6)
+        full = run_chunk(config, 0, 512)["fixtures"]
+        cap = sum(fx["sample_index"] < 3 * 54 for fx in full) + 1
+        capped = _assert_blocks_equal_whole(dict(config, max_fixtures=cap), 0, 512)
+        assert dump_json(capped["fixtures"]) == dump_json(full[:cap])
+        assert capped["fixtures"][-1]["sample_index"] >= 3 * 54
+        assert capped["counts"] == run_chunk(config, 0, 512)["counts"]
+
+    def test_every_sample_vacuous(self):
+        config = _config(num_directions_per_sample=300, rank_override=0)
+        got = _assert_blocks_equal_whole(config, 0, 512)
+        assert got["counts"]["dec_energy"]["vacuous"] == 512 * 300
+        assert got["margins"]["min_energy_margin"] is None
+
+    @pytest.mark.parametrize("config", TestFixtureScan.CONFIGS)
+    def test_small_blocks_interleave_every_kind(self, config, monkeypatch):
+        # Blocks of 3 samples, so failures of the chunk-wide checks and the
+        # directed ones interleave across block boundaries.
+        monkeypatch.setattr(engine, "CONTRACT_BLOCK_ROWS", 3 * 4)
+        _assert_blocks_equal_whole(dict(config, max_fixtures=10**6), 5, 65)
+        _assert_blocks_equal_whole(dict(config, max_fixtures=40), 5, 65)
+
+    def test_jobs_do_not_change_the_report(self):
+        config = CampaignConfig(
+            m_plus_1=3, n=3, lagrangian_name="linear_combination",
+            lagrangian_parameters={"coefficients": [1.0, -0.02, 0.0]},
+            num_samples=1024, num_directions_per_sample=1024, seed=11,
+            mode="violation_search", max_fixtures=2500,
+        )
+        serial = report_bytes(run_campaign(config, jobs=1).to_dict())
+        assert serial == report_bytes(run_campaign(config, jobs=2).to_dict())
+
+    def test_chunk_memory_is_bounded(self):
+        # Every (512, 1024, 4) direction stack held at once traced 131 MB.
+        config = _config(m_plus_1=4, n=4, num_directions_per_sample=1024)
+        tracemalloc.start()
+        try:
+            run_chunk(config, 0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6

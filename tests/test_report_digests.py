@@ -1,6 +1,6 @@
 """Golden report digests: the canonical report bytes of fixed campaigns.
 
-``scripts/report_digests.py`` prints the sha256 of the report bytes of ten
+``scripts/report_digests.py`` prints the sha256 of the report bytes of eleven
 campaigns and four single chunks.  Twelve of the lines have been identical since
 the batched chunk draw.  ``violation_search_cap_crosses_chunks`` was added
 later; its digest was taken before the serial campaign started capping each
@@ -12,8 +12,11 @@ directions were assembled one component row at a time.  ``replay_verdicts``
 digests the full verdict of each of those replays (both statuses, every
 witness float as ``float.hex``, the causal classes, the tensor norm and
 scale); it was taken before replay reused a view across fixtures and before
-``DECWitness`` copied its arrays.  A change that alters any report or replay
-byte fails here.
+``DECWitness`` copied its arrays.  ``violation_search_blocks``
+(linear_combination [1, -0.02, 0] at 3x3, 1,024 directions, 512 samples,
+2,000 fixtures from samples 8 to 128) was taken before ``engine.run_chunk``
+ran the direction checks in row blocks; its fixtures span about nine blocks.
+A change that alters any report or replay byte fails here.
 """
 
 import os
@@ -34,6 +37,7 @@ bad43a0eab7af8333d1fc324e6bd51df4caf1009fff861b5ea862bc543276580  violation_sear
 7ef1a5d28ace8f14e4239aa59cf0a5263806bd86088d1e3cc702eddac90e430f  m_plus_1_is_1
 0a531fe1f21322016d4cb0376cb4d5e5e205b16e0aed290d8d34bd7126e95331  violation_search_cap_crosses_chunks
 573b8a228fb0296d772b5a09f018de2bb8fb1b4f652e11f0478ea965b2d04ea0  dense_directions_4x4
+8f59957da10495d34b0f11df429c75598338b384f39b0239bcf5e99665b4d1a1  violation_search_blocks
 751d04cf79e804d40e2167592b5e0af9351453ce44d68ec526e3dd29f5eef851  chunk_negative_tolerances
 93953d1a0a786e35070be0ef6a099971d251c391f88c23589a2f239a8256d841  chunk_huge_dec_tolerance
 fff8601be4fe57fb9bfd228e4080b8088c216302c6d2b183f9bb5c774b1381d5  chunk_zero_algebraic_tolerance
