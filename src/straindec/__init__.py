@@ -21,14 +21,7 @@ from .multilinear import (
     LorentzianMetric,
     OrthonormalFrame,
     RiemannianMetric,
-    WedgeBasis,
     canonical_frame,
-    causal_classify,
-    exterior_power,
-    induced_metric_on_wedge,
-    orthonormalize,
-    principal_minor_sum,
-    wedge_basis,
 )
 from .strain import (
     InvariantVector,
@@ -41,7 +34,6 @@ from .strain import (
     invariants_wedge,
     rank_of_map,
     strain,
-    strain_invariants,
 )
 from .lagrangians import (
     AuditCheck,
@@ -50,7 +42,6 @@ from .lagrangians import (
     LagrangianSpec,
     born_infeld,
     box_rejection_sampler,
-    evaluate_lagrangian,
     linear_combination,
     minimal_surface,
     resolve_lagrangian,
@@ -60,25 +51,16 @@ from .lagrangians import (
 )
 from .stress import (
     StressEnergy,
-    WedgeDecomposition,
     stress_elementary,
     stress_general,
-    stress_scale,
     stress_scale_general,
     stress_variational,
-    wedge_decomposition,
 )
 from .dec import (
     CheckStatus,
-    ConvexityCombinationCheck,
     DECVerdict,
     DECWitness,
-    PointwiseCorollaryCheck,
-    RankConditionCheck,
-    check_convexity_lemma,
     check_dec,
-    check_pointwise_corollary,
-    check_rank_condition,
     dec_witness,
 )
 from .sampling import (
@@ -106,7 +88,6 @@ __all__ = [
     "CheckStatus",
     "ConditioningError",
     "ConfigError",
-    "ConvexityCombinationCheck",
     "DECVerdict",
     "DECWitness",
     "DomainError",
@@ -117,30 +98,19 @@ __all__ = [
     "LorentzianMetric",
     "OrthonormalFrame",
     "PointGeometry",
-    "PointwiseCorollaryCheck",
-    "RankConditionCheck",
     "RiemannianMetric",
     "SamplerStarvationError",
     "StepError",
     "StrainDecError",
     "StrainTensor",
     "StressEnergy",
-    "WedgeBasis",
-    "WedgeDecomposition",
     "born_infeld",
     "box_rejection_sampler",
     "canonical_frame",
-    "causal_classify",
     "charpoly_coefficients",
-    "check_convexity_lemma",
     "check_dec",
-    "check_pointwise_corollary",
-    "check_rank_condition",
     "dec_witness",
     "derive_rng",
-    "evaluate_lagrangian",
-    "exterior_power",
-    "induced_metric_on_wedge",
     "invariants_charpoly",
     "invariants_newton",
     "invariants_wedge",
@@ -148,9 +118,7 @@ __all__ = [
     "load_config",
     "load_geometry",
     "minimal_surface",
-    "orthonormalize",
     "power_sums",
-    "principal_minor_sum",
     "rank_of_map",
     "replay_fixture",
     "report_bytes",
@@ -160,14 +128,10 @@ __all__ = [
     "sample_timelike_directions",
     "skyrme",
     "strain",
-    "strain_invariants",
     "stress_elementary",
     "stress_general",
-    "stress_scale",
     "stress_scale_general",
     "stress_variational",
     "verify_flags",
     "wave_map",
-    "wedge_basis",
-    "wedge_decomposition",
 ]

@@ -1,4 +1,4 @@
-"""Dominant-energy-condition checks and the supporting pointwise predicates.
+"""Dominant-energy-condition checks on stacks of geometries.
 
 The central claim under test: for a defocusing, zeroed Lagrangian the
 stress-energy tensor T satisfies, at every point and for every timelike X,
@@ -15,7 +15,7 @@ geometries with the batched kernels (``batch_dec_witness``, ``batch_flux``
 and those of strain and stress); its view ``CheckStack.along(directions)``
 adds the checks that read timelike directions.  The campaign engine runs the
 stack on whole chunks and its views on row blocks (``CheckStack.rows``);
-fixture replay and the single-point functions here run it on a batch of one.
+fixture replay, ``check_dec`` and ``dec_witness`` run it on a batch of one.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .stress import (
     batch_elementary_scales,
     batch_elementary_tensors,
     batch_wedge_checks,
-    check_degree,
     check_dimensions,
     lagrangian_terms,
     require_domain,
@@ -312,11 +311,10 @@ class CheckStack:
         _, fval, dot = self.terms
         return (fval - dot) / np.maximum(1.0, np.maximum(np.abs(fval), np.abs(dot)))
 
-    # (T numerically zero, dphi below ``dphi_floor``); the first must imply the
+    # (T numerically zero, dphi below ZERO_FLOOR); the first must imply the
     # second.
-    dphi_floor = ZERO_FLOOR
     corollary = cached_property(lambda st: (
-        st.tensor_norm <= st.tol * st.scale, frobenius(st.dphi) <= st.dphi_floor
+        st.tensor_norm <= st.tol * st.scale, frobenius(st.dphi) <= ZERO_FLOOR
     ))
     pointwise_corollary = cached_property(lambda st: ~st.corollary[0] | st.corollary[1])
 
@@ -433,109 +431,6 @@ def check_dec(
     return dec_verdict(stack.along(xs[None]), lagr.name)
 
 
-@dataclass(frozen=True)
-class RankConditionCheck:
-    """Whether T_degree vanishes exactly when the degree exceeds the map rank."""
-
-    degree: int
-    rank: int
-    stress_norm: float
-    scale: float
-    vanished: bool
-    expected_vanishing: bool
-    consistent: bool
-    warning: str | None
-
-
-def check_rank_condition(
-    geom: PointGeometry, degree: int, tol: float = DEC_TOL
-) -> RankConditionCheck:
-    """Compare numerical vanishing of T_degree against the rank of dphi.
-
-    Degrees above the rank must give ||T|| <= tol * scale.  At or below the
-    rank a vanishing tensor is merely non-generic, so that case reports
-    consistent = False together with a warning rather than a hard failure.
-    """
-    check_degree(degree, geom.dim)
-    stack = CheckStack.at(geom, tol=tol)
-    rank = int(stack.rank[0])
-    vanished = bool(stack.vanished[0, degree - 1])
-    expected = degree > rank
-    warning = None
-    if vanished and not expected:
-        warning = (
-            f"T_{degree} vanished although rank {rank} >= degree; "
-            "sample is likely non-generic"
-        )
-    return RankConditionCheck(
-        degree=degree,
-        rank=rank,
-        stress_norm=float(stack.elementary_norms[0, degree - 1]),
-        scale=float(stack.elementary_scales[0, degree - 1]),
-        vanished=vanished,
-        expected_vanishing=expected,
-        consistent=bool(stack.rank_condition[0, degree - 1]),
-        warning=warning,
-    )
-
-
-@dataclass(frozen=True)
-class ConvexityCombinationCheck:
-    """Componentwise flux causality versus the combined tensor's flux.
-
-    Components are the weighted pieces dF/ds_j T_j X.  The claim: if every
-    component flux is past-causal or zero then so is the combined flux, given
-    a concave Lagrangian with F(0) >= 0 and nonnegative gradient.
-    """
-
-    component_classes: tuple[CausalClass, ...]
-    combined_class: CausalClass
-    premise: bool
-    conclusion: bool
-    holds: bool
-    hyperplane_margin: float
-    hyperplane_ok: bool
-
-
-def check_convexity_lemma(
-    geom: PointGeometry,
-    lagr: LagrangianSpec,
-    direction,
-    tol: float = DEC_TOL,
-) -> ConvexityCombinationCheck:
-    """Check the combination step of the energy-condition proof at one direction.
-
-    ``direction`` must be unit timelike (g(X, X) = -1 to within 1e-8).  Also
-    audits the supporting-hyperplane inequality F(s) >= grad F(s) . s used to
-    control the metric term.
-    """
-    x = require_timelike(geom.metric, direction, unit=True)
-    stack = CheckStack.at(geom, lagr, tol).along(x[None, None])
-    return ConvexityCombinationCheck(
-        component_classes=tuple(
-            stack.components.causal_class(0, j) for j in range(geom.dim)
-        ),
-        combined_class=stack.witness.flux.causal_class(0, 0),
-        premise=bool(stack.premise[0]),
-        conclusion=bool(stack.conclusion[0]),
-        holds=bool(stack.convexity_lemma[0]),
-        hyperplane_margin=float(stack.hyperplane_margin[0]),
-        hyperplane_ok=bool(stack.supporting_hyperplane[0]),
-    )
-
-
-@dataclass(frozen=True)
-class PointwiseCorollaryCheck:
-    """Numerical form of: T = 0 forces dphi = 0 for suitable Lagrangians."""
-
-    dphi_norm: float
-    tensor_norm: float
-    scale: float
-    tensor_zero: bool
-    dphi_small: bool
-    holds: bool
-
-
 def corollary_applies(lagr: LagrangianSpec) -> bool:
     """The pointwise corollary holds only for defocusing, zeroed, nondegenerate F."""
     flags = lagr.flags
@@ -547,28 +442,3 @@ def require_corollary_flags(lagr: LagrangianSpec) -> None:
         raise ValueError(
             "pointwise corollary needs a defocusing, zeroed, nondegenerate Lagrangian"
         )
-
-
-def check_pointwise_corollary(
-    geom: PointGeometry,
-    lagr: LagrangianSpec,
-    tol: float = DEC_TOL,
-    dphi_floor: float = ZERO_FLOOR,
-) -> PointwiseCorollaryCheck:
-    """Verify that a numerically vanishing tensor only occurs for tiny dphi.
-
-    Requires a Lagrangian declared defocusing, zeroed, and nondegenerate; the
-    implication is false without those flags.
-    """
-    require_corollary_flags(lagr)
-    stack = CheckStack.at(geom, lagr, tol)
-    stack.dphi_floor = dphi_floor
-    tensor_zero, dphi_small = (bool(m[0]) for m in stack.corollary)
-    return PointwiseCorollaryCheck(
-        dphi_norm=float(np.linalg.norm(geom.dphi)),
-        tensor_norm=float(stack.tensor_norm[0]),
-        scale=float(stack.scale[0]),
-        tensor_zero=tensor_zero,
-        dphi_small=dphi_small,
-        holds=bool(stack.pointwise_corollary[0]),
-    )

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SamplerStarvationError
+from .errors import ConfigError, SamplerStarvationError
 
 # |F(0)| above this absolute floor refutes the zeroed flag.
 ZEROED_ATOL = 1e-12
@@ -69,18 +69,6 @@ class LagrangianSpec:
     flags: LagrangianFlags
     parameters: dict = field(default_factory=dict)
     min_rank: int = 0
-
-
-def evaluate_lagrangian(spec: LagrangianSpec, invariants) -> float:
-    """Evaluate the Lagrangian on an invariant vector, enforcing the domain."""
-    v = np.asarray(getattr(invariants, "s", invariants), dtype=float)
-    if v.shape != (spec.dim,):
-        raise ValueError(f"invariant vector has shape {v.shape}, expected ({spec.dim},)")
-    if not bool(spec.domain_predicate(v)):
-        raise DomainError(
-            f"invariant vector lies outside the domain of {spec.name}", vector=v
-        )
-    return float(spec.evaluate(v))
 
 
 def _always_inside(v) -> np.ndarray:

@@ -1,18 +1,17 @@
-"""Indefinite metrics, orthonormal frames, causal classification, exterior powers.
+"""Indefinite metrics, orthonormal frames, causal classes, principal minors.
 
-Everything here works on small dense matrices (dimension of order ten or less),
-so compound matrices are materialized explicitly.  Conventions used throughout
-the package:
+Everything here works on small dense matrices (dimension of order ten or
+less).  Conventions used throughout the package:
 
 * Lorentzian signature is (-, +, ..., +) and frame index 0 is the timelike leg.
 * Every frame comes from one batched, metric-aware Gram-Schmidt sweep,
-  ``_gram_schmidt``, and one orthonormality test, ``_frame_errors``; the
-  single-frame API runs them on a batch of one.
-* The degree-j exterior power of a matrix is the compound matrix whose (I, J)
-  entry is the j-by-j minor with rows I and columns J, with strictly increasing
-  multi-indices enumerated in lexicographic order.  No factorial normalization
-  is applied, so the trace of the degree-j compound equals the j-th elementary
-  symmetric polynomial of the eigenvalues on the nose.
+  ``_gram_schmidt``, and one orthonormality test, ``_frame_errors``;
+  ``canonical_frame`` runs them on a batch of one.
+* ``principal_minor_sums`` adds the minors det a[I, I] over strictly
+  increasing index subsets I, which ``_multi_indices`` enumerates in
+  lexicographic order.  Over every j-subset that sum is the trace of the
+  degree-j compound matrix, the j-th elementary symmetric polynomial of the
+  eigenvalues, with no factorial normalization.
 * ``batch_contract`` is the one contraction of (B, k, l) matrices with
   (B, K, l) vector stacks, out[b, d, k] = sum_l m[b, k, l] x[b, d, l].  It
   returns the bits of ``np.einsum("bkl,bdl->bdk", m, x)``, which sums each
@@ -44,8 +43,6 @@ FRAME_ATOL = 1e-10
 ZERO_FLOOR = 1e-12
 # Metrics with symmetric condition number above this are rejected outright.
 DEFAULT_CONDITION_BOUND = 1e8
-# Default relative tolerance for borderline causal classification.
-CAUSAL_TOL = 1e-9
 # batch_contract sends stacks of fewer rows (B * K) to np.einsum, which costs
 # less per call there (measured crossover 512-1,024 rows).
 CONTRACT_MIN_ROWS = 1024
@@ -147,54 +144,11 @@ class OrthonormalFrame:
     def vector(self, a: int) -> np.ndarray:
         return self.basis[:, a]
 
-    def validate(self, metric: LorentzianMetric) -> None:
-        """Check g(e_a, e_b) = diag(-1, 1, ..., 1) entrywise to within FRAME_ATOL."""
-        err = _frame_errors(self.basis[None], metric.entries[None])[0]
-        if not err <= FRAME_ATOL:
-            raise ValueError(f"frame fails orthonormality by {err:.3e} > {FRAME_ATOL:.1e}")
 
 
 @lru_cache(maxsize=None)
 def _multi_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(dim), degree))
-
-
-@dataclass(frozen=True)
-class WedgeBasis:
-    """Strictly increasing index subsets of one degree, in lexicographic order."""
-
-    dim: int
-    degree: int
-    multi_indices: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.multi_indices)
-
-
-def wedge_basis(dim: int, degree: int) -> WedgeBasis:
-    if not 0 <= degree <= dim:
-        raise ValueError(f"wedge degree {degree} out of range for dimension {dim}")
-    return WedgeBasis(dim=dim, degree=degree, multi_indices=_multi_indices(dim, degree))
-
-
-def exterior_power(a, degree: int) -> np.ndarray:
-    """Degree-j compound matrix of ``a``: entry (I, J) is the minor det a[I, J].
-
-    Rows and columns run over the lexicographic j-subsets of {0, .., dim-1}.
-    Degree 1 returns ``a`` itself and degree ``dim`` the 1x1 matrix [det a].
-    """
-    a = _as_square(a, "matrix")
-    dim = a.shape[0]
-    if not 1 <= degree <= dim:
-        raise ValueError(f"compound degree must lie in [1, {dim}], got {degree}")
-    if degree == 1:
-        return a.copy()
-    idx = np.array(_multi_indices(dim, degree))
-    # Stack all (I, J) submatrices into one (C, C, j, j) block and batch the dets.
-    rows = idx[:, None, :, None]
-    cols = idx[None, :, None, :]
-    return np.linalg.det(a[rows, cols])
 
 
 def principal_minor_sums(a: np.ndarray, subsets) -> np.ndarray:
@@ -207,12 +161,6 @@ def principal_minor_sums(a: np.ndarray, subsets) -> np.ndarray:
         idx = np.array(subset, dtype=int)
         total += np.linalg.det(a[:, idx[:, None], idx[None, :]])
     return total
-
-
-def principal_minor_sum(a, degree: int) -> float:
-    """Sum of all principal j-by-j minors of ``a`` (the compound trace)."""
-    a = _as_square(a, "matrix")
-    return float(principal_minor_sums(a[None], _multi_indices(a.shape[0], degree))[0])
 
 
 def frobenius(a: np.ndarray) -> np.ndarray:
@@ -315,18 +263,6 @@ def lane_sum(left, right, out, work) -> np.ndarray:
         return np.add(work[0], 0.0, out=out)
 
 
-def induced_metric_on_wedge(q, degree: int) -> np.ndarray:
-    """Gram matrix induced on degree-j wedges by a symmetric bilinear form.
-
-    For q symmetric the compound is symmetric too; the result is symmetrized to
-    kill roundoff drift.  Positive semidefinite q induces a positive
-    semidefinite wedge Gram matrix.
-    """
-    q = _check_symmetric(_as_square(q, "bilinear form"), "bilinear form")
-    out = exterior_power(q, degree)
-    return 0.5 * (out + out.T)
-
-
 def _frame_errors(frames: np.ndarray, g: np.ndarray) -> np.ndarray:
     """max |g(e_a, e_b) - eta_ab| per frame of a (B, dim, dim) stack, NaN if not finite.
 
@@ -374,25 +310,6 @@ def _gram_schmidt(g: np.ndarray, seeds: np.ndarray) -> np.ndarray:
             vg = np.einsum("bi,bij,bj->b", v, g, v)
             frames[:, :, k] = v / np.sqrt(vg)[:, None]
     return frames
-
-
-def orthonormalize(metric: LorentzianMetric, seed_timelike) -> OrthonormalFrame:
-    """Extend a timelike seed to a metric-orthonormal frame.
-
-    ``_gram_schmidt`` on a batch of one; a frame that misses orthonormality by
-    more than FRAME_ATOL raises ConditioningError.
-    """
-    g = metric.entries
-    seed = np.asarray(seed_timelike, dtype=float)
-    if seed.shape != (metric.dim,):
-        raise ValueError(f"seed vector has shape {seed.shape}, expected ({metric.dim},)")
-    if float(seed @ g @ seed) >= 0.0:
-        raise ValueError("seed vector is not timelike for this metric")
-    frames = _gram_schmidt(g[None], seed[None])
-    err = _frame_errors(frames, g[None])[0]
-    if not err <= FRAME_ATOL:
-        raise ConditioningError(f"frame misses orthonormality by {err:.3e}")
-    return OrthonormalFrame(frames[0])
 
 
 def canonical_frames(g: np.ndarray) -> tuple[np.ndarray, int]:
@@ -453,30 +370,6 @@ class CausalClass(str, Enum):
             CausalClass.PAST_TIMELIKE,
             CausalClass.PAST_NULL,
         )
-
-
-def causal_classify(metric: LorentzianMetric, reference_timelike, vector) -> CausalClass:
-    """Classify ``vector`` as timelike/null/spacelike/zero with a time orientation.
-
-    ``reference_timelike`` fixes the future direction: vectors with
-    g(reference, vector) > 0 point to the past (signature (-, +, ..., +) makes
-    the g-product of two future-pointing causal vectors negative).  The null
-    band is |g(v, v)| <= CAUSAL_TOL * ||g||_F * ||v||_2^2, so the verdict is
-    invariant under positive rescaling of either argument; Euclidean norms
-    below ZERO_FLOOR classify as zero outright.
-    """
-    g = metric.entries
-    x = np.asarray(reference_timelike, dtype=float)
-    y = np.asarray(vector, dtype=float)
-    if float(x @ g @ x) >= 0.0:
-        raise ValueError("reference vector is not timelike")
-    ynorm2 = float(y @ y)
-    return causal_class(
-        bool(np.sqrt(ynorm2) <= ZERO_FLOOR),
-        float(y @ g @ y),
-        CAUSAL_TOL * (float(np.linalg.norm(g)) * ynorm2),
-        float(x @ g @ y) > 0.0,
-    )
 
 
 def causal_class(zero: bool, quadratic: float, band: float, past: bool) -> CausalClass:

@@ -240,13 +240,3 @@ def invariants_newton(d) -> InvariantVector:
 def invariants_wedge(d) -> InvariantVector:
     """Invariant vector by compound-matrix traces (sums of principal minors)."""
     return _invariant_vector(d, batch_invariants_wedge)
-
-
-def strain_invariants(geom: PointGeometry) -> InvariantVector:
-    """Invariant vector of a geometry's strain, with rank taken from dphi."""
-    _, _, d, s = geom.stack
-    return InvariantVector(
-        s=s[0].copy(),
-        power_sums=batch_power_sums(d)[0],
-        rank_estimate=rank_of_map(geom.dphi),
-    )

@@ -14,12 +14,12 @@ functions call them on a batch of one.
   the inverse metric by central differences.  It shares no algebra with the
   closed forms, which is what makes it an oracle for them.
 
-``stress_scale`` and ``stress_scale_general`` give a-priori magnitude scales
-of those tensors for relative vanishing tests.  ``wedge_decomposition``
-splits frame components of T_j into sums of Gram minors of the pulled-back
-metric, the combinatorial form used to reason about energy positivity, and
-``batch_wedge_checks`` measures that split and the Cauchy-Schwarz chain
-against the closed form.
+``batch_elementary_scales`` and ``stress_scale_general`` give a-priori
+magnitude scales of those tensors for relative vanishing tests.
+``batch_wedge_split`` splits the energy T_j(e_0, e_0) into sums of Gram
+minors of the pulled-back metric, the combinatorial form used to reason
+about energy positivity, and ``batch_wedge_checks`` measures that split and
+the Cauchy-Schwarz chain against the closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DomainError, StepError
 from .lagrangians import LagrangianSpec
 from .multilinear import (
-    OrthonormalFrame,
     congruence,
     frobenius,
     principal_minor_sums,
@@ -239,12 +238,6 @@ def stress_variational(
     ) from last
 
 
-def stress_scale(geom: PointGeometry, degree: int) -> float:
-    """A-priori magnitude scale of T_degree (``batch_elementary_scales``)."""
-    check_degree(degree, geom.dim)
-    return float(batch_elementary_scales(*geom.stack)[0, degree - 1])
-
-
 def stress_scale_general(geom: PointGeometry, lagr: LagrangianSpec) -> float:
     """A-priori magnitude scale of the combination-formula tensor.
 
@@ -295,63 +288,3 @@ def batch_wedge_checks(pull, frames, tensors):
             1.0, t00[:, j] ** 2
         )
     return residual, excess
-
-
-@dataclass(frozen=True, eq=False)
-class WedgeDecomposition:
-    """Frame components of an elementary stress tensor as Gram-minor sums.
-
-    All minors are taken in the pulled-back metric expressed in an orthonormal
-    frame.  ``perp_sum`` runs over degree-j wedges containing the timelike
-    leg, ``parallel_sum`` over purely spacelike wedges, and row i-1 of
-    ``mixed_terms`` holds the minors pairing (e_0 ^ eta) with (e_i ^ eta) over
-    spacelike (j-1)-subsets eta in lexicographic order.
-    """
-
-    degree: int
-    perp_sum: float
-    parallel_sum: float
-    mixed_terms: np.ndarray
-
-    @property
-    def energy(self) -> float:
-        """T_j(e_0, e_0) reconstructed from the split."""
-        return 0.5 * (self.perp_sum + self.parallel_sum)
-
-    @property
-    def momentum(self) -> np.ndarray:
-        """T_j(e_0, e_i) for each spacelike leg, from the mixed minors."""
-        return self.mixed_terms.sum(axis=1)
-
-
-def wedge_decomposition(
-    geom: PointGeometry, degree: int, frame: OrthonormalFrame
-) -> WedgeDecomposition:
-    """Split frame components of T_degree into Gram minors of the pullback.
-
-    The frame must be orthonormal for the geometry's metric; the identities
-    T_j(e_0, e_0) = (perp_sum + parallel_sum) / 2 and
-    T_j(e_0, e_i) = sum of mixed minors then hold up to roundoff.
-    """
-    dim = geom.dim
-    check_degree(degree, dim)
-    frame.validate(geom.metric)
-    pf = congruence(frame.basis[None], geom.pullback()[None])
-    perp, par = batch_wedge_split(pf, degree)
-    pf = pf[0]
-    spatial = range(1, dim)
-    etas = list(itertools.combinations(spatial, degree - 1))
-    mixed = np.zeros((dim - 1, len(etas)))
-    for i in spatial:
-        for k, eta in enumerate(etas):
-            rows = (0,) + eta
-            cols = (i,) + eta
-            # A repeated column index makes the minor vanish identically,
-            # matching the vanishing of e_i ^ eta.
-            mixed[i - 1, k] = float(np.linalg.det(pf[np.ix_(rows, cols)]))
-    return WedgeDecomposition(
-        degree=degree,
-        perp_sum=float(perp[0]),
-        parallel_sum=float(par[0]),
-        mixed_terms=mixed,
-    )

@@ -1,6 +1,7 @@
 """Energy-condition witnesses and verdicts: hand examples, vacuous branches,
 invariance under direction rescaling / map rescaling / coordinate changes, and
-the supporting rank, combination, and corollary checks."""
+the supporting rank, combination, and corollary checks, read from the fields
+of ``CheckStack.at`` and its view ``along`` as the engine and replay read them."""
 
 import numpy as np
 import pytest
@@ -13,20 +14,21 @@ from straindec import (
     RiemannianMetric,
     born_infeld,
     canonical_frame,
-    check_convexity_lemma,
     check_dec,
-    check_pointwise_corollary,
-    check_rank_condition,
     dec_witness,
+    invariants_charpoly,
     linear_combination,
     skyrme,
     strain,
-    strain_invariants,
     stress_general,
     wave_map,
-    wedge_decomposition,
 )
-from straindec.dec import batch_dec_witness
+from straindec.dec import (
+    CheckStack,
+    batch_dec_witness,
+    require_corollary_flags,
+    require_timelike,
+)
 from straindec.sampling import sample_geometry
 
 
@@ -217,94 +219,103 @@ class TestCheckDec:
         assert wa.flux_class is wb.flux_class
 
 
+def _rank_masks(geom, tol=1e-9):
+    """(rank, vanished, consistent) per degree, as the engine tallies rank_condition."""
+    stack = CheckStack.at(geom, tol=tol)
+    return int(stack.rank[0]), stack.vanished[0], stack.rank_condition[0]
+
+
 class TestRankCondition:
     def test_zero_map_consistent(self):
-        check = check_rank_condition(_zero_map_geometry(3), 1)
-        assert check.rank == 0
-        assert check.vanished and check.expected_vanishing
-        assert check.consistent and check.warning is None
+        rank, vanished, consistent = _rank_masks(_zero_map_geometry(3))
+        assert rank == 0
+        assert vanished.all() and consistent.all()
 
     def test_constructed_ranks(self, rng):
         for r in (0, 1, 2, 3):
             geom = sample_geometry(4, 3, rank_override=r, rng=rng)
-            for degree in (1, 2, 3, 4):
-                check = check_rank_condition(geom, degree)
-                assert check.rank == r
-                assert check.consistent, (r, degree)
-                assert check.vanished == (degree > r)
+            rank, vanished, consistent = _rank_masks(geom)
+            assert rank == r
+            assert consistent.all(), r
+            np.testing.assert_array_equal(vanished, np.arange(1, 5) > r)
 
     def test_inflated_tolerance_exposes_warning_branch(self, rng):
         # With an absurd tolerance every tensor counts as vanished, so a
-        # degree at or below the rank reports the non-generic warning.
+        # degree at or below the rank is inconsistent but vanished: the
+        # engine counts that as a warning, not a failure.
         geom = sample_geometry(3, 3, rng=rng)
-        check = check_rank_condition(geom, 1, tol=1e9)
-        assert check.vanished and not check.expected_vanishing
-        assert not check.consistent
-        assert "non-generic" in check.warning
+        rank, vanished, consistent = _rank_masks(geom, tol=1e9)
+        assert rank >= 1
+        assert vanished[0] and not consistent[0]
 
 
 class TestConvexityLemma:
-    def _unit_direction(self, geom):
-        from straindec import canonical_frame
+    def _lemma(self, geom, lagr, x):
+        """Batch-of-one view along the unit direction ``x``, as replay builds it."""
+        x = require_timelike(geom.metric, x, unit=True)
+        return CheckStack.at(geom, lagr).along(x[None, None])
 
+    def _unit_direction(self, geom):
         return canonical_frame(geom.metric).vector(0)
 
     def test_wave_map_single_component(self, rng):
         geom = sample_geometry(3, 2, rng=rng)
-        x = self._unit_direction(geom)
-        check = check_convexity_lemma(geom, wave_map(3), x)
-        assert check.component_classes[0] is check.combined_class
-        assert check.holds
+        view = self._lemma(geom, wave_map(3), self._unit_direction(geom))
+        classes = [view.components.causal_class(0, j) for j in range(3)]
+        assert classes[0] is view.witness.flux.causal_class(0, 0)
+        assert view.convexity_lemma[0]
         # Unweighted degrees carry no component: they classify as zero.
-        assert check.component_classes[1] is CausalClass.ZERO
-        assert check.component_classes[2] is CausalClass.ZERO
+        assert classes[1] is CausalClass.ZERO
+        assert classes[2] is CausalClass.ZERO
 
     def test_skyrme_premise_and_conclusion(self, rng):
         for _ in range(10):
             geom = sample_geometry(3, 3, rng=rng)
-            x = self._unit_direction(geom)
-            check = check_convexity_lemma(geom, skyrme(1.0, 1.0, 3), x)
-            assert check.premise and check.conclusion and check.holds
-            assert check.hyperplane_ok
-            assert check.hyperplane_margin == pytest.approx(0.0, abs=1e-12)
+            view = self._lemma(geom, skyrme(1.0, 1.0, 3), self._unit_direction(geom))
+            assert view.premise[0] and view.conclusion[0] and view.convexity_lemma[0]
+            assert view.supporting_hyperplane[0]
+            assert view.hyperplane_margin[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_born_infeld_hyperplane_strictly_positive(self, rng):
         # Concavity through zero forces F(s) >= grad F . s with slack.
         geom = sample_geometry(3, 3, rng=rng)
-        x = self._unit_direction(geom)
-        check = check_convexity_lemma(geom, born_infeld(2.0, 3), x)
-        assert check.hyperplane_ok
-        assert check.hyperplane_margin >= 0.0
+        stack = CheckStack.at(geom, born_infeld(2.0, 3))
+        assert stack.supporting_hyperplane[0]
+        assert stack.hyperplane_margin[0] >= 0.0
 
     def test_rejects_non_unit_direction(self, rng):
         geom = sample_geometry(2, 2, rng=rng)
         with pytest.raises(ValueError, match="unit timelike"):
-            check_convexity_lemma(
-                geom, wave_map(2), 2.0 * self._unit_direction(geom)
-            )
+            self._lemma(geom, wave_map(2), 2.0 * self._unit_direction(geom))
 
     def test_rejects_dimension_mismatch(self, rng):
         geom = sample_geometry(3, 2, rng=rng)
         with pytest.raises(ValueError, match="dimension"):
-            check_convexity_lemma(geom, wave_map(2), self._unit_direction(geom))
+            self._lemma(geom, wave_map(2), self._unit_direction(geom))
 
 
 class TestPointwiseCorollary:
+    def _corollary(self, geom, lagr):
+        """(T zero, dphi small, corollary holds) for sample 0, as the engine tallies them."""
+        require_corollary_flags(lagr)
+        stack = CheckStack.at(geom, lagr)
+        tensor_zero, dphi_small = (bool(m[0]) for m in stack.corollary)
+        return tensor_zero, dphi_small, bool(stack.pointwise_corollary[0])
+
     def test_zero_map_trivially_holds(self):
-        check = check_pointwise_corollary(_zero_map_geometry(), wave_map(2))
-        assert check.tensor_zero and check.dphi_small and check.holds
+        assert self._corollary(_zero_map_geometry(), wave_map(2)) == (True, True, True)
 
     def test_generic_samples_hold(self, rng):
         for _ in range(10):
             geom = sample_geometry(3, 2, rng=rng)
-            check = check_pointwise_corollary(geom, skyrme(1.0, 1.0, 3))
-            assert check.holds
-            assert not check.tensor_zero
+            tensor_zero, _, holds = self._corollary(geom, skyrme(1.0, 1.0, 3))
+            assert holds
+            assert not tensor_zero
 
     def test_requires_all_three_flags(self, rng):
         geom = sample_geometry(2, 2, rng=rng)
         with pytest.raises(ValueError, match="nondegenerate"):
-            check_pointwise_corollary(geom, linear_combination([0.0, 1.0]))
+            self._corollary(geom, linear_combination([0.0, 1.0]))
 
     def test_tiny_map_counts_as_small(self):
         geom = PointGeometry(
@@ -312,17 +323,9 @@ class TestPointwiseCorollary:
             target_metric=RiemannianMetric(np.eye(2)),
             dphi=np.full((2, 2), 1e-14),
         )
-        check = check_pointwise_corollary(geom, wave_map(2))
-        assert check.dphi_small
-        assert check.holds
-
-    def test_dphi_floor_decides_small_and_holds(self):
-        # Below a negative floor not even the zero map is small, so a zero
-        # tensor breaks the implication.
-        check = check_pointwise_corollary(
-            _zero_map_geometry(), wave_map(2), dphi_floor=-1.0
-        )
-        assert check.tensor_zero and not check.dphi_small and not check.holds
+        _, dphi_small, holds = self._corollary(geom, wave_map(2))
+        assert dphi_small
+        assert holds
 
 
 def _geometry_types():
@@ -338,9 +341,8 @@ def _geometry_types():
         "OrthonormalFrame": frame,
         "PointGeometry": geom,
         "StrainTensor": strain(geom),
-        "InvariantVector": strain_invariants(geom),
+        "InvariantVector": invariants_charpoly(strain(geom).matrix),
         "StressEnergy": stress,
-        "WedgeDecomposition": wedge_decomposition(geom, 1, frame),
         "FluxStack": stack.flux,
         "WitnessStack": stack,
         "DECWitness": dec_witness(geom.metric, stress.tensor, frame.vector(0)),
@@ -349,8 +351,8 @@ def _geometry_types():
 
 @pytest.mark.parametrize("name", [
     "LorentzianMetric", "RiemannianMetric", "OrthonormalFrame", "PointGeometry",
-    "StrainTensor", "InvariantVector", "StressEnergy", "WedgeDecomposition",
-    "FluxStack", "WitnessStack", "DECWitness",
+    "StrainTensor", "InvariantVector", "StressEnergy", "FluxStack",
+    "WitnessStack", "DECWitness",
 ])
 def test_geometry_types_compare_without_raising(name):
     # ndarray fields make a generated __eq__ raise; these types compare by identity.

@@ -1,8 +1,11 @@
 """Parity between the batched campaign engine and the scalar check API.
 
-The scalar path below re-derives every chunk aggregate one sample at a time
-using only public functions; the engine must reproduce the same counters
-exactly and the same extremal margins up to roundoff reordering.
+The scalar path below re-derives every chunk aggregate one sample at a time:
+the public single-point functions, the batch-of-one ``CheckStack.at`` for the
+rank, combination-lemma, hyperplane and corollary masks, and
+``batch_wedge_split`` on one frame for the wedge identity.  The engine must
+reproduce the same counters exactly and the same extremal margins up to
+roundoff reordering.
 """
 
 import json
@@ -18,9 +21,6 @@ from straindec import (
     SamplerStarvationError,
     canonical_frame,
     charpoly_coefficients,
-    check_convexity_lemma,
-    check_pointwise_corollary,
-    check_rank_condition,
     dec_witness,
     invariants_charpoly,
     invariants_newton,
@@ -31,7 +31,6 @@ from straindec import (
     stress_elementary,
     stress_general,
     stress_scale_general,
-    wedge_decomposition,
 )
 from straindec import CampaignConfig, engine, run_campaign
 from straindec.campaign import dump_json, report_bytes
@@ -79,6 +78,7 @@ from straindec.stress import (
     batch_elementary_tensors,
     batch_invariant_gradients,
     batch_wedge_checks,
+    batch_wedge_split,
     lagrangian_terms,
 )
 
@@ -175,30 +175,30 @@ def _scalar_reference(config, start, stop):
                 e_margins.append(w.energy_margin)
                 q_margins.append(w.flux_margin)
 
+        x0 = xs[0] / np.sqrt(-float(xs[0] @ g @ xs[0]))
+        lemma = CheckStack.at(geom, lagr, tol_dec).along(x0[None, None])
         for degree in range(1, m1 + 1):
-            rc = check_rank_condition(geom, degree, tol_dec)
             counts["rank_condition"]["total"] += 1
-            if rc.consistent:
+            if lemma.rank_condition[0, degree - 1]:
                 counts["rank_condition"]["pass"] += 1
-            elif rc.vanished:
+            elif lemma.vanished[0, degree - 1]:
                 counts["rank_condition"]["warning"] += 1
             else:
                 counts["rank_condition"]["fail"] += 1
 
-        x0 = xs[0] / np.sqrt(-float(xs[0] @ g @ xs[0]))
-        lemma = check_convexity_lemma(geom, lagr, x0, tol_dec)
         counts["convexity_lemma"]["total"] += 1
-        counts["convexity_lemma"]["pass" if lemma.holds else "fail"] += 1
+        counts["convexity_lemma"]["pass" if lemma.convexity_lemma[0] else "fail"] += 1
         counts["supporting_hyperplane"]["total"] += 1
         counts["supporting_hyperplane"][
-            "pass" if lemma.hyperplane_ok else "fail"
+            "pass" if lemma.supporting_hyperplane[0] else "fail"
         ] += 1
-        h_margins.append(lemma.hyperplane_margin)
+        h_margins.append(float(lemma.hyperplane_margin[0]))
 
         if qualifies:
-            pc = check_pointwise_corollary(geom, lagr, tol_dec)
             counts["pointwise_corollary"]["total"] += 1
-            counts["pointwise_corollary"]["pass" if pc.holds else "fail"] += 1
+            counts["pointwise_corollary"][
+                "pass" if lemma.pointwise_corollary[0] else "fail"
+            ] += 1
 
         d_mat = strain(geom).matrix
         s_a = invariants_charpoly(d_mat).s
@@ -211,16 +211,13 @@ def _scalar_reference(config, start, stop):
         route_resids.append(resid)
 
         e0 = frame.vector(0)
+        pf = congruence(frame.basis[None], geom.pullback()[None])
         for degree in range(1, m1 + 1):
-            decomp = wedge_decomposition(geom, degree, frame)
+            perp, par = (float(v[0]) for v in batch_wedge_split(pf, degree))
             tj = stress_elementary(geom, degree).tensor
             t00 = float(e0 @ tj @ e0)
-            denom = max(
-                1.0,
-                abs(t00),
-                0.5 * (abs(decomp.perp_sum) + abs(decomp.parallel_sum)),
-            )
-            w_resid = abs(t00 - decomp.energy) / denom
+            denom = max(1.0, abs(t00), 0.5 * (abs(perp) + abs(par)))
+            w_resid = abs(t00 - 0.5 * (perp + par)) / denom
             counts["wedge_identity"]["total"] += 1
             counts["wedge_identity"]["pass" if w_resid <= tol_alg else "fail"] += 1
             wedge_resids.append(w_resid)

@@ -10,14 +10,17 @@ from straindec import (
     ConfigError,
     DomainError,
     LagrangianFlags,
+    LorentzianMetric,
+    PointGeometry,
+    RiemannianMetric,
     SamplerStarvationError,
     born_infeld,
     box_rejection_sampler,
-    evaluate_lagrangian,
     linear_combination,
     minimal_surface,
     resolve_lagrangian,
     skyrme,
+    stress_general,
     verify_flags,
     wave_map,
 )
@@ -27,8 +30,8 @@ from straindec.lagrangians import BUILTIN_NAMES
 class TestWaveMap:
     def test_picks_out_first_invariant(self):
         spec = wave_map(3)
-        assert evaluate_lagrangian(spec, np.array([0.0, -1.0, 2.0])) == 0.0
-        assert evaluate_lagrangian(spec, np.array([2.5, -1.0, 2.0])) == 2.5
+        assert spec.evaluate(np.array([0.0, -1.0, 2.0])) == 0.0
+        assert spec.evaluate(np.array([2.5, -1.0, 2.0])) == 2.5
 
     def test_gradient(self):
         np.testing.assert_array_equal(
@@ -44,7 +47,7 @@ class TestSkyrme:
     def test_value_example(self):
         # s = (1, -1, -1) from D = diag(-1, 1, 1): 1 + (-1) = 0.
         spec = skyrme(1.0, 1.0, 3)
-        assert evaluate_lagrangian(spec, np.array([1.0, -1.0, -1.0])) == 0.0
+        assert spec.evaluate(np.array([1.0, -1.0, -1.0])) == 0.0
 
     def test_gradient(self):
         np.testing.assert_array_equal(
@@ -67,20 +70,24 @@ class TestBornInfeld:
     def test_hand_value(self):
         # b = 1, dim 2: F = sqrt(1 + s1 + s2) - 1; v = (3, 0) gives 1.
         spec = born_infeld(1.0, 2)
-        assert evaluate_lagrangian(spec, np.array([3.0, 0.0])) == pytest.approx(1.0)
+        assert spec.evaluate(np.array([3.0, 0.0])) == pytest.approx(1.0)
 
     def test_weights_scale_with_b(self):
         # b = 2, dim 2: F = sqrt(4 + 2 s1 + s2) - 2.
         spec = born_infeld(2.0, 2)
         v = np.array([1.0, 3.0])
-        assert evaluate_lagrangian(spec, v) == pytest.approx(3.0 - 2.0)
+        assert spec.evaluate(v) == pytest.approx(3.0 - 2.0)
 
     def test_domain_error_carries_vector(self):
-        spec = born_infeld(1.0, 2)
-        v = np.array([-5.0, 0.0])
+        # dphi = diag(3, 0) puts s = (-9, 0) outside born_infeld(1)'s domain.
+        geom = PointGeometry(
+            metric=LorentzianMetric(np.diag([-1.0, 1.0])),
+            target_metric=RiemannianMetric(np.eye(2)),
+            dphi=np.diag([3.0, 0.0]),
+        )
         with pytest.raises(DomainError) as info:
-            evaluate_lagrangian(spec, v)
-        np.testing.assert_array_equal(info.value.vector, v)
+            stress_general(geom, born_infeld(1.0, 2))
+        np.testing.assert_array_equal(info.value.vector, [-9.0, 0.0])
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError, match="positive"):
@@ -91,7 +98,7 @@ class TestMinimalSurface:
     def test_value_and_gradient(self):
         spec = minimal_surface(3)
         v = np.array([7.0, 4.0, -2.0])
-        assert evaluate_lagrangian(spec, v) == 2.0
+        assert spec.evaluate(v) == 2.0
         np.testing.assert_allclose(spec.gradient(v), [0.0, 0.25, 0.0])
 
     def test_domain_excludes_negative_branch(self):
@@ -127,10 +134,6 @@ class TestLinearCombination:
         batch = np.array([[1.0, 1.0], [0.0, -1.0]])
         np.testing.assert_array_equal(spec.evaluate(batch), [3.0, -2.0])
         assert spec.gradient(batch).shape == (2, 2)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            evaluate_lagrangian(linear_combination([1.0, 2.0]), np.zeros(3))
 
 
 class TestNonFiniteParameters:

@@ -1,6 +1,8 @@
 """Stress-energy: closed forms against the finite-difference variational
 oracle, combination linearity, a-priori scale bounds, and the Gram-minor
-decomposition of frame components."""
+decomposition of frame components (``batch_wedge_split``)."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -20,15 +22,15 @@ from straindec import (
     strain,
     stress_elementary,
     stress_general,
-    stress_scale,
     stress_scale_general,
     stress_variational,
     wave_map,
-    wedge_decomposition,
 )
+from straindec.dec import CheckStack
 from straindec.lagrangians import LagrangianSpec
+from straindec.multilinear import congruence
 from straindec.sampling import sample_geometry
-from straindec.stress import batch_invariant_gradients
+from straindec.stress import batch_invariant_gradients, batch_wedge_split
 
 
 def _identity_geometry(dim=2):
@@ -253,9 +255,10 @@ class TestScales:
     def test_elementary_scale_bounds_norm(self, rng):
         for _ in range(15):
             geom = sample_geometry(4, 3, rng=rng)
+            scales = CheckStack.at(geom).elementary_scales[0]
             for j in (1, 2, 3, 4):
                 tnorm = float(np.linalg.norm(stress_elementary(geom, j).tensor))
-                assert tnorm <= stress_scale(geom, j) * (1.0 + 1e-12)
+                assert tnorm <= scales[j - 1] * (1.0 + 1e-12)
 
     def test_general_scale_bounds_norm(self, rng):
         spec = skyrme(2.0, 0.5, 3)
@@ -278,6 +281,21 @@ class TestScales:
             stress_fn(geom, wave_map(2))
 
 
+def _frame_pullback(geom, frame):
+    """Frame components e_a^T P e_b of the pullback, as a stack of one."""
+    return congruence(frame.basis[None], geom.pullback()[None])
+
+
+def _mixed_minors(pf, degree, i):
+    """Minors pairing e_0 ^ eta with e_i ^ eta over spacelike (j-1)-subsets eta.
+
+    Their sum is T_j(e_0, e_i), the momentum identity of the proof.  A
+    repeated column index makes a minor vanish, as e_i ^ eta does.
+    """
+    etas = itertools.combinations(range(1, pf.shape[0]), degree - 1)
+    return [np.linalg.det(pf[np.ix_((0,) + eta, (i,) + eta)]) for eta in etas]
+
+
 class TestWedgeDecomposition:
     def test_zero_map_all_zero(self):
         geom = PointGeometry(
@@ -285,68 +303,56 @@ class TestWedgeDecomposition:
             target_metric=RiemannianMetric(np.eye(3)),
             dphi=np.zeros((3, 3)),
         )
-        frame = canonical_frame(geom.metric)
+        pf = _frame_pullback(geom, canonical_frame(geom.metric))
         for j in (1, 2, 3):
-            w = wedge_decomposition(geom, j, frame)
-            assert w.perp_sum == 0.0 and w.parallel_sum == 0.0
-            np.testing.assert_array_equal(w.mixed_terms, 0.0)
+            perp, parallel = batch_wedge_split(pf, j)
+            assert perp[0] == 0.0 and parallel[0] == 0.0
+            for i in (1, 2):
+                np.testing.assert_array_equal(_mixed_minors(pf[0], j, i), 0.0)
 
     def test_degree_one_identity_example(self):
         geom = _identity_geometry()
-        w = wedge_decomposition(geom, 1, canonical_frame(geom.metric))
-        assert w.perp_sum == pytest.approx(1.0)
-        assert w.parallel_sum == pytest.approx(1.0)
-        assert w.energy == pytest.approx(1.0)
+        pf = _frame_pullback(geom, canonical_frame(geom.metric))
+        perp, parallel = batch_wedge_split(pf, 1)
+        assert perp[0] == pytest.approx(1.0)
+        assert parallel[0] == pytest.approx(1.0)
+        assert 0.5 * (perp[0] + parallel[0]) == pytest.approx(1.0)
 
     def test_degree_two_energy_split(self):
         geom = _identity_geometry(3)
-        w = wedge_decomposition(geom, 2, canonical_frame(geom.metric))
+        perp, parallel = batch_wedge_split(
+            _frame_pullback(geom, canonical_frame(geom.metric)), 2
+        )
         t = stress_elementary(geom, 2).tensor
         e0 = np.array([1.0, 0.0, 0.0])
-        assert w.perp_sum + w.parallel_sum == pytest.approx(
+        assert perp[0] + parallel[0] == pytest.approx(
             2.0 * float(e0 @ t @ e0), abs=1e-12
         )
-        assert w.energy == pytest.approx(1.5)
+        assert 0.5 * (perp[0] + parallel[0]) == pytest.approx(1.5)
 
     def test_energy_and_momentum_match_contraction(self, rng):
         for m_plus_1 in (2, 3, 4):
             for _ in range(8):
                 geom = sample_geometry(m_plus_1, 3, rng=rng)
                 frame = canonical_frame(geom.metric)
+                pf = _frame_pullback(geom, frame)
                 for j in range(1, m_plus_1 + 1):
-                    w = wedge_decomposition(geom, j, frame)
+                    perp, parallel = batch_wedge_split(pf, j)
                     t = stress_elementary(geom, j).tensor
                     e0 = frame.vector(0)
                     want_e = float(e0 @ t @ e0)
                     scale = max(1.0, abs(want_e))
-                    assert abs(w.energy - want_e) < 1e-9 * scale
+                    assert abs(0.5 * (perp[0] + parallel[0]) - want_e) < 1e-9 * scale
                     for i in range(1, m_plus_1):
                         want_m = float(e0 @ t @ frame.vector(i))
-                        assert abs(w.momentum[i - 1] - want_m) < 1e-9 * max(
-                            1.0, abs(want_m)
-                        )
+                        got_m = sum(_mixed_minors(pf[0], j, i))
+                        assert abs(got_m - want_m) < 1e-9 * max(1.0, abs(want_m))
 
     def test_cauchy_schwarz_chain(self, rng):
-        # Sum of squared momenta never beats the squared energy.
+        # Sum of squared momenta never beats the squared energy: the excess
+        # (sum_i T_j(e_0, e_i)^2 - T_j(e_0, e_0)^2) / max(1, T_j(e_0, e_0)^2)
+        # the engine's cauchy_schwarz check reads stays below 1e-9.
         for _ in range(20):
             geom = sample_geometry(3, 3, rng=rng)
-            frame = canonical_frame(geom.metric)
-            for j in (1, 2, 3):
-                w = wedge_decomposition(geom, j, frame)
-                lhs = float(np.sum(w.momentum**2))
-                assert lhs <= w.energy**2 + 1e-9 * max(1.0, w.energy**2)
-
-    def test_invalid_frame_rejected(self, rng):
-        geom = sample_geometry(3, 2, rng=rng)
-        from straindec import OrthonormalFrame
-
-        with pytest.raises(ValueError, match="orthonormality"):
-            wedge_decomposition(geom, 1, OrthonormalFrame(np.eye(3) * 3.0))
-
-    def test_degree_bounds(self, rng):
-        geom = sample_geometry(2, 2, rng=rng)
-        frame = canonical_frame(geom.metric)
-        with pytest.raises(ValueError):
-            wedge_decomposition(geom, 0, frame)
-        with pytest.raises(ValueError):
-            wedge_decomposition(geom, 3, frame)
+            excess = CheckStack.at(geom).wedge[1][0]
+            assert np.all(excess <= 1e-9)
