@@ -176,28 +176,28 @@ def _scalar_reference(config, start, stop):
                 q_margins.append(w.flux_margin)
 
         x0 = xs[0] / np.sqrt(-float(xs[0] @ g @ xs[0]))
-        lemma = CheckStack.at(geom, lagr, tol_dec).along(x0[None, None])
+        view = CheckStack.at(geom, lagr, tol_dec).along(x0[None, None])
         for degree in range(1, m1 + 1):
             counts["rank_condition"]["total"] += 1
-            if lemma.rank_condition[0, degree - 1]:
+            if view.rank_condition[0, degree - 1]:
                 counts["rank_condition"]["pass"] += 1
-            elif lemma.vanished[0, degree - 1]:
+            elif view.vanished[0, degree - 1]:
                 counts["rank_condition"]["warning"] += 1
             else:
                 counts["rank_condition"]["fail"] += 1
 
         counts["convexity_lemma"]["total"] += 1
-        counts["convexity_lemma"]["pass" if lemma.convexity_lemma[0] else "fail"] += 1
+        counts["convexity_lemma"]["pass" if view.convexity_lemma[0] else "fail"] += 1
         counts["supporting_hyperplane"]["total"] += 1
         counts["supporting_hyperplane"][
-            "pass" if lemma.supporting_hyperplane[0] else "fail"
+            "pass" if view.supporting_hyperplane[0] else "fail"
         ] += 1
-        h_margins.append(float(lemma.hyperplane_margin[0]))
+        h_margins.append(float(view.hyperplane_margin[0]))
 
         if qualifies:
             counts["pointwise_corollary"]["total"] += 1
             counts["pointwise_corollary"][
-                "pass" if lemma.pointwise_corollary[0] else "fail"
+                "pass" if view.pointwise_corollary[0] else "fail"
             ] += 1
 
         d_mat = strain(geom).matrix
