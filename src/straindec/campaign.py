@@ -15,6 +15,7 @@ import marshal
 import math
 import numbers
 import operator
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -41,7 +42,7 @@ SCHEMA_VERSION = engine.SCHEMA_VERSION
 
 _MODES = ("verify", "violation_search")
 # Largest num_directions_per_sample.  A chunk runs its direction checks one
-# block of multilinear.CONTRACT_BLOCK_ROWS direction rows at a time, so its
+# block of direction rows at a time (the engine's row block), so its
 # largest (CHUNK_SIZE, K, .) arrays are the drawn rapidities and sphere
 # normals; at this cap the (512, 1024, 7) normals of m+1 = 8 are 29 MB.  The
 # committed configs and scripts use at most 256.
@@ -457,10 +458,6 @@ class CampaignReport:
     def warnings_total(self) -> int:
         return sum(c["warning"] for c in self.counts.values())
 
-    @property
-    def counterexamples(self) -> list:
-        return self.fixtures
-
     def to_dict(self) -> dict:
         draws = self.sampling.get("domain_draws", 0)
         accepted = self.sampling.get("domain_accepted", 0)
@@ -491,7 +488,8 @@ def run_campaign(
 ) -> CampaignReport:
     """Run every per-sample check of a campaign and aggregate the results.
 
-    ``jobs`` > 1 fans the chunks out to min(jobs, chunks) processes; chunking and
+    ``jobs`` > 1 fans the chunks out to min(jobs, chunks, CPUs) processes
+    (``os.cpu_count()``), and runs serially when that is 1; chunking and
     fold order never depend on the worker count, so results are identical to a
     serial run.  The serial loop caps each chunk's ``max_fixtures`` at the
     room the chunks before it left, so it builds only fixtures the report
@@ -510,10 +508,11 @@ def run_campaign(
         (a, min(a + engine.CHUNK_SIZE, total))
         for a in range(0, total, engine.CHUNK_SIZE)
     ]
-    if jobs > 1 and len(bounds) > 1:
+    workers = min(jobs, len(bounds), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays the import
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(bounds))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(engine.run_chunk, [cfg] * len(bounds), *zip(*bounds)))
     else:
         results, room = [], config.max_fixtures

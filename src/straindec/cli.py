@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a campaign from a JSON config file")
     p.add_argument("--config", required=True, help="campaign config JSON path")
     p.add_argument("--out", default=None, help="write the report JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at most one per chunk and per CPU)")
 
     p = sub.add_parser(
         "invariants", help="print the invariant vector of a geometry, three routes"

@@ -7,9 +7,11 @@ same kernels on a batch of one.  ``run_chunk`` runs the checks that read no
 direction on the whole chunk and the DIRECTED ones on one block of
 CONTRACT_BLOCK_ROWS direction rows at a time, so a chunk holds one block of
 direction rows; the drawn normals and rapidities are its largest (B, K, .)
-arrays.  ``FIXTURES`` is the one table of fixture kinds: ``run_chunk``
-records failures with it, and ``campaign.replay_fixture`` recomputes a
-fixture's record with the same function.
+arrays.  This is the only place that blocks direction rows: the kernels it
+calls work on whatever stack they get.  ``FIXTURES`` is the one table of
+fixture kinds: ``run_chunk`` records failures with it, and
+``campaign.replay_fixture`` recomputes a fixture's record with the same
+function.
 
 Determinism: chunk boundaries are a fixed constant (never derived from the
 worker count), and chunk results are folded in index order.  Each sample still
@@ -26,15 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dec import (  # noqa: F401 (VACUOUS_RTOL re-exported)
-    VACUOUS_RTOL,
+from .dec import (
     CheckStack,
     DirectedStack,
     corollary_applies,
 )
 from .lagrangians import canonical_parameters, resolve_lagrangian
-from .multilinear import CONTRACT_BLOCK_ROWS
-from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES re-exported)
+from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES: perfbench/workloads.py reads it here)
     MAX_DOMAIN_TRIES,
     batch_assemble_directions,
     draw_chunk_arrays,
@@ -42,6 +42,11 @@ from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES re-exported)
 
 # Samples per engine chunk; fixed so chunk boundaries cannot depend on jobs.
 CHUNK_SIZE = 512
+# Direction rows (samples x directions) per block of run_chunk's DIRECTED
+# checks: 64 samples of 256 directions.  The only bound on the direction
+# kernels' temporaries, since batch_assemble_directions and batch_contract
+# size their scratch to the stack they get.
+CONTRACT_BLOCK_ROWS = 16384
 
 # The schema version configs, reports and fixtures write, and loading checks.
 SCHEMA_VERSION = 1

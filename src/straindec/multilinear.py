@@ -21,7 +21,9 @@ less).  Conventions used throughout the package:
   is written once, as ``lane_sum``, which ``sampling.batch_assemble_directions``
   runs on every stack, at any depth.  The output is C-contiguous, because the
   ``"bdk,bdk->bd"`` reductions downstream take another summation order on
-  strided input.
+  strided input.  Neither kernel splits its rows into blocks: its scratch is
+  sized to the stack it gets, and ``engine.run_chunk`` gives it one row
+  block at a time.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ DEFAULT_CONDITION_BOUND = 1e8
 # batch_contract sends stacks of fewer rows (B * K) to np.einsum, which costs
 # less per call there (measured crossover 512-1,024 rows).
 CONTRACT_MIN_ROWS = 1024
-# Rows per block of the lane kernels, batch_contract's and the boosted
-# directions' (64 samples of 256 directions); bounds their temporaries.
-CONTRACT_BLOCK_ROWS = 16384
 # Deepest contraction whose einsum order the lane kernel reproduces; einsum
 # unrolls longer sums into four vectors at a time.
 CONTRACT_MAX_DEPTH = 7
@@ -210,9 +209,10 @@ def batch_contract(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     sum is +0.0, never -0.0.  A matmul is faster but not equal, since BLAS
     uses FMA.
 
-    The lane kernel keeps that order with ``lane_sum`` on a (b, k, K)
-    layout, so the inner loops run over the K rows of each sample, and works
-    on blocks of CONTRACT_BLOCK_ROWS rows written straight into the output.
+    The lane kernel keeps that order with one ``lane_sum`` over the whole
+    stack on a (B, k, K) layout, so the inner loops run over the K rows of
+    each sample and the sums are written straight into the output; the
+    caller bounds the stack (``engine.run_chunk`` passes one row block).
     einsum itself takes stacks of fewer than CONTRACT_MIN_ROWS rows, depths
     above CONTRACT_MAX_DEPTH and operands whose last axis is strided (einsum
     then sums in another order); both sides give the same bits.
@@ -226,17 +226,13 @@ def batch_contract(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     ):
         return np.einsum("bkl,bdl->bdk", m, x)
     out = np.empty((batch, rows, m.shape[1]))
-    step = max(1, CONTRACT_BLOCK_ROWS // rows)
-    work = np.empty((min(depth, 3), min(step, batch), m.shape[1], rows))
-    for start in range(0, batch, step):
-        mb = m[start : start + step]
-        xt = x[start : start + step].transpose(0, 2, 1)
-        lane_sum(
-            [mb[:, :, l, None] for l in range(depth)],
-            [xt[:, None, l] for l in range(depth)],
-            out[start : start + step].transpose(0, 2, 1),
-            work[:, : len(mb)],
-        )
+    xt = x.transpose(0, 2, 1)
+    lane_sum(
+        [m[:, :, l, None] for l in range(depth)],
+        [xt[:, None, l] for l in range(depth)],
+        out.transpose(0, 2, 1),
+        np.empty((min(depth, 3), batch, m.shape[1], rows)),
+    )
     return out
 
 

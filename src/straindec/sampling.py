@@ -33,9 +33,10 @@ same.
 
 ``batch_assemble_directions`` boosts each frame's timelike leg along its
 directions.  Every stack, a batch of one included, runs one contiguous
-(samples, directions) row per normal component and per output component, in
-blocks that stay in cache, so the bits depend on neither the stack's size
-nor the frames' memory layout.
+(samples, directions) row per normal component and per output component,
+with scratch sized to the stack, so the bits depend on neither the stack's
+size nor the frames' memory layout.  It does not block its rows:
+``engine.run_chunk`` gives it one row block at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 from .errors import ConditioningError, SamplerStarvationError
 from .lagrangians import LagrangianSpec, _always_inside
 from .multilinear import (
-    CONTRACT_BLOCK_ROWS,
     DEFAULT_CONDITION_BOUND,
     LorentzianMetric,
     RiemannianMetric,
@@ -384,38 +384,23 @@ def batch_assemble_directions(frames, rapidity, normals) -> np.ndarray:
     Frames (B, dim, dim) hold e_a as columns; rapidities (B, K) and sphere
     normals (B, K, dim-1) give K directions per frame, returned as a new
     C-contiguous (B, K, dim) array.  A normal whose length is not > 0 (zero,
-    or not finite) falls back to the first spatial leg.  For dim >= 2,
-    ``_assemble_rows`` computes the stack in blocks of CONTRACT_BLOCK_ROWS
-    rows (B * K) with reused scratch.
+    or not finite) falls back to the first spatial leg.
+
+    For dim >= 2, one normal component and one output component at a time,
+    each a contiguous (B, K) row of one scratch array (dim + 6 rows, reused):
+    |u|^2 as u_0 u_0 + u_1 u_1 + ... in increasing component
+    (``np.linalg.norm``'s order on up to 7 components); the divide, with the
+    fallback written over it only where a length is not > 0; the spatial sum
+    sum_l e_(l+1) u_l in ``lane_sum``'s two-lane order (einsum's on up to
+    CONTRACT_MAX_DEPTH legs); and cosh(r) e_0 + sinh(r) sum written into the
+    output component.
     """
     batch, dim, _ = frames.shape
     rows = rapidity.shape[1]
     if dim == 1:
         return np.broadcast_to(frames[:, None, :, 0], (batch, rows, dim)).copy()
     out = np.empty((batch, rows, dim))
-    if out.size == 0:  # no rows to block; K = 0 would divide by zero below
-        return out
-    step = max(1, CONTRACT_BLOCK_ROWS // rows)
-    work = np.empty((dim + 6, min(step, batch), rows))
-    for start in range(0, batch, step):
-        block = slice(start, start + step)
-        _assemble_rows(frames[block], rapidity[block], normals[block], out[block],
-                       work[:, : len(out[block])])
-    return out
-
-
-def _assemble_rows(frames, rapidity, normals, out, work) -> None:
-    """Write the directions of ``batch_assemble_directions`` for (b, K) rows into ``out``.
-
-    One normal component and one output component at a time, each a
-    contiguous (b, K) row of ``work`` (dim + 6 of them, reused): |u|^2 as
-    u_0 u_0 + u_1 u_1 + ... in increasing component (``np.linalg.norm``'s
-    order on up to 7 components); the divide, with the fallback written over
-    it only where a length is not > 0; the spatial sum sum_l e_(l+1) u_l in
-    ``lane_sum``'s two-lane order (einsum's on up to CONTRACT_MAX_DEPTH
-    legs); and cosh(r) e_0 + sinh(r) sum written into the output component.
-    """
-    dim = frames.shape[1]
+    work = np.empty((dim + 6, batch, rows))
     lanes, leg, lengths, cosh, sinh, units = (
         work[:3], work[3], work[4], work[5], work[6], work[7:]
     )
@@ -437,15 +422,7 @@ def _assemble_rows(frames, rapidity, normals, out, work) -> None:
         np.multiply(sinh, leg, out=leg)
         np.multiply(cosh, frames[:, k, 0, None], out=lanes[0])
         np.add(lanes[0], leg, out=out[:, :, k])
-
-
-def assemble_directions(basis, rapidity, normals) -> np.ndarray:
-    """Boost one frame's timelike leg (``batch_assemble_directions`` on a batch of one)."""
-    basis = np.asarray(basis, dtype=float)
-    rapidity = np.asarray(rapidity, dtype=float).reshape(1, -1)
-    normals = np.asarray(normals, dtype=float)
-    normals = normals.reshape(1, rapidity.shape[1], basis.shape[0] - 1)
-    return batch_assemble_directions(basis[None], rapidity, normals)[0]
+    return out
 
 
 def sample_timelike_directions(
@@ -458,4 +435,4 @@ def sample_timelike_directions(
     """
     basis = np.asarray(basis, dtype=float)
     rapidity, normals = draw_direction_params(rng, count, basis.shape[0] - 1, boost_cap)
-    return assemble_directions(basis, rapidity, normals)
+    return batch_assemble_directions(basis[None], rapidity[None], normals[None])[0]

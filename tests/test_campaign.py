@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -499,12 +500,12 @@ class TestRunCampaign:
         parallel = report_bytes(run_campaign(config, jobs=4).to_dict())
         assert serial == parallel
 
-    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch):
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """The max_workers of every pool started, each pool mapping in this process."""
         workers = []
 
         class SerialPool:
-            """Records max_workers and maps in this process."""
-
             def __init__(self, max_workers):
                 workers.append(max_workers)
 
@@ -518,13 +519,27 @@ class TestRunCampaign:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        # Three chunks of at most 512 samples.
-        config = _wave_config(n=1, num_samples=1030, seed=19,
-                              num_directions_per_sample=2)
+        return workers
+
+    # Three chunks of at most 512 samples.
+    THREE_CHUNKS = {"n": 1, "num_samples": 1030, "seed": 19, "num_directions_per_sample": 2}
+
+    def test_pool_has_at_most_one_worker_per_chunk(self, workers, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        config = _wave_config(**self.THREE_CHUNKS)
         serial = report_bytes(run_campaign(config, jobs=1).to_dict())
         assert report_bytes(run_campaign(config, jobs=6).to_dict()) == serial
         assert report_bytes(run_campaign(config, jobs=2).to_dict()) == serial
         assert workers == [3, 2]
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, workers, monkeypatch):
+        # os.cpu_count() may return None; one CPU runs the chunks serially.
+        config = _wave_config(**self.THREE_CHUNKS)
+        serial = report_bytes(run_campaign(config, jobs=1).to_dict())
+        for cpus in (None, 1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert report_bytes(run_campaign(config, jobs=500).to_dict()) == serial
+        assert workers == [2]
 
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2", None])
     def test_rejects_jobs_not_a_positive_integer(self, jobs):
@@ -539,7 +554,6 @@ class TestRunCampaign:
     def test_violation_search_caps_fixtures(self):
         report = run_campaign(_violating_config(max_fixtures=5))
         assert len(report.fixtures) == 5
-        assert report.counterexamples is report.fixtures
 
     def test_serial_fixture_room_matches_pool_and_uncapped_fold(self, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_SIZE", 8)

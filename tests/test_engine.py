@@ -32,17 +32,22 @@ from straindec import (
     stress_general,
     stress_scale_general,
 )
-from straindec import CampaignConfig, engine, run_campaign
+from straindec import CampaignConfig, dec, engine, run_campaign
 from straindec.campaign import dump_json, report_bytes
 from straindec.engine import (
     CHECK_NAMES,
     MAX_DOMAIN_TRIES,
-    VACUOUS_RTOL,
     empty_chunk_result,
     fold_chunk_results,
     run_chunk,
 )
-from straindec.dec import CheckStack, batch_dec_witness, batch_flux, corollary_applies
+from straindec.dec import (
+    VACUOUS_RTOL,
+    CheckStack,
+    batch_dec_witness,
+    batch_flux,
+    corollary_applies,
+)
 from straindec.lagrangians import _always_inside, canonical_parameters
 from straindec.multilinear import (
     CONTRACT_MIN_ROWS,
@@ -54,7 +59,6 @@ from straindec.multilinear import (
     principal_minor_sums,
 )
 from straindec.sampling import (
-    assemble_directions,
     batch_assemble_directions,
     derive_rng,
     draw_chunk_arrays,
@@ -155,7 +159,7 @@ def _scalar_reference(config, start, stop):
             metric=LorentzianMetric(g), target_metric=RiemannianMetric(h), dphi=dphi
         )
         frame = canonical_frame(geom.metric)
-        xs = assemble_directions(frame.basis, rap, normals)
+        xs = batch_assemble_directions(frame.basis[None], rap[None], normals[None])[0]
 
         tensor = stress_general(geom, lagr).tensor
         scale = stress_scale_general(geom, lagr)
@@ -728,6 +732,25 @@ class TestRowBlocks:
         )
         serial = report_bytes(run_campaign(config, jobs=1).to_dict())
         assert serial == report_bytes(run_campaign(config, jobs=2).to_dict())
+
+    @pytest.mark.parametrize("num_dirs", [8, 300, 1024])
+    def test_kernels_get_at_most_one_block(self, num_dirs, monkeypatch):
+        # The direction kernels size their scratch to the stack they get, so
+        # run_chunk's blocks are what bounds it.
+        rows = []
+
+        def counted(real):
+            def kernel(*args):
+                rows.append(args[1].shape[0] * args[1].shape[1])
+                return real(*args)
+            return kernel
+
+        monkeypatch.setattr(engine, "batch_assemble_directions",
+                            counted(engine.batch_assemble_directions))
+        monkeypatch.setattr(dec, "batch_contract", counted(dec.batch_contract))
+        run_chunk(_config(num_directions_per_sample=num_dirs), 0, 512)
+        full = min(512, engine.CONTRACT_BLOCK_ROWS // num_dirs) * num_dirs
+        assert max(rows) == full <= engine.CONTRACT_BLOCK_ROWS
 
     def test_chunk_memory_is_bounded(self):
         # Every (512, 1024, 4) direction stack held at once traced 131 MB.

@@ -23,7 +23,6 @@ from straindec.multilinear import CONTRACT_MAX_DEPTH, CONTRACT_MIN_ROWS
 from straindec.sampling import (
     BOOST_CAP,
     MAX_DOMAIN_TRIES,
-    assemble_directions,
     batch_assemble_directions,
     draw_chunk_arrays,
     draw_direction_params,
@@ -178,7 +177,7 @@ class TestDirections:
 
     def test_zero_normal_falls_back_to_first_spatial_leg(self):
         basis = np.eye(3)
-        xs = assemble_directions(basis, np.array([1.0]), np.zeros((1, 2)))
+        xs = batch_assemble_directions(basis[None], np.ones((1, 1)), np.zeros((1, 1, 2)))[0]
         want = np.array([[np.cosh(1.0), np.sinh(1.0), 0.0]])
         np.testing.assert_allclose(xs, want, atol=1e-12)
 
@@ -257,16 +256,6 @@ class TestBatchAssembleDirections:
             normals[9, :, 0] = -3.0
         return frames, rapidity, normals
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """The calls of ``_assemble_rows`` during the test, one entry per block."""
-        calls = []
-        real = sampling._assemble_rows
-        monkeypatch.setattr(
-            sampling, "_assemble_rows", lambda *args: calls.append(1) or real(*args)
-        )
-        return calls
-
     @staticmethod
     def _check(frames, rapidity, normals, reference=_stacked_directions):
         # The reference reads a C-ordered copy of the frames: the directions do
@@ -280,10 +269,9 @@ class TestBatchAssembleDirections:
 
     @pytest.mark.parametrize("rows", [1, 8, 256])
     @pytest.mark.parametrize("dim", range(1, 7))
-    def test_rows_equal_the_stacked_formula(self, calls, dim, rows):
+    def test_rows_equal_the_stacked_formula(self, dim, rows):
         batch = max(2 * CONTRACT_MIN_ROWS // rows, 12) + 3
         self._check(*self._inputs(dim, rows, batch, 10 * dim + rows))
-        assert bool(calls) == (dim > 1)
 
     @pytest.mark.parametrize(
         "batch, rows", [(1, 1), (1, 8), (12, 8), (127, 8), (128, 8), (3, 341), (4, 256)]
@@ -300,21 +288,23 @@ class TestBatchAssembleDirections:
                      else _two_lane_directions)
         self._check(*self._inputs(spatial + 1, 256, 16, spatial), reference)
 
-    def test_blocks_cover_the_stack(self, calls):
-        # 64 samples of 256 rows fill a block; 130 samples leave a partial one.
+    def test_stack_past_one_engine_block(self):
+        # 130 samples of 256 rows: more than engine.CONTRACT_BLOCK_ROWS rows,
+        # assembled in one call.
         self._check(*self._inputs(4, 256, 130, 1))
-        assert len(calls) == 3
 
     def test_strided_inputs(self):
         frames, rapidity, normals = self._inputs(4, 512, 12, 2)
         self._check(frames, rapidity[:, ::2], normals[:, ::2].copy()[:, :, ::-1])
         # A Fortran-ordered frame gives the bits of its C-ordered copy.
         self._check(np.asfortranarray(frames), rapidity, normals)
-        # So does a transposed basis given to the scalar API.
+        # So does a transposed basis as a batch of one.
         basis = np.ascontiguousarray(frames[5].T)
         with np.errstate(all="ignore"):
-            got = assemble_directions(basis.T, rapidity[5], normals[5])
-            want = assemble_directions(basis.T.copy(), rapidity[5], normals[5])
+            got, want = (
+                batch_assemble_directions(b[None], rapidity[5][None], normals[5][None])[0]
+                for b in (basis.T, basis.T.copy())
+            )
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("dim", [1, 4])
@@ -322,13 +312,16 @@ class TestBatchAssembleDirections:
     def test_empty_stacks(self, dim, batch, rows):
         frames = np.broadcast_to(np.eye(dim), (batch, dim, dim))
         self._check(frames, np.zeros((batch, rows)), np.zeros((batch, rows, dim - 1)))
-        assert assemble_directions(np.eye(dim), [], []).shape == (0, dim)
+        one = batch_assemble_directions(np.eye(dim)[None], np.zeros((1, 0)),
+                                        np.zeros((1, 0, dim - 1)))[0]
+        assert one.shape == (0, dim)
 
     def test_scalar_api_equals_the_stacked_formula(self):
         frames, rapidity, normals = self._inputs(3, 8, 12, 3)
         for k in range(12):
             with np.errstate(all="ignore"):
-                got = assemble_directions(frames[k], rapidity[k], normals[k])
+                got = batch_assemble_directions(frames[k][None], rapidity[k][None],
+                                                normals[k][None])[0]
                 want = _stacked_directions(frames[k : k + 1], rapidity[k : k + 1],
                                            normals[k : k + 1])[0]
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
