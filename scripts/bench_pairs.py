@@ -8,12 +8,14 @@ the file holds both sides' runs, medians and quartiles, the pairs the change
 won (ties count for neither), the gain rule (at least 9 in 10 pairs won and a
 median gap above the parent's interquartile range) and the regression rule
 (the change's median worse by more than the metric's bound).  It also holds,
-per seed, whether the two sides printed the same report sha256 lines, and the
-machine line ``perfbench/run.py`` prints (its ``machine_info()``).
+per seed, whether the two sides printed the same report sha256 lines and
+each side's outcome (its ``correct`` and ``failed`` values and ``PROBLEM``
+lines), so a failure that only some seeds hit shows which, and the machine
+line ``perfbench/run.py`` prints (its ``machine_info()``).
 
 After a workload's pairs, each side runs ``perfbench/run.py --trace 1`` once,
 parent first, on the seed after the last pair; the file's ``trace`` block
-holds every per-layer metric of both runs, by workload.
+holds every per-layer metric and the outcome of both runs, by workload.
 
 Example, with the parent commit checked out beside the change:
 
@@ -41,7 +43,8 @@ MIN_PAIRS = 10
 def run_once(
     checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
 ) -> dict:
-    """One ``perfbench/run.py`` run: its final JSON, report digests and machine line."""
+    """One ``perfbench/run.py`` run: its final JSON, report digests, machine line
+    and ``PROBLEM`` lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
@@ -53,7 +56,13 @@ def run_once(
     }
     machine = next(ln for ln in lines if ln.startswith("machine "))
     result["machine"] = json.loads(machine.split(" ", 1)[1])
+    result["problems"] = [ln.split(" ", 1)[1] for ln in lines if ln.startswith("PROBLEM ")]
     return result
+
+
+def outcome(run: dict) -> dict:
+    """What one run says of its own correctness."""
+    return {"correct": run["correct"], "failed": run["failed"], "problems": run["problems"]}
 
 
 def _spread(runs: list) -> dict:
@@ -104,6 +113,10 @@ def bench_workload(args, workload: str, first_seed: int, metrics: list) -> tuple
         "report_sha256_equal": [
             p["sha256"] == c["sha256"] for p, c in zip(sides["parent"], sides["change"])
         ],
+        "outcomes": [
+            {"seed": seed, "parent": outcome(p), "change": outcome(c)}
+            for seed, p, c in zip(seeds, sides["parent"], sides["change"])
+        ],
         "metrics": {
             m["name"]: summarize(
                 m,
@@ -122,7 +135,7 @@ def trace_workload(args, workload: str, seed: int) -> dict:
     for side in ("parent", "change"):
         run = run_once(getattr(args, side), workload, seed, args.seconds, trace=1)
         out[side] = {name: m["value"] for name, m in run["metrics"].items()}
-        out[side]["correct"] = run["correct"]
+        out[side].update(outcome(run))
         print(f"{workload} seed={seed} {side} traced", file=sys.stderr, flush=True)
     return out
 

@@ -17,7 +17,7 @@ import numbers
 import operator
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +41,11 @@ from .stress import check_degree
 SCHEMA_VERSION = engine.SCHEMA_VERSION
 
 _MODES = ("verify", "violation_search")
-# Largest num_directions_per_sample.  A chunk runs its direction checks one
-# block of direction rows at a time (the engine's row block), so its
-# largest (CHUNK_SIZE, K, .) arrays are the drawn rapidities and sphere
-# normals; at this cap the (512, 1024, 7) normals of m+1 = 8 are 29 MB.  The
-# committed configs and scripts use at most 256.
+# Largest num_directions_per_sample.  A chunk draws and checks its
+# directions one block of direction rows at a time (the engine's row block),
+# so K does not set its memory; it sets the work per sample, and at this cap
+# a 512-sample chunk runs 32 blocks.  The committed configs and scripts use
+# at most 256.
 MAX_DIRECTIONS_PER_SAMPLE = 1024
 # Largest m_plus_1 and n.  m+1 = 8 is 7 spatial legs, the einsum order of
 # multilinear.CONTRACT_MAX_DEPTH, and the invariant routes sum 2**(m+1) - 1
@@ -284,6 +284,23 @@ def _frozen(value):
     return value
 
 
+class _CopyOnRead:
+    """A dataclass field that hands out a deep copy of its value on each read,
+    so editing what a read returns leaves the object that holds it as it was.
+
+    Its default is None.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        return None if obj is None else copy.deepcopy(obj.__dict__[self.slot])
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 def _check_schema_version(data, context: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
@@ -296,12 +313,16 @@ def _check_schema_version(data, context: str) -> None:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Validated campaign parameters; the canonical form of a config file."""
+    """Validated campaign parameters; the canonical form of a config file.
+
+    A config is a value: its fields cannot be set, and ``lagrangian_parameters``
+    reads as a new dict each time, so editing one changes no config.
+    """
 
     m_plus_1: int
     n: int
     lagrangian_name: str
-    lagrangian_parameters: dict = field(default_factory=dict)
+    lagrangian_parameters: dict | None = _CopyOnRead()
     num_samples: int = 100
     num_directions_per_sample: int = 8
     seed: int = 0

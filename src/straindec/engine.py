@@ -5,10 +5,11 @@ together by ``dec.CheckStack``) are the only implementation of each formula
 and fix the report bytes; the single-point API and fixture replay call the
 same kernels on a batch of one.  ``run_chunk`` runs the checks that read no
 direction on the whole chunk and the DIRECTED ones on one block of
-CONTRACT_BLOCK_ROWS direction rows at a time, so a chunk holds one block of
-direction rows; the drawn normals and rapidities are its largest (B, K, .)
-arrays.  This is the only place that blocks direction rows: the kernels it
-calls work on whatever stack they get.  ``FIXTURES`` is the one table of
+CONTRACT_BLOCK_ROWS direction rows at a time, drawing that block's
+rapidities and normals when it reaches the block, so a chunk holds one block
+of direction rows whatever K is.  This is the only place that decides the
+block: ``sampling.draw_chunk_arrays`` draws the blocks it is told to, and
+the kernels work on whatever stack they get.  ``FIXTURES`` is the one table of
 fixture kinds: ``run_chunk`` records failures with it, and
 ``campaign.replay_fixture`` recomputes a fixture's record with the same
 function.
@@ -19,9 +20,11 @@ owns PCG64(SeedSequence(seed, spawn_key=(index,))) from ``sampling.derive_rng``;
 ``sampling.draw_chunk_arrays`` reads those streams for a whole chunk in the
 documented per-sample order, computing the same SeedSequence and PCG64 states
 arithmetically rather than building them per sample (``derive_rng`` is the
-reference, and a chunk reaching index 2**32 uses it), and replays any slot
-with a retried metric or a rejected geometry through the scalar draw path.  So a campaign's output is
-identical serial or parallel, run to run, and to the one-sample-at-a-time loop.
+reference, and a chunk reaching index 2**32 uses it), resumes each slot's
+stream where its directions start when their block runs, and replays any
+slot with a retried metric or a rejected geometry through the scalar draw
+path.  So a campaign's output is identical serial or parallel, run to run,
+and to the one-sample-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES: perfbench/workloads.py 
 # Samples per engine chunk; fixed so chunk boundaries cannot depend on jobs.
 CHUNK_SIZE = 512
 # Direction rows (samples x directions) per block of run_chunk's DIRECTED
-# checks: 64 samples of 256 directions.  The only bound on the direction
-# kernels' temporaries, since batch_assemble_directions and batch_contract
-# size their scratch to the stack they get.
+# checks and of its direction draws: 64 samples of 256 directions.  The only
+# bound on the drawn directions and the direction kernels' temporaries,
+# since batch_assemble_directions and batch_contract size their scratch to
+# the stack they get.
 CONTRACT_BLOCK_ROWS = 16384
 
 # The schema version configs, reports and fixtures write, and loading checks.
@@ -268,10 +272,11 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     ``CheckStack``.  The DIRECTED checks run one block of
     CONTRACT_BLOCK_ROWS // K samples at a time, on a view of the stack's rows
     along that block's directions, which is tallied, folded into the margins
-    and scanned for fixtures before the next block is assembled.  So a chunk
-    holds one block of direction rows whatever K is; the drawn rapidities and
-    normals are its largest (B, K, .) arrays.  Min and max fold exactly, so
-    the result does not depend on the block size.
+    and scanned for fixtures before the next block is drawn and assembled.
+    So a chunk holds one block of direction rows, its drawn rapidities and
+    normals included, whatever K is.  Min and max fold exactly, and the
+    draws are those of the one-sample-at-a-time loop, so the result does not
+    depend on the block size.
     """
     m1 = int(config["m_plus_1"])
     n = int(config["n"])
@@ -288,9 +293,10 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     if batch <= 0:
         return out
 
-    # Draw.
-    gs, hs, dps, raps, normals, drawn = draw_chunk_arrays(
-        seed, start, stop, m1, n, num_dirs,
+    # Draw: the geometries now, the directions one row block at a time.
+    step = max(1, CONTRACT_BLOCK_ROWS // num_dirs)
+    gs, hs, dps, direction_blocks, drawn = draw_chunk_arrays(
+        seed, start, stop, m1, n, num_dirs, step,
         float(config["entry_range"]), float(config["boost_cap"]),
         config["rank_override"], lagr,
     )
@@ -342,12 +348,9 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     counted = ~st.vacuous[:, None]
     energy_mins, flux_maxes = [], []
     room = max_fixtures > 0
-    step = max(1, CONTRACT_BLOCK_ROWS // num_dirs)
-    for lo in range(0, batch, step):
+    for lo, (raps, normals) in zip(range(0, batch, step), direction_blocks):
         rows = slice(lo, lo + step)
-        view = st.rows(rows).along(
-            batch_assemble_directions(frames[rows], raps[rows], normals[rows])
-        )
+        view = st.rows(rows).along(batch_assemble_directions(frames[rows], raps, normals))
         live = counted[rows]
         block_failed = {}
         for name in DIRECTED:

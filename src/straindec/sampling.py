@@ -13,16 +13,22 @@ that maps uniforms on [0, 1) to values: ``_metric_candidates`` (g),
 ``_target_and_map`` (h and dphi).  A value uniform on [low, high) is
 low + (high - low) * random(), which is what ``Generator.uniform`` computes.
 ``draw_chunk_arrays`` runs the kernels on a whole chunk: each slot still
-reads its own stream, takes every uniform it needs from one ``random``
-call (the metric factor, the target factor, dphi, the rapidities) and then
-its normals, and the conditioning and domain tests run on the whole batch.
+reads its own stream and takes every uniform of its geometry (the metric
+factor, the target factor, dphi) from one ``random`` call, and the
+conditioning and domain tests run on the whole batch.  Its directions are
+drawn one block of samples at a time, when the caller reaches the block:
+the first block's slots draw them in the seeding loop, from the live
+stream (one ``random`` call for geometry and rapidities, then the normals),
+and a later slot records its PCG64 state after the geometry and sets it
+again for its block.  So a chunk holds one block of direction parameters.
 The chunk path does not build a ``SeedSequence`` per slot: it computes the
 same seed words and PCG64 states arithmetically (``_spawn_seed_words``,
-``_chunk_generators``) and sets them on one reused generator.  Only the
-spawn-key word differs between the samples of a chunk, so the seed's own
-entropy is mixed once per chunk.  ``derive_rng`` stays the reference the
-tests pin this copy of numpy's seeding against, and a chunk reaching sample
-index 2**32 (whose spawn key has two words) uses it for every slot.
+``_chunk_generators``, and ``_lcg_jump`` for where a slot's directions
+start) and sets them on one reused generator.  Only the spawn-key word
+differs between the samples of a chunk, so the seed's own entropy is mixed
+once per chunk.  ``derive_rng`` stays the reference the tests pin this copy
+of numpy's seeding against, and a chunk reaching sample index 2**32 (whose
+spawn key has two words) uses it for every slot.
 ``draw_geometry_arrays`` runs the same kernels on a batch of one.  A slot
 whose first metric candidate is rejected, or whose geometry falls outside the
 Lagrangian's domain, is replayed from a fresh generator one sample at a time
@@ -142,31 +148,56 @@ def _spawn_seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _set_state(rng: np.random.Generator, state: int, inc: int) -> None:
+    """Put ``rng`` (a PCG64 generator) at the 128-bit LCG ``state`` with increment ``inc``."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _get_state(rng: np.random.Generator) -> tuple[int, int]:
+    """The (state, inc) pair of a PCG64 generator, as ``_set_state`` takes it."""
+    pcg = rng.bit_generator.state["state"]
+    return pcg["state"], pcg["inc"]
+
+
+def _lcg_jump(steps: int) -> tuple[int, int]:
+    """(A, C) such that PCG64's state after ``steps`` draws of 64 bits is
+    A * state + C * inc mod 2**128.
+
+    One draw (one ``random()`` double) is one LCG step s -> mult * s + inc.
+    """
+    a, c = 1, 0
+    for _ in range(steps):
+        a, c = a * _PCG64_MULT & _MASK128, (c * _PCG64_MULT + 1) & _MASK128
+    return a, c
+
+
 def _chunk_generators(master_seed: int, start: int, stop: int):
-    """Yield, in index order, a generator in ``derive_rng(master_seed, i)``'s
-    state for each i in [start, stop).
+    """Yield, in index order, (generator, seeded) with the generator in
+    ``derive_rng(master_seed, i)``'s state for each i in [start, stop).
 
     One ``Generator`` is reused across the chunk, so a yielded generator is
     valid only until the next one is taken.  Its state is PCG64's seeding of
     the seed words (``pcg64_srandom_r``): inc = (initseq << 1) | 1, one LCG
-    step from 0, add initstate, one more step.
+    step from 0, add initstate, one more step.  ``seeded`` is that
+    (state, inc) pair, or None for a slot of a chunk reaching index 2**32,
+    which ``derive_rng`` seeds.
     """
     _check_seed_args(master_seed, start)
     if stop > _ONE_WORD_INDICES:
         for index in range(start, stop):
-            yield derive_rng(master_seed, index)
+            yield derive_rng(master_seed, index), None
         return
     rng = np.random.Generator(np.random.PCG64(0))
     for w0, w1, w2, w3 in _spawn_seed_words(master_seed, start, stop).tolist():
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+        _set_state(rng, state, inc)
+        yield rng, (state, inc)
 
 
 def _metric_candidates(u: np.ndarray, m_plus_1: int) -> np.ndarray:
@@ -291,41 +322,70 @@ def draw_chunk_arrays(
     m_plus_1: int,
     n: int,
     num_directions: int,
+    block: int,
     entry_range: float = 1.0,
     boost_cap: float = BOOST_CAP,
     rank_override: int | None = None,
     lagrangian: LagrangianSpec | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+):
     """Draws of samples [start, stop), bit-equal to the per-sample scalar loop.
 
-    Returns stacked (g, h, dphi, rapidity, normals) and the ``domain_draws``,
-    ``domain_accepted`` and ``metric_retries`` counters.  Sample ``start + k``
-    is what ``derive_rng(master_seed, start + k)`` (computed arithmetically by
-    ``_chunk_generators``) followed by
+    Returns stacked (g, h, dphi), the direction parameters as an iterator
+    over consecutive blocks of ``block`` samples, and the ``domain_draws``,
+    ``domain_accepted`` and ``metric_retries`` counters.  Each block is a
+    (rapidity, normals) pair of shapes (b, K) and (b, K, m), drawn when the
+    iterator reaches it, so a chunk never holds more than one block of them.
+    Sample ``start + k`` is what ``derive_rng(master_seed, start + k)``
+    (computed arithmetically by ``_chunk_generators``) followed by
     ``draw_geometry_arrays`` (repeated until the geometry lies in the domain
     of ``lagrangian``, if one is given) and ``draw_direction_params`` yield.
     Raises ``ConditioningError`` or ``SamplerStarvationError`` exactly where
-    that loop would.
+    that loop would, before it returns.
+
+    The first block's directions are drawn in the seeding loop, from each
+    slot's live stream.  A later slot records where its directions start,
+    the PCG64 (state, inc) after its geometry: by ``_lcg_jump`` arithmetic
+    for a seeded slot, read off the generator for one that ``derive_rng``
+    seeded or the scalar path redrew.  Its block sets that state and draws
+    the same doubles in the same order.
     """
     _check_geometry_args(m_plus_1, n, entry_range, rank_override)
     _check_direction_args(num_directions, boost_cap)
+    if block < 1:
+        raise ValueError("a direction block needs at least one sample")
     m1, ndir = m_plus_1, num_directions
     batch = stop - start
+    first = min(block, batch)
     restricted = (
         lagrangian is not None and lagrangian.domain_predicate is not _always_inside
     )
 
-    # Per slot: its own stream, every uniform of a first-try draw, normals.
-    sizes = (m1 * m1, n * (n + m1), ndir)
-    uniforms = np.empty((batch, sum(sizes)))
-    normals = np.empty((batch, ndir, m1 - 1))
-    for k, rng in enumerate(_chunk_generators(master_seed, start, stop)):
-        rng.random(out=uniforms[k])
-        normals[k] = rng.normal(size=(ndir, m1 - 1))
-    u_metric, u_geometry, u_rap = np.split(uniforms, np.cumsum(sizes)[:-1], axis=1)
+    # Per slot: its own stream and every uniform of a first-try geometry; a
+    # first-block slot goes on to its rapidity uniforms and normals, a later
+    # slot records where they start.
+    sizes = (m1 * m1, n * (n + m1))
+    width = sum(sizes)
+    uniforms = np.empty((batch, width))
+    leading = np.empty((first, width + ndir))
+    normals = np.empty((first, ndir, m1 - 1))
+    starts = [None] * (batch - first)
+    jump_a, jump_c = _lcg_jump(width)
+    for k, (rng, seeded) in enumerate(_chunk_generators(master_seed, start, stop)):
+        if k < first:
+            rng.random(out=leading[k])
+            normals[k] = rng.normal(size=(ndir, m1 - 1))
+        elif seeded is None:
+            rng.random(out=uniforms[k])
+            starts[k - first] = _get_state(rng)
+        else:
+            rng.random(out=uniforms[k])
+            state, inc = seeded
+            starts[k - first] = (jump_a * state + jump_c * inc) & _MASK128, inc
+    uniforms[:first] = leading[:, :width]
+    rapidity = boost_cap * leading[:, width:]
+    u_metric, u_geometry = np.split(uniforms, sizes[:1], axis=1)
     g = _metric_candidates(u_metric, m1)
     h, dphi = _target_and_map(u_geometry, m1, n, entry_range, rank_override)
-    rapidity = boost_cap * u_rap
     fast = _metric_accepted(g)
     if restricted:
         ok = np.flatnonzero(fast)
@@ -359,17 +419,36 @@ def draw_chunk_arrays(
                     acceptance_rate=rate,
                 )
         counters["domain_accepted"] += 1
-        return (g, h, dphi) + draw_direction_params(rng, ndir, m1 - 1, boost_cap)
+        return g, h, dphi, rng
 
     counted = 0
     for k in np.flatnonzero(~fast).tolist():
         counters["domain_draws"] += k - counted
         counters["domain_accepted"] += k - counted
-        g[k], h[k], dphi[k], rapidity[k], normals[k] = redraw(start + k)
+        g[k], h[k], dphi[k], rng = redraw(start + k)
+        if k < first:
+            rapidity[k], normals[k] = draw_direction_params(rng, ndir, m1 - 1, boost_cap)
+        else:
+            starts[k - first] = _get_state(rng)
         counted = k + 1
     counters["domain_draws"] += batch - counted
     counters["domain_accepted"] += batch - counted
-    return g, h, dphi, rapidity, normals, counters
+
+    def blocks():
+        if first:
+            yield rapidity, normals
+        rng = np.random.Generator(np.random.PCG64(0))
+        for lo in range(0, batch - first, block):
+            rows = starts[lo : lo + block]
+            u_rap = np.empty((len(rows), ndir))
+            later = np.empty((len(rows), ndir, m1 - 1))
+            for j, (state, inc) in enumerate(rows):
+                _set_state(rng, state, inc)
+                rng.random(out=u_rap[j])
+                later[j] = rng.normal(size=(ndir, m1 - 1))
+            yield boost_cap * u_rap, later
+
+    return g, h, dphi, blocks(), counters
 
 
 def _domain_inside(lagrangian: LagrangianSpec, g, h, dphi) -> np.ndarray:

@@ -8,6 +8,7 @@ import concurrent.futures
 import copy
 import dataclasses
 import json
+import pickle
 import math
 import os
 import re
@@ -460,6 +461,29 @@ class TestCanonicalValues:
         assert config.lagrangian_parameters["coefficients"] == [1.0, -5.0, 0.0]
         assert config.to_dict() == before and hash(config) == digest
         assert run_campaign(config).to_dict()["config"] == before
+
+    def test_editing_the_parameters_read_leaves_the_config(self):
+        config = _violating_config(
+            lagrangian_parameters={"coefficients": [1, -5, 0], "flags": {
+                "defocusing": True, "zeroed": True, "nondegenerate": True}},
+            max_fixtures=5,
+        )
+        before, digest, twin = config.to_dict(), hash(config), dataclasses.replace(config)
+        report = report_bytes(run_campaign(config).to_dict())
+        params = config.lagrangian_parameters
+        params["coefficients"][0] = "oops"
+        params["flags"]["zeroed"] = False
+        params["extra"] = 1.0
+        config.lagrangian_parameters["coefficients"].append(2.0)
+        assert config.lagrangian_parameters == {
+            "coefficients": [1.0, -5.0, 0.0],
+            "flags": {"defocusing": True, "zeroed": True, "nondegenerate": True},
+        }
+        assert config == twin and hash(config) == digest and config.to_dict() == before
+        assert report_bytes(run_campaign(config).to_dict()) == report
+        assert pickle.loads(pickle.dumps(config)) == config
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.lagrangian_parameters = {}
 
     def test_names_and_mode_stored_as_str(self):
         class Text(str):

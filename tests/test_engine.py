@@ -32,7 +32,7 @@ from straindec import (
     stress_general,
     stress_scale_general,
 )
-from straindec import CampaignConfig, dec, engine, run_campaign
+from straindec import CampaignConfig, dec, engine, run_campaign, sampling
 from straindec.campaign import dump_json, report_bytes
 from straindec.engine import (
     CHECK_NAMES,
@@ -524,8 +524,11 @@ class TestKernelBatchInvariance:
     def _stack(m1, batch):
         name, params = ("skyrme", {"c1": 1.0, "c2": 1.0}) if m1 > 1 else ("wave_map", {})
         lagr = resolve_lagrangian(name, params, m1)
-        arrays = draw_chunk_arrays(41, 0, batch, m1, 3, 4, 1.0, 5.0, None, lagr)
-        return lagr, arrays[:5]
+        g, h, dphi, blocks, _ = draw_chunk_arrays(
+            41, 0, batch, m1, 3, 4, batch, 1.0, 5.0, None, lagr
+        )
+        (rapidity, normals), = blocks
+        return lagr, (g, h, dphi, rapidity, normals)
 
     @staticmethod
     def _kernels(lagr, g, h, dphi, rap, normals):
@@ -604,10 +607,11 @@ def _whole_chunk(config, start, stop):
     params = canonical_parameters(name, params)
     lagr = resolve_lagrangian(name, params, m1)
     out, batch = empty_chunk_result(), stop - start
-    gs, hs, dps, raps, normals, drawn = draw_chunk_arrays(
-        seed, start, stop, m1, n, config["num_directions_per_sample"],
+    gs, hs, dps, blocks, drawn = draw_chunk_arrays(
+        seed, start, stop, m1, n, config["num_directions_per_sample"], batch,
         config["entry_range"], config["boost_cap"], config["rank_override"], lagr,
     )
+    (raps, normals), = blocks
     out["sampling"].update(drawn)
     st = CheckStack(gs, hs, dps, lagr, tol_dec, tol_alg)
     frames, out["sampling"]["frame_fallbacks"] = st.frames
@@ -753,12 +757,30 @@ class TestRowBlocks:
         assert max(rows) == full <= engine.CONTRACT_BLOCK_ROWS
 
     def test_chunk_memory_is_bounded(self):
-        # Every (512, 1024, 4) direction stack held at once traced 131 MB.
-        config = _config(m_plus_1=4, n=4, num_directions_per_sample=1024)
-        tracemalloc.start()
-        try:
-            run_chunk(config, 0, 512)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        # Every (512, 1024, 4) direction stack held at once traced 131 MB;
+        # the whole chunk's drawn directions, 12 and 24 MB at 4x4 with 256
+        # and 1,024 directions and 48 MB at 8x8.  With one block drawn at a
+        # time the peaks are about 9, 8 and 16 MB, and do not grow with K.
+        for dim, num_dirs, bound in ((4, 256, 12e6), (4, 1024, 12e6), (8, 1024, 20e6)):
+            config = _config(m_plus_1=dim, n=dim, num_directions_per_sample=num_dirs)
+            tracemalloc.start()
+            try:
+                run_chunk(config, 0, 512)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (dim, num_dirs, peak)
+
+    @pytest.mark.parametrize("num_dirs, later", [(8, 0), (300, 512 - 54), (1024, 512 - 16)])
+    def test_a_slot_past_the_first_block_sets_its_state_once_more(
+        self, num_dirs, later, monkeypatch
+    ):
+        # Seeding sets each slot's state once and draws the first block's
+        # directions from the live streams; so a chunk of one block (K = 8,
+        # as in grid-serial and counterexample-harvest) sets none again.
+        sets = []
+        real = sampling._set_state
+        monkeypatch.setattr(sampling, "_set_state", lambda *args: (sets.append(args[1:]),
+                                                                   real(*args)))
+        run_chunk(_config(num_directions_per_sample=num_dirs), 0, 512)
+        assert len(sets) == 512 + later

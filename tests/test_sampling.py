@@ -78,8 +78,28 @@ class TestChunkSeeding:
     def test_generator_states_match_derive_rng(self, seed):
         for start, stop in _SEEDING_RANGES:
             rngs = sampling._chunk_generators(seed, start, stop)
-            for index, rng in zip(range(start, stop), rngs, strict=True):
-                assert rng.bit_generator.state == derive_rng(seed, index).bit_generator.state
+            for index, (rng, seeded) in zip(range(start, stop), rngs, strict=True):
+                want = derive_rng(seed, index).bit_generator.state
+                assert rng.bit_generator.state == want
+                assert seeded == (want["state"]["state"], want["state"]["inc"])
+
+    def test_two_word_spawn_keys_are_not_seeded(self):
+        rngs = list(sampling._chunk_generators(3, 2**32 - 1, 2**32 + 1))
+        assert [seeded is None for _, seeded in rngs] == [True, True]
+        for index, (rng, _) in zip((2**32 - 1, 2**32), rngs, strict=True):
+            assert rng.bit_generator.state == derive_rng(3, index).bit_generator.state
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 41, 1000])
+    def test_lcg_jump_matches_the_generator(self, steps):
+        # Where a slot's directions start: its state after ``steps`` doubles.
+        jump_a, jump_c = sampling._lcg_jump(steps)
+        for seed, index in ((0, 0), (2**64 - 1, 7), (2**40 + 3, 2**32 - 1)):
+            rng = derive_rng(seed, index)
+            state, inc = sampling._get_state(rng)
+            rng.random(steps)
+            assert sampling._get_state(rng) == (
+                (jump_a * state + jump_c * inc) % 2**128, inc
+            )
 
     def test_seed_bounds(self):
         for seed, start in ((-1, 0), (2**64, 0), (0, -1)):
@@ -441,19 +461,66 @@ def _scalar_chunk(seed, start, stop, m1, n, ndir, entry_range, boost_cap,
     return [np.stack(col) for col in zip(*rows)], counters
 
 
-def _assert_chunk_matches(seed, start, stop, m1, n, ndir=3, entry_range=1.0,
-                          boost_cap=5.0, rank_override=None, lagr=None):
-    *arrays, counters = draw_chunk_arrays(
-        seed, start, stop, m1, n, ndir, entry_range, boost_cap, rank_override, lagr
+def _drawn_chunk(seed, start, stop, m1, n, ndir, block, *args):
+    """draw_chunk_arrays' (g, h, dphi, rapidity, normals) and counters, the
+    direction blocks joined; also the row count of each block."""
+    g, h, dphi, blocks, counters = draw_chunk_arrays(
+        seed, start, stop, m1, n, ndir, block, *args
     )
+    blocks = list(blocks)
+    sizes = [len(rap) for rap, _ in blocks]
+    rapidity = np.concatenate([rap for rap, _ in blocks] or [np.empty((0, ndir))])
+    normals = np.concatenate([nor for _, nor in blocks] or [np.empty((0, ndir, m1 - 1))])
+    return [g, h, dphi, rapidity, normals], counters, sizes
+
+
+def _assert_chunk_matches(seed, start, stop, m1, n, ndir=3, entry_range=1.0,
+                          boost_cap=5.0, rank_override=None, lagr=None, blocks=(1, 7)):
+    """The chunk draw, in blocks of each size in ``blocks`` and in one block,
+    equals the scalar loop bit for bit."""
     want, want_counters = _scalar_chunk(
         seed, start, stop, m1, n, ndir, entry_range, boost_cap, rank_override, lagr
     )
-    for got, ref in zip(arrays, want, strict=True):
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
-    assert counters == want_counters
+    for block in (*blocks, stop - start):
+        arrays, counters, sizes = _drawn_chunk(
+            seed, start, stop, m1, n, ndir, block, entry_range, boost_cap,
+            rank_override, lagr,
+        )
+        assert sizes == [len(range(lo, min(lo + block, stop - start)))
+                         for lo in range(0, stop - start, block)]
+        for got, ref in zip(arrays, want, strict=True):
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+        assert counters == want_counters
     return counters
+
+
+@pytest.fixture
+def redrawn(monkeypatch):
+    """The sample indices the chunk draw hands to the scalar path."""
+    seen = set()
+    real = sampling.derive_rng
+
+    def derive(seed, index):
+        seen.add(index)
+        return real(seed, index)
+
+    monkeypatch.setattr(sampling, "derive_rng", derive)
+    return seen
+
+
+@pytest.fixture
+def state_sets(monkeypatch):
+    """The (state, inc) pairs the chunk draw sets on a generator, in order."""
+    calls = []
+    real = sampling._set_state
+
+    def set_state(rng, state, inc):
+        calls.append((state, inc))
+        real(rng, state, inc)
+
+    monkeypatch.setattr(sampling, "_set_state", set_state)
+    return calls
 
 
 class TestChunkDraw:
@@ -468,15 +535,18 @@ class TestChunkDraw:
         for rank in range(min(m1, n) + 1):
             _assert_chunk_matches(62, 0, 30, m1, n, rank_override=rank)
 
-    def test_born_infeld_with_many_rejections(self):
+    def test_born_infeld_with_many_rejections(self, redrawn):
         lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
         counters = _assert_chunk_matches(63, 0, 120, 3, 3, entry_range=1.5, lagr=lagr)
         assert counters["domain_accepted"] < 0.8 * counters["domain_draws"]
+        # Redrawn slots in the first block of 7 and in later ones.
+        assert min(redrawn) < 7 <= max(redrawn)
 
-    def test_minimal_surface(self):
+    def test_minimal_surface(self, redrawn):
         lagr = resolve_lagrangian("minimal_surface", {}, 3)
         counters = _assert_chunk_matches(64, 0, 80, 3, 2, lagr=lagr)
         assert counters["domain_accepted"] < counters["domain_draws"]
+        assert min(redrawn) < 7 <= max(redrawn)
 
     def test_chunk_not_starting_at_zero(self):
         lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
@@ -486,18 +556,35 @@ class TestChunkDraw:
     def test_chunk_at_the_last_one_word_spawn_keys(self, start, stop):
         # Indices from 2**32 on have a two-word spawn key and take derive_rng.
         lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
-        _assert_chunk_matches(67, start, stop, 3, 2, entry_range=1.5, lagr=lagr)
+        _assert_chunk_matches(67, start, stop, 3, 2, entry_range=1.5, lagr=lagr,
+                              blocks=(1, 2))
 
-    def test_metric_retries_replay_the_scalar_loop(self, monkeypatch):
+    def test_metric_retries_replay_the_scalar_loop(self, monkeypatch, redrawn):
         # A bound this tight rejects many first metric candidates.
         monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 2.0)
         counters = _assert_chunk_matches(66, 0, 60, 3, 2)
         assert counters["metric_retries"] > 0
+        assert min(redrawn) < 7 <= max(redrawn)
+
+    @pytest.mark.parametrize("block, later", [(2048, 0), (512, 0), (16, 496), (1, 511)])
+    def test_later_slots_set_their_state_once_more(self, block, later, state_sets):
+        # Seeding sets each slot's state once; a chunk of one block (K = 8
+        # directions in engine.run_chunk) sets none again.
+        *_, blocks, _ = draw_chunk_arrays(5, 0, 512, 4, 3, 8, block)
+        assert len(state_sets) == 512
+        seeded = state_sets[min(block, 512):]
+        list(blocks)
+        assert len(state_sets) == 512 + later
+        # A later slot's block starts where its geometry's 16 + 21 doubles end.
+        jump_a, jump_c = sampling._lcg_jump(37)
+        assert state_sets[512:] == [
+            ((jump_a * state + jump_c * inc) % 2**128, inc) for state, inc in seeded
+        ]
 
     def test_conditioning_error_matches_scalar_loop(self, monkeypatch):
         monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 1.0)
         with pytest.raises(ConditioningError):
-            draw_chunk_arrays(66, 0, 4, 3, 2, 3)
+            draw_chunk_arrays(66, 0, 4, 3, 2, 3, 2)
         with pytest.raises(ConditioningError):
             _scalar_chunk(66, 0, 4, 3, 2, 3, 1.0, 5.0, None, None)
 
@@ -506,7 +593,7 @@ class TestChunkDraw:
         # fast path, and only those before it may count toward the rate.
         lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 1)
         with pytest.raises(SamplerStarvationError) as info:
-            draw_chunk_arrays(14, 0, 64, 1, 3, 3, 2.5, 5.0, None, lagr)
+            draw_chunk_arrays(14, 0, 64, 1, 3, 3, 8, 2.5, 5.0, None, lagr)
         with pytest.raises(_Starved) as want:
             _scalar_chunk(14, 0, 64, 1, 3, 3, 2.5, 5.0, None, lagr)
         assert "sample 30:" in str(info.value)
@@ -514,17 +601,19 @@ class TestChunkDraw:
 
     def test_empty_chunk(self):
         lagr = resolve_lagrangian("born_infeld", {"b": 0.5}, 3)
-        *arrays, counters = draw_chunk_arrays(1, 5, 5, 3, 2, 4, lagrangian=lagr)
-        shapes = [(0, 3, 3), (0, 2, 2), (0, 2, 3), (0, 4), (0, 4, 2)]
-        assert [a.shape for a in arrays] == shapes
+        g, h, dphi, blocks, counters = draw_chunk_arrays(1, 5, 5, 3, 2, 4, 3, lagrangian=lagr)
+        assert [a.shape for a in (g, h, dphi)] == [(0, 3, 3), (0, 2, 2), (0, 2, 3)]
+        assert list(blocks) == []
         assert counters == {"domain_draws": 0, "domain_accepted": 0, "metric_retries": 0}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            draw_chunk_arrays(1, 0, 4, 0, 2, 3)
+            draw_chunk_arrays(1, 0, 4, 0, 2, 3, 2)
         with pytest.raises(ValueError):
-            draw_chunk_arrays(1, 0, 4, 2, 2, 0)
+            draw_chunk_arrays(1, 0, 4, 2, 2, 0, 2)
         with pytest.raises(ValueError):
-            draw_chunk_arrays(1, 0, 4, 2, 2, 3, boost_cap=-1.0)
+            draw_chunk_arrays(1, 0, 4, 2, 2, 3, 2, boost_cap=-1.0)
         with pytest.raises(ValueError):
-            draw_chunk_arrays(1, 0, 4, 2, 2, 3, rank_override=3)
+            draw_chunk_arrays(1, 0, 4, 2, 2, 3, 2, rank_override=3)
+        with pytest.raises(ValueError):
+            draw_chunk_arrays(1, 0, 4, 2, 2, 3, 0)
