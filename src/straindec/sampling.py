@@ -47,6 +47,8 @@ size nor the frames' memory layout.  It does not block its rows:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import ConditioningError, SamplerStarvationError
@@ -327,7 +329,7 @@ def draw_chunk_arrays(
     boost_cap: float = BOOST_CAP,
     rank_override: int | None = None,
     lagrangian: LagrangianSpec | None = None,
-):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]], dict]:
     """Draws of samples [start, stop), bit-equal to the per-sample scalar loop.
 
     Returns stacked (g, h, dphi), the direction parameters as an iterator
