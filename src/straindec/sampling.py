@@ -365,8 +365,7 @@ def draw_chunk_arrays(
     # Per slot: its own stream and every uniform of a first-try geometry; a
     # first-block slot goes on to its rapidity uniforms and normals, a later
     # slot records where they start.
-    sizes = (m1 * m1, n * (n + m1))
-    width = sum(sizes)
+    width = m1 * m1 + n * (n + m1)
     uniforms = np.empty((batch, width))
     leading = np.empty((first, width + ndir))
     normals = np.empty((first, ndir, m1 - 1))
@@ -385,9 +384,8 @@ def draw_chunk_arrays(
             starts[k - first] = (jump_a * state + jump_c * inc) & _MASK128, inc
     uniforms[:first] = leading[:, :width]
     rapidity = boost_cap * leading[:, width:]
-    u_metric, u_geometry = np.split(uniforms, sizes[:1], axis=1)
-    g = _metric_candidates(u_metric, m1)
-    h, dphi = _target_and_map(u_geometry, m1, n, entry_range, rank_override)
+    g = _metric_candidates(uniforms[:, : m1 * m1], m1)
+    h, dphi = _target_and_map(uniforms[:, m1 * m1 :], m1, n, entry_range, rank_override)
     fast = _metric_accepted(g)
     if restricted:
         ok = np.flatnonzero(fast)
