@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import copy
 import json
-import marshal
 import math
 import numbers
 import operator
 import os
+import pickle
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -243,7 +243,10 @@ def dump_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8")
+    try:
+        Path(path).write_text(dump_json(obj), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path) -> dict:
@@ -614,37 +617,19 @@ def _replay_settings(data: dict, context: str) -> tuple:
 def _replay_key(data: dict, name: str, params: dict, tols: tuple):
     """What a fixture's geometry, Lagrangian and CheckStack depend on, as bytes.
 
-    The ``marshal`` bytes of the fixture's metric, target metric and dphi as
-    the JSON values it holds, and of its ``_replay_settings``: the
-    Lagrangian's name and parameters and the (dec, algebraic) tolerances.
-    Version 2 writes no back-references, every float by its bits and each
-    exact JSON type under its own code, and it refuses their subclasses.  It
-    also writes any buffer (bytes, a numpy array or scalar) as bare bytes, so
-    ``replay_fixture`` keeps the key only of values that are ``_plain_json``:
-    their bytes hold no buffer, and only equal values of equal types give
-    them, so a hit is never false.  Values that are equal but differ in type
-    or in the sign of a zero (``0`` and ``0.0``, ``-0.0`` and ``0.0``), or
-    dicts in another key order, miss, which only costs time.  None when a
-    field is missing or holds a value marshal cannot write.
+    The pickle of the fixture's metric, target metric and dphi and of its
+    ``_replay_settings`` (Lagrangian name and parameters, dec and algebraic
+    tolerances).  Pickle records each value's type, a numpy value's dtype and
+    shape, and every float's bits, so a hit is never false.  Equal values of
+    other types or zero signs (``1`` and ``1.0``, ``-0.0`` and ``0.0``, a
+    tuple and a list), or dicts in another key order, miss, which only costs
+    time.  None when a field is missing or pickle cannot write a value.
     """
     try:
         geometry = (data["metric"], data["target_metric"], data["dphi"])
-        return marshal.dumps((*geometry, name, params, tols), 2)
-    except (KeyError, ValueError):
+        return pickle.dumps((*geometry, name, params, tols), 5)
+    except (KeyError, TypeError, AttributeError, RecursionError, pickle.PicklingError):
         return None
-
-
-_JSON_LEAVES = (str, int, float, bool, type(None))
-
-
-def _plain_json(value) -> bool:
-    """Whether ``value`` is built of exact JSON types (and tuples) alone."""
-    kind = type(value)
-    if kind is list or kind is tuple:
-        return all(map(_plain_json, value))
-    if kind is dict:
-        return all(map(_plain_json, value)) and all(map(_plain_json, value.values()))
-    return kind in _JSON_LEAVES
 
 
 def replay_fixture(source) -> ReplayResult:
@@ -659,10 +644,9 @@ def replay_fixture(source) -> ReplayResult:
     differently.
 
     Consecutive fixtures of one sample share their direction-independent
-    work.  When a fixture's ``_replay_key`` (the marshal bytes of its metric,
-    target metric and dphi as JSON values, and of its ``_replay_settings``,
-    which are validated on every call) equals the previous keyed call's,
-    replay reuses that call's validated geometry, resolved Lagrangian and
+    work.  When a fixture's ``_replay_key`` (its geometry and its
+    ``_replay_settings``, validated on every call) equals the previous keyed
+    call's, replay reuses that call's validated geometry, resolved Lagrangian and
     ``CheckStack``, all pure functions of the key; the stack keeps every
     field computed so far, g^{-1} included.  The checks along the fixture's
     direction live on a ``CheckStack.along`` view, which is reused too when
@@ -695,8 +679,6 @@ def replay_fixture(source) -> ReplayResult:
         )
         stack = CheckStack.at(geom, lagr, *tols)
         view_key = view = None
-        if not _plain_json((data["metric"], data["target_metric"], data["dphi"], params)):
-            memo_key = None  # a buffer's bytes could stand for other values
     index, checks = 0, stack
     if kind in _DEC_KINDS or kind == "convexity_lemma":
         direction = _convert(

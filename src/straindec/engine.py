@@ -294,7 +294,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
         return out
 
     # Draw: the geometries now, the directions one row block at a time.
-    step = max(1, CONTRACT_BLOCK_ROWS // num_dirs)
+    step = max(1, CONTRACT_BLOCK_ROWS // max(num_dirs, 1))  # the draw refuses K < 1
     gs, hs, dps, direction_blocks, drawn = draw_chunk_arrays(
         seed, start, stop, m1, n, num_dirs, step,
         float(config["entry_range"]), float(config["boost_cap"]),

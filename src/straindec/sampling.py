@@ -19,16 +19,16 @@ conditioning and domain tests run on the whole batch.  Its directions are
 drawn one block of samples at a time, when the caller reaches the block:
 the first block's slots draw them in the seeding loop, from the live
 stream (one ``random`` call for geometry and rapidities, then the normals),
-and a later slot records its PCG64 state after the geometry and sets it
-again for its block.  So a chunk holds one block of direction parameters.
-The chunk path does not build a ``SeedSequence`` per slot: it computes the
-same seed words and PCG64 states arithmetically (``_spawn_seed_words``,
-``_chunk_generators``, and ``_lcg_jump`` for where a slot's directions
-start) and sets them on one reused generator.  Only the spawn-key word
-differs between the samples of a chunk, so the seed's own entropy is mixed
-once per chunk.  ``derive_rng`` stays the reference the tests pin this copy
-of numpy's seeding against, and a chunk reaching sample index 2**32 (whose
-spawn key has two words) uses it for every slot.
+and a later slot reads its PCG64 state off its generator after the geometry
+and sets it again for its block.  So a chunk holds one block of direction
+parameters.  The chunk path does not build a ``SeedSequence`` per slot: it
+computes the same seed words and PCG64 states arithmetically
+(``_spawn_seed_words``, ``_chunk_generators``) and sets them on one reused
+generator.  Only the spawn-key word differs between the samples of a chunk,
+so the seed's own entropy is mixed once per chunk.  ``derive_rng`` stays
+the reference the tests pin this copy of numpy's seeding against, and a
+chunk reaching sample index 2**32 (whose spawn key has two words) uses it
+for every slot.
 ``draw_geometry_arrays`` runs the same kernels on a batch of one.  A slot
 whose first metric candidate is rejected, or whose geometry falls outside the
 Lagrangian's domain, is replayed from a fresh generator one sample at a time
@@ -166,40 +166,26 @@ def _get_state(rng: np.random.Generator) -> tuple[int, int]:
     return pcg["state"], pcg["inc"]
 
 
-def _lcg_jump(steps: int) -> tuple[int, int]:
-    """(A, C) such that PCG64's state after ``steps`` draws of 64 bits is
-    A * state + C * inc mod 2**128.
-
-    One draw (one ``random()`` double) is one LCG step s -> mult * s + inc.
-    """
-    a, c = 1, 0
-    for _ in range(steps):
-        a, c = a * _PCG64_MULT & _MASK128, (c * _PCG64_MULT + 1) & _MASK128
-    return a, c
-
-
 def _chunk_generators(master_seed: int, start: int, stop: int):
-    """Yield, in index order, (generator, seeded) with the generator in
-    ``derive_rng(master_seed, i)``'s state for each i in [start, stop).
+    """Yield generators in ``derive_rng(master_seed, i)``'s state, i = start..stop-1.
 
     One ``Generator`` is reused across the chunk, so a yielded generator is
     valid only until the next one is taken.  Its state is PCG64's seeding of
     the seed words (``pcg64_srandom_r``): inc = (initseq << 1) | 1, one LCG
-    step from 0, add initstate, one more step.  ``seeded`` is that
-    (state, inc) pair, or None for a slot of a chunk reaching index 2**32,
-    which ``derive_rng`` seeds.
+    step from 0, add initstate, one more step.  A chunk reaching index 2**32
+    takes ``derive_rng`` for every slot.
     """
     _check_seed_args(master_seed, start)
     if stop > _ONE_WORD_INDICES:
         for index in range(start, stop):
-            yield derive_rng(master_seed, index), None
+            yield derive_rng(master_seed, index)
         return
     rng = np.random.Generator(np.random.PCG64(0))
     for w0, w1, w2, w3 in _spawn_seed_words(master_seed, start, stop).tolist():
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
         _set_state(rng, state, inc)
-        yield rng, (state, inc)
+        yield rng
 
 
 def _metric_candidates(u: np.ndarray, m_plus_1: int) -> np.ndarray:
@@ -345,11 +331,10 @@ def draw_chunk_arrays(
     that loop would, before it returns.
 
     The first block's directions are drawn in the seeding loop, from each
-    slot's live stream.  A later slot records where its directions start,
-    the PCG64 (state, inc) after its geometry: by ``_lcg_jump`` arithmetic
-    for a seeded slot, read off the generator for one that ``derive_rng``
-    seeded or the scalar path redrew.  Its block sets that state and draws
-    the same doubles in the same order.
+    slot's live stream.  A later slot records where its directions start:
+    the PCG64 (state, inc) its generator holds after its geometry, whether
+    the seeding loop or the scalar path drew it.  Its block sets that state
+    and draws the same doubles in the same order.
     """
     _check_geometry_args(m_plus_1, n, entry_range, rank_override)
     _check_direction_args(num_directions, boost_cap)
@@ -370,18 +355,13 @@ def draw_chunk_arrays(
     leading = np.empty((first, width + ndir))
     normals = np.empty((first, ndir, m1 - 1))
     starts = [None] * (batch - first)
-    jump_a, jump_c = _lcg_jump(width)
-    for k, (rng, seeded) in enumerate(_chunk_generators(master_seed, start, stop)):
+    for k, rng in enumerate(_chunk_generators(master_seed, start, stop)):
         if k < first:
             rng.random(out=leading[k])
             normals[k] = rng.normal(size=(ndir, m1 - 1))
-        elif seeded is None:
-            rng.random(out=uniforms[k])
-            starts[k - first] = _get_state(rng)
         else:
             rng.random(out=uniforms[k])
-            state, inc = seeded
-            starts[k - first] = (jump_a * state + jump_c * inc) & _MASK128, inc
+            starts[k - first] = _get_state(rng)
     uniforms[:first] = leading[:, :width]
     rapidity = boost_cap * leading[:, width:]
     g = _metric_candidates(uniforms[:, : m1 * m1], m1)

@@ -1011,10 +1011,10 @@ class TestReplayMemo:
             elif key is not None:
                 assert key != _replay_key(valid), i
 
-    def test_buffers_never_leave_a_key(self):
-        # marshal writes a numpy array or scalar as its bare bytes, so another
-        # shape or dtype with the same bits gives the same key.  Replay keeps
-        # no key for such values, so the second fixture never hits.
+    def test_buffers_never_leave_a_key(self, monkeypatch):
+        # The key is a pickle, which records each value's type, dtype and
+        # shape and every float's bits: values with the same bytes or equal
+        # values of another type give another key, and the second never hits.
         base = run_chunk(
             dict(test_engine.TestFixtureScan.CONFIGS[3], max_fixtures=10**6), 0, 60
         )["fixtures"][0]
@@ -1023,20 +1023,36 @@ class TestReplayMemo:
         def scalars(rows, dtype):
             return [[np.float64(x).view(dtype) for x in row] for row in rows]
 
+        def first_entry(value):
+            rows = [list(row) for row in base["dphi"]]
+            rows[0][0] = value
+            return dict(base, dphi=rows)
+
         cases = [
             (dict(base, dphi=dphi), dict(base, dphi=dphi.reshape(9))),
             (dict(base, metric=metric), dict(base, metric=metric.view(np.int64))),
             (dict(base, dphi=scalars(base["dphi"], np.float64)),
              dict(base, dphi=scalars(base["dphi"], np.int64))),
+            (first_entry(0.0), first_entry(-0.0)),
+            (first_entry(1.0), first_entry(1)),
+            (first_entry(1.0), first_entry(True)),
+            (base, dict(base, dphi=[tuple(row) for row in base["dphi"]])),
         ]
+        loads = []
+        load = campaign.load_geometry
+        monkeypatch.setattr(
+            campaign, "load_geometry", lambda data: loads.append(1) or load(data)
+        )
         for i, (valid, near) in enumerate(cases):
-            assert _replay_key(valid) == _replay_key(near), i
+            key = _replay_key(near)
+            assert key is not None and key != _replay_key(valid), i
             expected = _fresh(near)
-            assert expected != _fresh(valid), i
             campaign._last_replay = None
-            assert replay_fixture(valid).matches, i
-            assert campaign._last_replay is None, i
+            assert _outcome(valid) == _fresh(valid), i
+            assert campaign._last_replay is not None, i
+            loads.clear()
             assert _outcome(near) == expected, i
+            assert loads == [1], i
 
     def test_returned_arrays_do_not_alias_the_memo(self):
         fixtures = run_chunk(
@@ -1117,6 +1133,14 @@ class TestCLI:
         )
         assert main(["verify", "--config", config]) == 0
         assert "fixtures recorded" in capsys.readouterr().out
+
+    def test_verify_unwritable_report_exits_two(self, tmp_path, capsys):
+        config = _write_config(tmp_path, _wave_config(num_samples=10))
+        out = tmp_path / "missing" / "report.json"
+        assert main(["verify", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and str(out) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_verify_missing_config_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2

@@ -756,6 +756,12 @@ class TestRowBlocks:
         full = min(512, engine.CONTRACT_BLOCK_ROWS // num_dirs) * num_dirs
         assert max(rows) == full <= engine.CONTRACT_BLOCK_ROWS
 
+    @pytest.mark.parametrize("num_dirs", [0, -3])
+    def test_no_directions_is_the_draws_error(self, num_dirs):
+        # A raw config dict reaches the draw without CampaignConfig's checks.
+        with pytest.raises(ValueError, match="need at least one direction"):
+            run_chunk(_config(num_directions_per_sample=num_dirs), 0, 4)
+
     def test_chunk_memory_is_bounded(self):
         # Every (512, 1024, 4) direction stack held at once traced 131 MB;
         # the whole chunk's drawn directions, 12 and 24 MB at 4x4 with 256
