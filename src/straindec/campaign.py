@@ -116,7 +116,12 @@ _FROM_JSON = {
     "mode": ("mode", str),
     "max_fixtures": ("max_fixtures", _json_int),
 }
-_CONFIG_KEYS = {"schema_version"} | {path.split(".")[0] for path, _ in _FROM_JSON.values()}
+# The keys each section of a config file may hold ("" is the top level).
+_CONFIG_KEYS = {"": {"schema_version"}}
+for _path, _ in _FROM_JSON.values():
+    _section, _, _key = _path.rpartition(".")
+    _CONFIG_KEYS[""].add(_section or _key)
+    _CONFIG_KEYS.setdefault(_section, set()).add(_key)
 # The fields that hold integers (rank_override may also be None).
 _INT_FIELDS = tuple(
     name for name, (_, convert) in _FROM_JSON.items()
@@ -433,13 +438,19 @@ class CampaignConfig:
         """Convert a config's JSON values; absent optional keys keep the defaults."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - _CONFIG_KEYS[""]
         if unknown:
             raise ConfigError(f"config has unknown fields: {sorted(unknown)}")
         lagr, tol = _lagrangian_and_tolerances(data, "config")
         for key in ("m_plus_1", "n", "num_samples"):
             _require(data, key, "config")
         sections = {"": data, "lagrangian": lagr, "tolerances": tol}
+        for section in ("lagrangian", "tolerances"):
+            unknown = set(sections[section]) - _CONFIG_KEYS[section]
+            if unknown:
+                raise ConfigError(
+                    f"config field {section!r} has unknown fields: {sorted(unknown)}"
+                )
         values = {}
         for name, (path, convert) in _FROM_JSON.items():
             section, _, key = path.rpartition(".")
@@ -520,11 +531,18 @@ def run_campaign(
     keeps; the pool gives every chunk the full cap.  The bytes agree because a
     chunk tallies every sample whatever its cap and records fixtures in a
     fixed order, and the fold keeps the first ``max_fixtures`` in chunk
-    order.  When ``out_path`` is
-    given the report JSON is written there.
+    order.  When ``out_path`` is given the report JSON is written there; a
+    path whose parent is not a directory, or which is one, fails before the
+    first chunk runs.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    if out_path is not None:
+        out = Path(out_path)
+        if not out.parent.is_dir():
+            raise ConfigError(f"cannot write {out_path}: {out.parent} is not a directory")
+        if out.is_dir():
+            raise ConfigError(f"cannot write {out_path}: it is a directory")
     start_time = time.perf_counter()
     cfg = config.to_dict()
     total = config.num_samples

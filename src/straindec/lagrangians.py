@@ -310,12 +310,11 @@ def box_rejection_sampler(
     spec: LagrangianSpec,
     low: float = -5.0,
     high: float = 5.0,
-    max_rounds: int = 100,
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Uniform sampler on [low, high]^dim restricted to the spec's domain.
 
     Draws batches and keeps in-domain rows; raises SamplerStarvationError with
-    the observed acceptance rate if ``max_rounds`` batches cannot fill the
+    the observed acceptance rate if 100 batches cannot fill the
     request.  Raises ConfigError unless low < high and low, high and
     high - low are finite.
     """
@@ -330,7 +329,7 @@ def box_rejection_sampler(
         filled = 0
         drawn = 0
         accepted = 0
-        for _ in range(max_rounds):
+        for _ in range(100):
             batch = rng.uniform(low, high, size=(max(count, 64), spec.dim))
             mask = np.asarray(spec.domain_predicate(batch), dtype=bool)
             drawn += batch.shape[0]

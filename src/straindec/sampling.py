@@ -278,15 +278,15 @@ def sample_geometry(
     n: int,
     entry_range: float = 1.0,
     rank_override: int | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> PointGeometry:
     """Draw one random geometry: g = L^T eta L, h = A^T A + ridge I, dphi uniform.
 
     ``rank_override`` truncates the singular values of dphi so its rank is
-    exact (0 produces the zero map).  Deterministic given the generator state.
+    exact (0 produces the zero map).  Deterministic given the generator state;
+    the generator is required, so every draw comes from a seeded stream.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     g, h, dphi, _ = draw_geometry_arrays(rng, m_plus_1, n, entry_range, rank_override)
     return PointGeometry(
         metric=LorentzianMetric(g), target_metric=RiemannianMetric(h), dphi=dphi
@@ -484,14 +484,12 @@ def batch_assemble_directions(frames, rapidity, normals) -> np.ndarray:
     return out
 
 
-def sample_timelike_directions(
-    basis, rng: np.random.Generator, count: int, boost_cap: float = BOOST_CAP
-) -> np.ndarray:
+def sample_timelike_directions(basis, rng: np.random.Generator, count: int) -> np.ndarray:
     """Sample unit timelike vectors boosted off an orthonormal frame.
 
-    Rapidities are uniform on [0, boost_cap] and spatial directions uniform on
+    Rapidities are uniform on [0, BOOST_CAP] and spatial directions uniform on
     the sphere, so the rows satisfy g(X, X) = -1 up to roundoff.
     """
     basis = np.asarray(basis, dtype=float)
-    rapidity, normals = draw_direction_params(rng, count, basis.shape[0] - 1, boost_cap)
+    rapidity, normals = draw_direction_params(rng, count, basis.shape[0] - 1)
     return batch_assemble_directions(basis[None], rapidity[None], normals[None])[0]

@@ -148,18 +148,17 @@ def batch_matrix_powers(d: np.ndarray, count: int) -> list:
     return powers
 
 
-def batch_power_sums(d: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Traces p_j = tr(d^j), j = 1 .. count (default dim), of a (B, dim, dim) stack."""
-    count = d.shape[1] if count is None else int(count)
-    p = np.empty((d.shape[0], count))
-    for j, power in enumerate(batch_matrix_powers(d, count)[:count]):
+def batch_power_sums(d: np.ndarray) -> np.ndarray:
+    """Traces p_j = tr(d^j), j = 1 .. dim, of a (B, dim, dim) stack."""
+    p = np.empty(d.shape[:2])
+    for j, power in enumerate(batch_matrix_powers(d, d.shape[1])):
         p[:, j] = np.einsum("bij,bji->b", d, power)
     return p
 
 
-def power_sums(d, count: int | None = None) -> np.ndarray:
-    """Traces of matrix powers p_j = tr(d^j) for j = 1 .. count."""
-    return batch_power_sums(_as_square(d, "matrix")[None], count)[0]
+def power_sums(d) -> np.ndarray:
+    """Traces of matrix powers p_j = tr(d^j) for j = 1 .. dim."""
+    return batch_power_sums(_as_square(d, "matrix")[None])[0]
 
 
 def charpoly_coefficients(d) -> np.ndarray:

@@ -168,22 +168,15 @@ class _StepLoss(Exception):
     """Internal: a perturbed metric left the Lorentzian cone or the domain."""
 
 
-def stress_variational(
-    geom: PointGeometry,
-    lagr: LagrangianSpec,
-    step: float | None = None,
-    *,
-    richardson: bool = False,
-) -> StressEnergy:
+def stress_variational(geom: PointGeometry, lagr: LagrangianSpec) -> StressEnergy:
     """Finite-difference oracle for the stress-energy tensor.
 
     Differentiates L sqrt|det g| with respect to each inverse-metric component
     (symmetrized basis directions) by central differences, then removes the
-    volume factor.  The default step is 1e-6 times the inverse-metric norm; if
-    a perturbation breaks the metric signature or exits the Lagrangian domain
-    the step shrinks tenfold, up to DEFAULT_MAX_RETRIES times, before StepError.
-    ``richardson=True`` adds one extrapolation level to cancel the leading
-    quadratic error term.
+    volume factor.  The step is 1e-6 times the inverse-metric norm, which is
+    positive for every metric; if a perturbation breaks the metric signature
+    or exits the Lagrangian domain the step shrinks tenfold, up to
+    DEFAULT_MAX_RETRIES times, before StepError.
     """
     check_dimensions(lagr, geom.dim)
     g = geom.metric.entries
@@ -217,17 +210,13 @@ def stress_variational(
                 t[a, b] = t[b, a] = diff / (2.0 * h) / sqrt_det_g
         return t
 
-    h = 1e-6 * float(np.linalg.norm(gi0)) if step is None else float(step)
-    if h <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    h = 1e-6 * float(np.linalg.norm(gi0))
     last = None
     for _ in range(DEFAULT_MAX_RETRIES + 1):
         try:
-            t = tensor_at(h)
-            if richardson:
-                t = (4.0 * tensor_at(0.5 * h) - t) / 3.0
             return StressEnergy(
-                tensor=t, provenance="variational_oracle", lagrangian_name=lagr.name
+                tensor=tensor_at(h), provenance="variational_oracle",
+                lagrangian_name=lagr.name,
             )
         except _StepLoss as exc:
             last = exc

@@ -929,7 +929,7 @@ class TestReplayMemo:
         frame = bare.frames[0][0]
         rng = np.random.default_rng(4)
         a, b = (
-            sample_timelike_directions(frame, rng, 4, 3.0)[None] for _ in range(2)
+            sample_timelike_directions(frame, rng, 4)[None] for _ in range(2)
         )
         shared = CheckStack.at(geom, lagr)
         views = [shared.along(a), shared.along(b)]
@@ -1134,13 +1134,38 @@ class TestCLI:
         assert main(["verify", "--config", config]) == 0
         assert "fixtures recorded" in capsys.readouterr().out
 
-    def test_verify_unwritable_report_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def _no_chunks(*args):
+        raise AssertionError("a chunk ran before the report path was checked")
+
+    def test_verify_unwritable_report_exits_two(self, tmp_path, capsys, monkeypatch):
         config = _write_config(tmp_path, _wave_config(num_samples=10))
+        monkeypatch.setattr(engine, "run_chunk", self._no_chunks)
         out = tmp_path / "missing" / "report.json"
         assert main(["verify", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and str(out) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_verify_report_onto_a_directory_exits_two(self, tmp_path, capsys, monkeypatch):
+        config = _write_config(tmp_path, _wave_config(num_samples=10))
+        monkeypatch.setattr(engine, "run_chunk", self._no_chunks)
+        assert main(["verify", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path}: it is a directory")
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("tolerances", {"dce": 1e-3}, "dce"),
+        ("lagrangian", {"name": "wave_map", "parmeters": {}}, "parmeters"),
+    ])
+    def test_verify_unknown_section_key_exit_two(self, tmp_path, capsys, section, value, key):
+        data = _wave_config().to_dict()
+        data[section] = value
+        config = tmp_path / "config.json"
+        write_json(config, data)
+        assert main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{section}' has unknown fields: ['{key}']" in err
 
     def test_verify_missing_config_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2

@@ -301,7 +301,7 @@ class TestRejectionSampler:
             flags=spec.flags,
             parameters=spec.parameters,
         )
-        sampler = box_rejection_sampler(impossible, low=0.0, high=5.0, max_rounds=5)
+        sampler = box_rejection_sampler(impossible, low=0.0, high=5.0)
         with pytest.raises(SamplerStarvationError) as info:
             sampler(rng, 10)
         assert info.value.acceptance_rate == 0.0

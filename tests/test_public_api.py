@@ -1,5 +1,6 @@
-"""The package's public surface: the README quick start runs, and ``__all__``
-names exactly the public objects ``straindec/__init__.py`` binds."""
+"""The package's public surface: the README quick start runs, ``__all__``
+names exactly the public objects ``straindec/__init__.py`` binds, and README's
+"Scripts" section names exactly the scripts under ``scripts/``."""
 
 import re
 import types
@@ -39,3 +40,10 @@ def test_all_names_every_public_binding():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(straindec.__all__) == bound
+
+
+def test_readme_scripts_section_names_every_script():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^- `scripts/([^`]+\.py)`", section, re.M))
+    assert named == {path.name for path in (ROOT / "scripts").glob("*.py")}

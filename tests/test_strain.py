@@ -93,10 +93,6 @@ class TestPowerSums:
             power_sums(np.diag([-1.0, 1.0, 1.0])), [1.0, 3.0, 1.0], atol=1e-14
         )
 
-    def test_count_argument(self):
-        p = power_sums(np.diag([2.0, 3.0]), count=4)
-        np.testing.assert_allclose(p, [5.0, 13.0, 35.0, 97.0], rtol=1e-13)
-
 
 class TestInvariantRoutes:
     def test_diagonal_example_all_routes(self):
