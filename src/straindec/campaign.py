@@ -83,6 +83,13 @@ def _json_finite(value) -> float:
     return value
 
 
+def _json_floats(value):
+    """Nested arrays of JSON numbers as nested lists of floats; bools and strings fail."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_floats(item) for item in value]
+    return _json_float(value)
+
+
 def _json_object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {type(value).__name__}")
@@ -158,14 +165,16 @@ def _scalar_text(value):
     return text
 
 
-def _pieces(obj, level: int, memo: dict, kept: list) -> list:
+def _pieces(obj, level: int, memo: dict) -> list:
     """The text of a list or a dict with str keys at indent ``level``, as pieces.
 
     A child container's text is ``memo[id, level]`` if it was formatted at
     its level before; otherwise this function formats it, joins its pieces
-    once and stores the text there, and ``kept`` holds the child so that no
-    other object takes its id during the call.  A level of nesting costs one
-    stack frame, as in ``json``, so a cycle nests until ``RecursionError``.
+    once and stores the text there.  Every child is reachable from the
+    object ``dump_json`` formats, which must not change during the call, so
+    each stays alive and no other object takes its id.  A level of nesting
+    costs one stack frame, as in ``json``, so a cycle nests until
+    ``RecursionError``.
     """
     kind = type(obj)
     keyed = kind is dict
@@ -188,9 +197,8 @@ def _pieces(obj, level: int, memo: dict, kept: list) -> list:
             head += _encode_str(key) + ": "
         text = memo.get((id(item), deeper)) or _scalar_text(item)
         if text is None:
-            text = "".join(_pieces(item, deeper, memo, kept))
+            text = "".join(_pieces(item, deeper, memo))
             memo[id(item), deeper] = text
-            kept.append(item)
             pieces += (head, text)
         else:
             pieces.append(head + text)
@@ -237,7 +245,7 @@ def dump_json(obj) -> str:
     """
     try:
         text = _scalar_text(obj)
-        pieces = [text] if text is not None else _pieces(obj, 0, {}, [])
+        pieces = [text] if text is not None else _pieces(obj, 0, {})
     except _NonFinite as exc:
         where = _nonfinite_path(obj) or "the top level"
         raise ValueError(
@@ -579,10 +587,12 @@ def load_geometry(source) -> PointGeometry:
     """Build a PointGeometry from a JSON file path or an already-parsed dict."""
     data = source if isinstance(source, dict) else read_json(source)
     context = "geometry" if isinstance(source, dict) else f"geometry {source}"
+    metric, target, dphi = (
+        _convert(_require(data, key, context), _json_floats, f"{context} field {key!r}")
+        for key in ("metric", "target_metric", "dphi")
+    )
     try:
-        metric = LorentzianMetric(np.array(_require(data, "metric", context)))
-        target = RiemannianMetric(np.array(_require(data, "target_metric", context)))
-        dphi = np.array(_require(data, "dphi", context), dtype=float)
+        metric, target = LorentzianMetric(metric), RiemannianMetric(target)
         return PointGeometry(metric=metric, target_metric=target, dphi=dphi)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
@@ -607,8 +617,8 @@ class ReplayResult:
 _DEC_KINDS = ("dec", "dec_energy", "dec_flux")
 _DEGREE_KINDS = ("rank_condition", "wedge_identity", "cauchy_schwarz")
 # The last keyed replay's work: (key, geometry, Lagrangian, CheckStack, the
-# (shape, bytes) of the last validated direction, the CheckStack.along view
-# along it).  Each keyed replay replaces it with one assignment.
+# (shape, bytes) of the last validated direction, the stack along it).  Each
+# keyed replay replaces it with one assignment.
 _last_replay = None
 
 
@@ -667,13 +677,14 @@ def replay_fixture(source) -> ReplayResult:
     call's, replay reuses that call's validated geometry, resolved Lagrangian and
     ``CheckStack``, all pure functions of the key; the stack keeps every
     field computed so far, g^{-1} included.  The checks along the fixture's
-    direction live on a ``CheckStack.along`` view, which is reused too when
-    the direction, once ``require_timelike`` has validated it on this call,
-    has the shape and bytes of the last one: the ``dec_flux`` twin of a
-    ``dec_energy`` fixture reuses its witness.  The schema version, the kind,
-    the direction, the degree and the corollary flags are checked on every
-    call.  Results are bit-identical to a replay with nothing reused, and
-    nothing returned shares an array with the reused work.
+    direction run on ``stack.along(direction)``, which shares the stack's
+    g^{-1}, T_j, terms and T and is reused too when the direction, once
+    ``require_timelike`` has validated it on this call, has the shape and
+    bytes of the last one: the ``dec_flux`` twin of a ``dec_energy`` fixture
+    reuses its witness.  The schema version, the kind, the direction, the
+    degree and the corollary flags are checked on every call.  Results are
+    bit-identical to a replay with nothing reused, and nothing returned
+    shares an array with the reused work.
     """
     global _last_replay
     data = source if isinstance(source, dict) else read_json(source)
@@ -701,7 +712,9 @@ def replay_fixture(source) -> ReplayResult:
     if kind in _DEC_KINDS or kind == "convexity_lemma":
         direction = _convert(
             _require(data, "direction", context),
-            lambda x: require_timelike(geom.metric, x, kind == "convexity_lemma"),
+            lambda x: require_timelike(
+                geom.metric, _json_floats(x), kind == "convexity_lemma"
+            ),
             f"{field} 'direction'",
         )
         direction_key = (direction.shape, direction.tobytes())
@@ -714,7 +727,7 @@ def replay_fixture(source) -> ReplayResult:
         index = degree - 1
     elif kind == "pointwise_corollary":
         require_corollary_flags(lagr)
-    verdict = dec_verdict(checks, lagr.name) if kind in _DEC_KINDS else None
+    verdict = dec_verdict(checks) if kind in _DEC_KINDS else None
     recomputed = engine.FIXTURES[kind](checks, 0, index)["recorded"]
     recorded = _convert(data.get("recorded", {}), _json_object, f"{field} 'recorded'")
     expected = recorded

@@ -12,10 +12,11 @@ tensor counts as vacuously zero when its norm is negligible against them.
 
 ``CheckStack`` evaluates every pointwise check of a campaign on a stack of
 geometries with the batched kernels (``batch_dec_witness``, ``batch_flux``
-and those of strain and stress); its view ``CheckStack.along(directions)``
-adds the checks that read timelike directions.  The campaign engine runs the
-stack on whole chunks and its views on row blocks (``CheckStack.rows``);
-fixture replay, ``check_dec`` and ``dec_witness`` run it on a batch of one.
+and those of strain and stress); ``CheckStack.along(directions, rows)`` is
+the stack of some of its samples along timelike directions, which holds the
+checks that read them.  The campaign engine runs a stack on whole chunks and
+its row blocks along their directions; fixture replay, ``check_dec`` and
+``dec_witness`` run it on a batch of one.
 """
 
 from __future__ import annotations
@@ -225,10 +226,10 @@ class CheckStack:
     stacks; ``g_inv`` inverts ``g`` once for every kernel that needs it
     (``batch_strain``, ``batch_dec_witness``, ``batch_flux``).  The checks
     that read timelike directions (the DEC witnesses and the combination
-    lemma) live on the view ``along`` returns, so no field of the stack
-    depends on directions.  A check's pass mask is the attribute
-    named after it (``dec_energy`` .. ``cauchy_schwarz``), shaped (B, K) for
-    the witnesses, (B, m+1) per degree and (B,) otherwise.
+    lemma, which uses the first direction of each sample) need the
+    ``directions`` that only a stack made by ``along`` holds.  A check's pass
+    mask is the attribute named after it (``dec_energy`` .. ``cauchy_schwarz``),
+    shaped (B, K) for the witnesses, (B, m+1) per degree and (B,) otherwise.
     """
 
     def __init__(self, g, h, dphi, lagr=None, tol=DEC_TOL, algebraic_tol=DEC_TOL):
@@ -248,25 +249,19 @@ class CheckStack:
             require_domain(lagr, stack.s[0])
         return stack
 
-    def along(self, directions: np.ndarray) -> "DirectedStack":
-        """This stack's checks along a (B, K, m+1) stack of timelike vectors."""
-        return DirectedStack(self, directions)
+    def along(self, directions: np.ndarray, rows=slice(None)) -> "CheckStack":
+        """Samples ``rows`` of this stack along (B, K, m+1) timelike ``directions``.
 
-    def rows(self, block: slice) -> "CheckStack":
-        """Samples ``block`` of this stack, sharing g^{-1}, T_j, the terms and T.
-
-        Those are the fields a view ``along`` directions reads, so the view
-        of a row block recomputes none of them; they are row views of this
-        stack's arrays, computed here first if they were not yet.
+        The new stack shares g^{-1}, T_j, the terms, T, ||T|| and its scale
+        with this one as row views, computed here first if they were not yet.
         """
         sub = CheckStack(
-            self.g[block], self.h[block], self.dphi[block], self.lagr, self.tol,
+            *(a[rows] for a in (self.g, self.h, self.dphi)), self.lagr, self.tol,
             self.algebraic_tol,
         )
-        sub.g_inv, sub.elementary, sub.tensor = (
-            self.g_inv[block], self.elementary[block], self.tensor[block]
-        )
-        sub.terms = tuple(a[block] for a in self.terms)
+        for name in ("g_inv", "elementary", "tensor", "tensor_norm", "scale"):
+            setattr(sub, name, getattr(self, name)[rows])
+        sub.terms, sub.directions = tuple(a[rows] for a in self.terms), directions
         return sub
 
     # g^{-1}, (pullbacks, strains), invariants, and (dF/ds, F, grad F . s).
@@ -327,23 +322,7 @@ class CheckStack:
     wedge_identity = cached_property(lambda st: st.wedge[0] <= st.algebraic_tol)
     cauchy_schwarz = cached_property(lambda st: st.wedge[1] <= st.algebraic_tol)
 
-
-@dataclass(eq=False)
-class DirectedStack:
-    """A CheckStack along a (B, K, m+1) stack of timelike ``directions``.
-
-    Holds the checks that read the directions: the DEC witnesses and the
-    combination lemma, which uses the first direction of each sample.  Every
-    other field is read from, and computed on, the stack it views, so views
-    with different directions can share one stack.
-    """
-
-    stack: CheckStack
-    directions: np.ndarray
-
-    def __getattr__(self, name):
-        return getattr(self.stack, name)
-
+    # The checks along ``directions``: DEC witnesses and the combination lemma.
     witness = cached_property(
         lambda st: batch_dec_witness(st.g, st.g_inv, st.tensor, st.directions, st.tol)
     )
@@ -360,7 +339,7 @@ class DirectedStack:
     premise = cached_property(lambda st: st.components.past_or_zero.all(axis=1))
     conclusion = cached_property(lambda st: st.witness.flux.past_or_zero[:, 0])
 
-    # Pass masks, named after the checks.
+    # Pass masks of the checks along directions.
     dec_energy = cached_property(lambda st: st.witness.energy_ok)
     dec_flux = cached_property(lambda st: st.witness.flux.ok)
     convexity_lemma = cached_property(lambda st: ~st.premise | st.conclusion)
@@ -389,8 +368,8 @@ class DECVerdict:
         )
 
 
-def dec_verdict(stack: DirectedStack, lagrangian_name: str) -> DECVerdict:
-    """Verdict on sample 0 of a stack over all of its directions."""
+def dec_verdict(stack: CheckStack) -> DECVerdict:
+    """Verdict on sample 0 of a stack along directions, over all of them."""
     witnesses = tuple(
         _witness(stack.witness, 0, i) for i in range(stack.directions.shape[1])
     )
@@ -402,7 +381,7 @@ def dec_verdict(stack: DirectedStack, lagrangian_name: str) -> DECVerdict:
             for ok in (stack.dec_energy, stack.dec_flux)
         )
     return DECVerdict(
-        lagrangian_name=lagrangian_name,
+        lagrangian_name=stack.lagr.name,
         energy_positivity=energy,
         flux_causality=flux,
         witnesses=witnesses,
@@ -428,7 +407,7 @@ def check_dec(
     stack = CheckStack.at(geom, lagr)
     rng = np.random.default_rng(seed)
     xs = sample_timelike_directions(stack.frames[0][0], rng, num_directions)
-    return dec_verdict(stack.along(xs[None]), lagr.name)
+    return dec_verdict(stack.along(xs[None]))
 
 
 def corollary_applies(lagr: LagrangianSpec) -> bool:

@@ -4,12 +4,13 @@ The batched kernels in strain, stress, multilinear, sampling and dec (run
 together by ``dec.CheckStack``) are the only implementation of each formula
 and fix the report bytes; the single-point API and fixture replay call the
 same kernels on a batch of one.  ``run_chunk`` runs the checks that read no
-direction on the whole chunk and the DIRECTED ones on one block of
-CONTRACT_BLOCK_ROWS direction rows at a time, drawing that block's
-rapidities and normals when it reaches the block, so a chunk holds one block
-of direction rows whatever K is.  This is the only place that decides the
-block: ``sampling.draw_chunk_arrays`` draws the blocks it is told to, and
-the kernels work on whatever stack they get.  ``FIXTURES`` is the one table of
+direction on the whole chunk's ``CheckStack`` and the DIRECTED ones on
+``CheckStack.along(directions, rows)``, one block of CONTRACT_BLOCK_ROWS
+direction rows at a time, drawing that block's rapidities and normals when
+it reaches the block, so a chunk holds one block of direction rows whatever
+K is.  This is the only place that decides the block:
+``sampling.draw_chunk_arrays`` draws the blocks it is told to, and the
+kernels work on whatever stack they get.  ``FIXTURES`` is the one table of
 fixture kinds: ``run_chunk`` records failures with it, and
 ``campaign.replay_fixture`` recomputes a fixture's record with the same
 function.
@@ -31,11 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dec import (
-    CheckStack,
-    DirectedStack,
-    corollary_applies,
-)
+from .dec import CheckStack, corollary_applies
 from .lagrangians import canonical_parameters, resolve_lagrangian
 from .sampling import (  # noqa: F401 (MAX_DOMAIN_TRIES: perfbench/workloads.py reads it here)
     MAX_DOMAIN_TRIES,
@@ -109,7 +106,7 @@ def _ratio(value: np.ndarray, scale: np.ndarray) -> np.ndarray:
         return np.where(scale > 0.0, value / np.where(scale == 0.0, 1.0, scale), 0.0)
 
 
-def _record_dec(st: DirectedStack, k: int, i: int) -> dict:
+def _record_dec(st: CheckStack, k: int, i: int) -> dict:
     w = st.witness
     return {
         "direction": w.directions[k, i].tolist(),
@@ -137,7 +134,7 @@ def _record_rank(st: CheckStack, k: int, j: int) -> dict:
     }
 
 
-def _record_convexity(st: DirectedStack, k: int, _: int) -> dict:
+def _record_convexity(st: CheckStack, k: int, _: int) -> dict:
     return {
         "direction": st.witness.directions[k, 0].tolist(),
         "recorded": {
@@ -212,8 +209,8 @@ FIXTURES = {"dec": _record_dec}
 FIXTURES.update(kind_record for group in FIXTURE_GROUPS for kind_record in group)
 # The checks a chunk counts, one per recorded fixture kind, in group order.
 CHECK_NAMES = tuple(kind for group in FIXTURE_GROUPS for kind, _ in group)
-# The checks that read directions: run_chunk evaluates them on a
-# ``DirectedStack`` view of one row block at a time.
+# The checks that read directions: run_chunk evaluates them one row block
+# at a time, on ``CheckStack.along(directions, rows)``.
 DIRECTED = ("dec_energy", "dec_flux", "convexity_lemma")
 
 
@@ -228,9 +225,9 @@ def _record_failures(fixtures, max_fixtures, failed, st, view, lo, sample) -> bo
 
     ``failed`` maps each check to its failure mask over the block's samples
     (local row j is chunk row lo + j), in sample order, then group order.
-    The DIRECTED groups record from the block's view ``view`` at j, the rest
-    from the chunk stack ``st`` at lo + j; ``sample(k)`` gives the fields
-    every fixture of chunk row k shares.
+    The DIRECTED groups record from ``view``, the block's rows of ``st``
+    along their directions, at j, the rest from ``st`` at lo + j;
+    ``sample(k)`` gives the fields every fixture of chunk row k shares.
     """
     flagged = np.any([mask.any(axis=1) for mask in failed.values()], axis=0)
     for j in np.flatnonzero(flagged).tolist():
@@ -270,9 +267,10 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
 
     The checks that read no direction run on the whole chunk's
     ``CheckStack``.  The DIRECTED checks run one block of
-    CONTRACT_BLOCK_ROWS // K samples at a time, on a view of the stack's rows
-    along that block's directions, which is tallied, folded into the margins
-    and scanned for fixtures before the next block is drawn and assembled.
+    CONTRACT_BLOCK_ROWS // K samples at a time, on ``st.along(directions,
+    rows)``, the block's rows of that stack along their directions, which
+    is tallied, folded into the margins and scanned for fixtures before the
+    next block is drawn and assembled.
     So a chunk holds one block of direction rows, its drawn rapidities and
     normals included, whatever K is.  Min and max fold exactly, and the
     draws are those of the one-sample-at-a-time loop, so the result does not
@@ -350,7 +348,7 @@ def run_chunk(config: dict, start: int, stop: int) -> dict:
     room = max_fixtures > 0
     for lo, (raps, normals) in zip(range(0, batch, step), direction_blocks):
         rows = slice(lo, lo + step)
-        view = st.rows(rows).along(batch_assemble_directions(frames[rows], raps, normals))
+        view = st.along(batch_assemble_directions(frames[rows], raps, normals), rows)
         live = counted[rows]
         block_failed = {}
         for name in DIRECTED:

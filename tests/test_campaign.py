@@ -43,7 +43,7 @@ from straindec.campaign import (
     write_json,
 )
 from straindec.cli import main
-from straindec.dec import CheckStack, DirectedStack
+from straindec.dec import CheckStack
 from straindec.engine import run_chunk
 from straindec.sampling import sample_timelike_directions
 
@@ -817,10 +817,29 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-_STACK_FIELDS, _VIEW_FIELDS = (
-    [name for name, value in vars(cls).items() if isinstance(value, cached_property)]
-    for cls in (CheckStack, DirectedStack)
-)
+def _rows(value, rows):
+    """Rows ``rows`` of a stack field: an array, or a tuple or dataclass of them."""
+    if isinstance(value, np.ndarray):
+        return value[rows]
+    if isinstance(value, tuple):
+        return tuple(_rows(item, rows) for item in value)
+    return type(value)(**{
+        f.name: _rows(getattr(value, f.name), rows) for f in dataclasses.fields(value)
+    })
+
+
+# The fields that read directions, which only a stack along them holds; the
+# fields a stack along directions shares with the stack it was made from;
+# and every field that reads no direction.
+_VIEW_FIELDS = [
+    "witness", "components", "premise", "conclusion", "dec_energy", "dec_flux",
+    "convexity_lemma",
+]
+_SHARED_FIELDS = ["g_inv", "elementary", "terms", "tensor", "tensor_norm", "scale"]
+_STACK_FIELDS = [
+    name for name, value in vars(CheckStack).items()
+    if isinstance(value, cached_property) and name not in _VIEW_FIELDS
+]
 
 
 class TestReplayMemo:
@@ -937,12 +956,47 @@ class TestReplayMemo:
             fresh = CheckStack.at(geom, lagr).along(x)
             for name in _VIEW_FIELDS + _STACK_FIELDS:
                 assert _same(getattr(view, name), getattr(fresh, name)), name
-        # The views computed every stack field on the shared stack, and left
-        # none of their own there.
-        assert set(_STACK_FIELDS) <= set(vars(shared))
+            # The shared fields are the stack's own arrays.
+            for name in _SHARED_FIELDS:
+                mine, its = (getattr(st, name) for st in (view, shared))
+                if name != "terms":
+                    mine, its = (mine,), (its,)
+                assert all(map(np.shares_memory, mine, its)), name
+        # The shared stack holds the shared fields, computed for the views,
+        # and no field of theirs.
+        assert set(_SHARED_FIELDS) <= set(vars(shared))
         assert not {"directions", *_VIEW_FIELDS} & set(vars(shared))
         # Directions A and B give different witnesses, so a stale field shows.
         assert not _same(views[0].witness, views[1].witness)
+
+    @pytest.mark.parametrize("batch, step", [(8, 3), (160, 64)])
+    def test_a_view_of_rows_is_those_rows_of_the_whole_view(self, batch, step):
+        # K = 8 and blocks with a remainder; at (160, 64) the whole stack
+        # has CONTRACT_MIN_ROWS direction rows or more, and its blocks fewer.
+        lagr = resolve_lagrangian("skyrme", {"c1": 1.0, "c2": 1.0}, 4)
+        rng = np.random.default_rng(5)
+        geoms = [sample_geometry(4, 4, rng=rng) for _ in range(batch)]
+        st = CheckStack(
+            np.stack([geom.metric.entries for geom in geoms]),
+            np.stack([geom.target_metric.entries for geom in geoms]),
+            np.stack([geom.dphi for geom in geoms]),
+            lagr,
+        )
+        directions = np.stack(
+            [sample_timelike_directions(frame, rng, 8) for frame in st.frames[0]]
+        )
+        whole = st.along(directions)
+        for lo in range(0, batch, step):
+            rows = slice(lo, lo + step)
+            view = st.along(directions[rows], rows)
+            # A stack of those rows alone, sharing nothing with ``st``.
+            alone = CheckStack(st.g[rows], st.h[rows], st.dphi[rows], lagr).along(
+                directions[rows]
+            )
+            for name in _VIEW_FIELDS:
+                expected = _rows(getattr(whole, name), rows)
+                assert _same(getattr(view, name), expected), (name, lo)
+                assert _same(getattr(alone, name), expected), (name, lo)
 
     def test_near_misses_replay_as_if_fresh(self):
         base = run_chunk(
@@ -1330,6 +1384,34 @@ class TestCLI:
         path.write_text(json.dumps(data))  # json writes NaN and Infinity
         assert main(["replay", str(path)]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [
+        ("metric", [["-1", "0"], ["0", "1"]]),
+        ("target_metric", [[True, 0.0], [0.0, 1.0]]),
+        ("dphi", [[1.0, "0.5"], [0.0, 1.0]]),
+    ])
+    @pytest.mark.parametrize("command", [["invariants"], ["stress", "--lagrangian", "wave_map"]])
+    def test_geometry_entry_not_a_number_exits_two(self, tmp_path, capsys, command, name, value):
+        data = json.loads(Path(_write_geometry(tmp_path)).read_text())
+        data[name] = value
+        path = tmp_path / "geometry.json"
+        write_json(path, data)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert f"field '{name}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [
+        ("metric", [["-1.0", "0.0"], ["0.0", "1.0"]]),
+        ("dphi", [[True, 0.0], [0.0, True]]),
+        ("direction", ["1.0", "0.0"]),
+        ("direction", [True, 0.0]),
+    ])
+    def test_replay_entry_not_a_number_exits_two(self, tmp_path, capsys, name, value):
+        data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
+        data[name] = value
+        path = tmp_path / "fixture.json"
+        write_json(path, data)
+        assert main(["replay", str(path)]) == 2
+        assert f"field '{name}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["verify", "--config"], ["replay"]])
     def test_non_object_file_exits_two(self, tmp_path, capsys, command):
