@@ -6,8 +6,12 @@ one pair per seed: even pairs run the parent first, odd pairs the change
 first.  For every end-to-end metric of ``BENCHMARK.json`` and every workload
 the file holds both sides' runs, medians and quartiles, the pairs the change
 won (ties count for neither), the gain rule (at least 9 in 10 pairs won and a
-median gap above the parent's interquartile range) and the regression rule
-(the change's median worse by more than the metric's bound).  It also holds,
+median gap above the parent's interquartile range), the regression rule
+(the change's median worse by more than the metric's bound) and the
+``unresolved`` flag: the wider of the two sides' interquartile ranges,
+relative to the parent's median, exceeds the bound, unless every change run
+reads better than every parent run.  An unresolved metric is reported as
+such, not as unchanged: its runs spread too widely to tell.  It also holds,
 per seed, whether the two sides printed the same report sha256 lines and
 each side's outcome (its ``correct`` and ``failed`` values and ``PROBLEM``
 lines), so a failure that only some seeds hit shows which, and the machine
@@ -78,6 +82,8 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
     p, c = _spread(parent), _spread(change)
     gap = sign * (c["median"] - p["median"])
     worse_by = -gap / (abs(p["median"]) or 1.0)
+    spread = max(p["iqr"], c["iqr"]) / (abs(p["median"]) or 1.0)
+    separated = all(sign * (x - y) > 0.0 for x in change for y in parent)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -91,6 +97,7 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
         and wins >= WIN_SHARE * len(parent)
         and gap > p["iqr"],
         "worse_than_bound": worse_by > metric["bound"],
+        "unresolved": spread > metric["bound"] and not separated,
     }
 
 
@@ -183,7 +190,10 @@ def main(argv=None) -> int:
                   "change's value is better, ties count for neither; gain: at least "
                   f"{WIN_SHARE:g} of at least {MIN_PAIRS} pairs won and the median gap "
                   "above the parent's IQR; worse_than_bound: the change's median worse "
-                  "than the parent's by more than the bound, relative to the parent's",
+                  "than the parent's by more than the bound, relative to the parent's; "
+                  "unresolved: the wider of the two sides' IQRs, relative to the "
+                  "parent's median, above the bound, unless every change run is "
+                  "better than every parent run",
         "workloads": {},
         "trace": {},
     }

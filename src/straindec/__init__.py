@@ -33,7 +33,6 @@ from .strain import (
     invariants_newton,
     invariants_wedge,
     rank_of_map,
-    strain,
 )
 from .lagrangians import (
     AuditCheck,
@@ -51,9 +50,6 @@ from .lagrangians import (
 )
 from .stress import (
     StressEnergy,
-    stress_elementary,
-    stress_general,
-    stress_scale_general,
     stress_variational,
 )
 from .dec import (
@@ -62,6 +58,10 @@ from .dec import (
     DECWitness,
     check_dec,
     dec_witness,
+    strain,
+    stress_elementary,
+    stress_general,
+    stress_scale_general,
 )
 from .sampling import (
     derive_rng,

@@ -526,6 +526,14 @@ def report_bytes(report_dict: dict) -> bytes:
     return dump_json(data).encode("utf-8")
 
 
+def _serial_chunks(cfg: dict, bounds: list, room: int):
+    """Each chunk's result in order, its fixture cap the ``room`` the chunks before it left."""
+    for a, b in bounds:
+        result = engine.run_chunk(dict(cfg, max_fixtures=room), a, b)
+        room -= len(result["fixtures"])
+        yield result
+
+
 def run_campaign(
     config: CampaignConfig, jobs: int = 1, out_path=None
 ) -> CampaignReport:
@@ -539,9 +547,11 @@ def run_campaign(
     keeps; the pool gives every chunk the full cap.  The bytes agree because a
     chunk tallies every sample whatever its cap and records fixtures in a
     fixed order, and the fold keeps the first ``max_fixtures`` in chunk
-    order.  When ``out_path`` is given the report JSON is written there; a
-    path whose parent is not a directory, or which is one, fails before the
-    first chunk runs.
+    order.  The fold takes each result as it arrives and drops it once its
+    tallies and kept fixtures are in, so the parent holds one chunk's result
+    at a time beside those the pool finished early.  When ``out_path`` is
+    given the report JSON is written there; a path whose parent is not a
+    directory, or which is one, fails before the first chunk runs.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
@@ -563,13 +573,11 @@ def run_campaign(
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays the import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(engine.run_chunk, [cfg] * len(bounds), *zip(*bounds)))
+            results = pool.map(engine.run_chunk, [cfg] * len(bounds), *zip(*bounds))
+            folded = engine.fold_chunk_results(results, config.max_fixtures)
     else:
-        results, room = [], config.max_fixtures
-        for a, b in bounds:
-            results.append(engine.run_chunk(dict(cfg, max_fixtures=room), a, b))
-            room -= len(results[-1]["fixtures"])
-    folded = engine.fold_chunk_results(results, config.max_fixtures)
+        results = _serial_chunks(cfg, bounds, config.max_fixtures)
+        folded = engine.fold_chunk_results(results, config.max_fixtures)
     report = CampaignReport(
         config=config,
         counts=folded["counts"],
@@ -723,10 +731,10 @@ def replay_fixture(source) -> ReplayResult:
         checks = view
     elif kind in _DEGREE_KINDS:
         degree = _convert(_require(data, "degree", context), _json_int, f"{field} 'degree'")
-        check_degree(degree, geom.dim)
+        _convert(degree, lambda j: check_degree(j, geom.dim), f"{field} 'degree'")
         index = degree - 1
     elif kind == "pointwise_corollary":
-        require_corollary_flags(lagr)
+        _convert(lagr, require_corollary_flags, f"{field} 'lagrangian'")
     verdict = dec_verdict(checks) if kind in _DEC_KINDS else None
     recomputed = engine.FIXTURES[kind](checks, 0, index)["recorded"]
     recorded = _convert(data.get("recorded", {}), _json_object, f"{field} 'recorded'")

@@ -18,10 +18,11 @@ from .campaign import (
     replay_fixture,
     run_campaign,
 )
+from .dec import strain, stress_general
 from .errors import StrainDecError, ConfigError
 from .lagrangians import box_rejection_sampler, resolve_lagrangian, verify_flags
-from .strain import invariants_charpoly, invariants_newton, invariants_wedge, strain
-from .stress import stress_general, stress_variational
+from .strain import invariants_charpoly, invariants_newton, invariants_wedge
+from .stress import stress_variational
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,9 @@ geometries with the batched kernels (``batch_dec_witness``, ``batch_flux``
 and those of strain and stress); ``CheckStack.along(directions, rows)`` is
 the stack of some of its samples along timelike directions, which holds the
 checks that read them.  The campaign engine runs a stack on whole chunks and
-its row blocks along their directions; fixture replay, ``check_dec`` and
-``dec_witness`` run it on a batch of one.
+its row blocks along their directions; fixture replay, ``check_dec`` and the
+scalar ``strain`` and ``stress_*`` functions read ``CheckStack.at``, a batch
+of one, and ``dec_witness`` runs ``batch_dec_witness`` on one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .multilinear import (
     CausalClass,
     LorentzianMetric,
     ZERO_FLOOR,
+    _as_square,
+    _check_symmetric,
     batch_contract,
     canonical_frames,
     causal_class,
@@ -41,6 +44,7 @@ from .multilinear import (
 from .sampling import sample_timelike_directions
 from .strain import (
     PointGeometry,
+    StrainTensor,
     batch_charpoly_coefficients,
     batch_invariants_newton,
     batch_invariants_wedge,
@@ -49,11 +53,13 @@ from .strain import (
     batch_strain,
 )
 from .stress import (
+    StressEnergy,
     batch_combination,
     batch_combination_scale,
     batch_elementary_scales,
     batch_elementary_tensors,
     batch_wedge_checks,
+    check_degree,
     check_dimensions,
     lagrangian_terms,
     require_domain,
@@ -201,11 +207,16 @@ def dec_witness(
     ``batch_dec_witness`` on a batch of one.  Energy passes when T(X, X) >=
     -tol * ||T|| ||X||^2.  Flux passes when the quadratic (T g^{-1} T)(X, X)
     stays below tol * ||g|| ||Y||^2 and Y is past-causal or zero relative to X.
+    ValueError unless ``tensor`` is a finite square matrix of the metric's
+    dimension, symmetric by the metric's rule, and ``direction`` is timelike.
     """
+    tensor = _as_square(tensor, "tensor")
+    if tensor.shape[0] != metric.dim:
+        raise ValueError(f"tensor has dimension {tensor.shape[0]}, metric {metric.dim}")
+    _check_symmetric(tensor, "tensor")
     x = require_timelike(metric, direction)[None, None]
-    tensor = np.asarray(tensor, dtype=float)[None]
     g = metric.entries[None]
-    return _witness(batch_dec_witness(g, np.linalg.inv(g), tensor, x, tol), 0, 0)
+    return _witness(batch_dec_witness(g, np.linalg.inv(g), tensor[None], x, tol), 0, 0)
 
 
 def require_timelike(metric: LorentzianMetric, direction, unit: bool = False) -> np.ndarray:
@@ -243,8 +254,6 @@ class CheckStack:
             check_dimensions(lagr, geom.dim)
         entries = (geom.metric.entries, geom.target_metric.entries, geom.dphi)
         stack = cls(*(a[None] for a in entries), lagr, tol, algebraic_tol)
-        _, pull, d, stack.s = geom.stack
-        stack.g_inv, stack.strain = geom.g_inv, (pull, d)
         if lagr is not None:
             require_domain(lagr, stack.s[0])
         return stack
@@ -343,6 +352,37 @@ class CheckStack:
     dec_energy = cached_property(lambda st: st.witness.energy_ok)
     dec_flux = cached_property(lambda st: st.witness.flux.ok)
     convexity_lemma = cached_property(lambda st: ~st.premise | st.conclusion)
+
+
+def strain(geom: PointGeometry) -> StrainTensor:
+    """Strain endomorphism D = g^{-1} dphi^T h dphi at one point."""
+    pull, d = CheckStack.at(geom).strain
+    return StrainTensor(matrix=d[0], pullback=pull[0])
+
+
+def stress_elementary(geom: PointGeometry, degree: int) -> StressEnergy:
+    """Closed-form stress-energy T_j of the degree-j elementary invariant."""
+    check_degree(degree, geom.dim)
+    t = CheckStack.at(geom).elementary[0, degree - 1]
+    return StressEnergy(tensor=t, provenance="closed_form", lagrangian_name=f"s_{degree}")
+
+
+def stress_general(geom: PointGeometry, lagr: LagrangianSpec) -> StressEnergy:
+    """Stress-energy of a general Lagrangian via the combination formula.
+
+    T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g, which reduces to the
+    closed form when F picks out a single invariant.
+    """
+    t = CheckStack.at(geom, lagr).tensor[0]
+    return StressEnergy(tensor=t, provenance="combination", lagrangian_name=lagr.name)
+
+
+def stress_scale_general(geom: PointGeometry, lagr: LagrangianSpec) -> float:
+    """A-priori magnitude scale of the combination-formula tensor.
+
+    Validates the Lagrangian's dimension and domain as ``stress_general`` does.
+    """
+    return float(CheckStack.at(geom, lagr).scale[0])
 
 
 @dataclass(frozen=True)

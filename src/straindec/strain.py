@@ -8,13 +8,13 @@ recursion, Newton power-sum identities, compound-matrix traces) so that each
 can serve as a cross-check on the others.
 
 Each formula is written once, as a ``batch_*`` kernel over a leading stack
-axis; the single-point functions call it on a batch of one.
+axis; the single-point functions call it on a batch of one, and
+``dec.strain`` reads a geometry's strain off ``dec.CheckStack.at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class PointGeometry:
     """A single evaluation point: source metric, target metric, differential.
 
     ``dphi`` has shape (target_dim, dim), mapping source tangent vectors to
-    target tangent vectors.  A geometry is immutable, so ``stack`` is
-    computed once.
+    target tangent vectors.
     """
 
     metric: LorentzianMetric
@@ -61,21 +60,9 @@ class PointGeometry:
     def target_dim(self) -> int:
         return self.target_metric.dim
 
-    @cached_property
-    def g_inv(self) -> np.ndarray:
-        """Batch-of-one inverse metric, shared by ``stack`` and ``dec.CheckStack.at``."""
-        return np.linalg.inv(self.metric.entries[None])
-
-    @cached_property
-    def stack(self) -> tuple:
-        """Batch-of-one (metric, pullback, strain, invariants) for the batched kernels."""
-        g, h = self.metric.entries[None], self.target_metric.entries[None]
-        pull, d = batch_strain(self.g_inv, h, self.dphi[None])
-        return g, pull, d, batch_charpoly_coefficients(d)
-
     def pullback(self) -> np.ndarray:
         """Pulled-back target metric dphi^T h dphi, symmetrized."""
-        return self.stack[1][0].copy()
+        return batch_pullback(self.target_metric.entries[None], self.dphi[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +105,6 @@ def batch_strain(g_inv: np.ndarray, h: np.ndarray, dphi: np.ndarray):
     """Pullbacks P and strains D = g^{-1} P of stacked geometries, given g^{-1}."""
     pull = batch_pullback(h, dphi)
     return pull, g_inv @ pull
-
-
-def strain(geom: PointGeometry) -> StrainTensor:
-    """Strain endomorphism D = g^{-1} dphi^T h dphi at one point."""
-    _, pull, d, _ = geom.stack
-    return StrainTensor(matrix=d[0].copy(), pullback=pull[0].copy())
 
 
 def batch_rank(dphi: np.ndarray) -> np.ndarray:

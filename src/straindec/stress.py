@@ -1,20 +1,20 @@
-"""Stress-energy tensors of invariant Lagrangians, three ways.
+"""Stress-energy tensors of invariant Lagrangians: batched closed forms and an oracle.
 
 The closed forms are written once, as ``batch_*`` kernels over a leading
-stack axis that the campaign engine runs on whole chunks; the single-point
-functions call them on a batch of one.
+stack axis.  ``dec.CheckStack`` runs them on whole chunks for the campaign
+engine and on a batch of one for ``dec.stress_elementary``,
+``dec.stress_general`` and ``dec.stress_scale_general``.
 
-* ``stress_elementary`` evaluates the closed form for the degree-j elementary
-  invariant: T_j = sym(P M_j) - (s_j / 2) g with M_j the polynomial gradient
-  of s_j in the strain (``batch_elementary_tensors``).
-* ``stress_general`` assembles a general Lagrangian's tensor from the
-  elementary ones: T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g
-  (``batch_combination``).
+* ``batch_elementary_tensors`` evaluates the closed form for each degree-j
+  elementary invariant: T_j = sym(P M_j) - (s_j / 2) g with M_j the
+  polynomial gradient of s_j in the strain.
+* ``batch_combination`` assembles a general Lagrangian's tensor from the
+  elementary ones: T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g.
 * ``stress_variational`` differentiates the Lagrangian density with respect to
   the inverse metric by central differences.  It shares no algebra with the
   closed forms, which is what makes it an oracle for them.
 
-``batch_elementary_scales`` and ``stress_scale_general`` give a-priori
+``batch_elementary_scales`` and ``batch_combination_scale`` give a-priori
 magnitude scales of those tensors for relative vanishing tests.
 ``batch_wedge_split`` splits the energy T_j(e_0, e_0) into sums of Gram
 minors of the pulled-back metric, the combinatorial form used to reason
@@ -143,27 +143,6 @@ def batch_combination_scale(g, scales, s, terms) -> np.ndarray:
     ) * frobenius(g)
 
 
-def stress_elementary(geom: PointGeometry, degree: int) -> StressEnergy:
-    """Closed-form stress-energy of the degree-j elementary invariant."""
-    check_degree(degree, geom.dim)
-    t = batch_elementary_tensors(*geom.stack)[0, degree - 1]
-    return StressEnergy(tensor=t, provenance="closed_form", lagrangian_name=f"s_{degree}")
-
-
-def stress_general(geom: PointGeometry, lagr: LagrangianSpec) -> StressEnergy:
-    """Stress-energy of a general Lagrangian via the combination formula.
-
-    T = sum_j dF/ds_j T_j - ((F - grad F . s) / 2) g, which reduces to the
-    closed form when F picks out a single invariant.
-    """
-    check_dimensions(lagr, geom.dim)
-    g, pull, d, s = geom.stack
-    require_domain(lagr, s[0])
-    tensors = batch_elementary_tensors(g, pull, d, s)
-    t = batch_combination(g, tensors, lagrangian_terms(lagr, s))[0]
-    return StressEnergy(tensor=t, provenance="combination", lagrangian_name=lagr.name)
-
-
 class _StepLoss(Exception):
     """Internal: a perturbed metric left the Lorentzian cone or the domain."""
 
@@ -225,18 +204,6 @@ def stress_variational(geom: PointGeometry, lagr: LagrangianSpec) -> StressEnerg
         f"no usable finite-difference step after {DEFAULT_MAX_RETRIES + 1} attempts "
         f"(final step {h * STEP_SHRINK:.3e})"
     ) from last
-
-
-def stress_scale_general(geom: PointGeometry, lagr: LagrangianSpec) -> float:
-    """A-priori magnitude scale of the combination-formula tensor.
-
-    Validates the Lagrangian's dimension and domain as ``stress_general`` does.
-    """
-    check_dimensions(lagr, geom.dim)
-    g, pull, d, s = geom.stack
-    require_domain(lagr, s[0])
-    scales = batch_elementary_scales(g, pull, d, s)
-    return float(batch_combination_scale(g, scales, s, lagrangian_terms(lagr, s))[0])
 
 
 def batch_wedge_split(pf: np.ndarray, degree: int):

@@ -76,3 +76,45 @@ def test_each_seed_records_both_sides_outcomes(tmp_path, monkeypatch):
         {"seed": 9, "parent": clean, "change": {
             "correct": False, "failed": 2, "problems": ["energy fail", "flux fail"]}},
     ]
+
+
+SETUP = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+RATE = {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+# A grid-serial setup_s sample: the parent's IQR is 0.101 s on a 0.301 s
+# median, 34% against the 25% bound.
+WIDE_PARENT = [0.313, 0.289, 0.421, 0.252, 0.400, 0.273]
+WIDE_CHANGE = [0.358, 0.255, 0.303, 0.241, 0.269, 0.337]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    summary = _load().summarize(SETUP, WIDE_PARENT, WIDE_CHANGE)
+    assert summary["parent"]["iqr"] / summary["parent"]["median"] > 0.25
+    assert summary["unresolved"] and not summary["worse_than_bound"]
+
+
+def test_tight_runs_are_resolved():
+    parent = [0.188, 0.180, 0.177, 0.190, 0.237, 0.177]
+    change = [0.229, 0.207, 0.231, 0.197, 0.268, 0.208]
+    summary = _load().summarize(SETUP, parent, change)
+    assert not summary["unresolved"]
+
+
+def test_the_wider_side_decides():
+    # Tight parent runs, change runs that spread by half the median.
+    parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98]
+    change = [0.6, 1.4, 0.7, 1.3, 0.9, 1.1]
+    summary = _load().summarize(SETUP, parent, change)
+    assert summary["parent"]["iqr"] < 0.05 and summary["unresolved"]
+
+
+@pytest.mark.parametrize("metric, shift", [(SETUP, -1.0), (RATE, 1.0)])
+def test_every_change_run_better_is_resolved(metric, shift):
+    # Wide on both sides, but every change run beats every parent run.
+    parent = [2.0, 3.0, 2.5, 3.5, 2.2, 3.2]
+    change = [x + shift * 2.0 for x in parent]
+    summary = _load().summarize(metric, parent, change)
+    assert summary["parent"]["iqr"] / summary["parent"]["median"] > 0.25
+    assert not summary["unresolved"]
+    # One overlapping run makes it unresolved again.
+    change[0] = parent[0]
+    assert _load().summarize(metric, parent, change)["unresolved"]

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
@@ -598,6 +599,28 @@ class TestRunCampaign:
         }
         assert {fx["sample_index"] // 8 for fx in report["fixtures"]} == {0, 1, 2}
 
+    def test_fold_drops_each_result_as_it_arrives(self, monkeypatch):
+        # Each chunk's result carries an 8 MB payload that the fold ignores.
+        # Folding results as they arrive holds one of them at a time, so the
+        # traced memory at the start of the last chunk is that at the second.
+        payload = 8 << 20
+        run_one, at_start = engine.run_chunk, []
+
+        def heavy_chunk(cfg, start, stop):
+            at_start.append(tracemalloc.get_traced_memory()[0])
+            return dict(run_one(cfg, start, stop), payload=bytearray(payload))
+
+        monkeypatch.setattr(engine, "run_chunk", heavy_chunk)
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 8)
+        tracemalloc.start()
+        try:
+            report = run_campaign(_wave_config(num_samples=40))
+        finally:
+            tracemalloc.stop()
+        assert report.counts["dec_energy"]["total"] == 40 * 4
+        assert len(at_start) == 5
+        assert abs(at_start[-1] - at_start[1]) < payload
+
     def test_serial_loop_passes_each_chunk_the_room_left(self, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_SIZE", 8)
         config = _harvest_config()
@@ -707,6 +730,22 @@ class TestReplayFixture:
         data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
         data["schema_version"] = 0
         with pytest.raises(ConfigError, match="schema_version"):
+            replay_fixture(data)
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_degree_out_of_range_names_the_field(self, degree):
+        # The golden fixture's geometry is 2x2, so degrees run over 1 .. 2.
+        data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
+        data.update(kind="rank_condition", degree=degree)
+        with pytest.raises(ConfigError, match=r"field 'degree': .*\[1, 2\], got"):
+            replay_fixture(data)
+
+    def test_corollary_without_its_flags_names_the_lagrangian(self):
+        data = json.loads((FIXTURE_DIR / "dec_wave_map.json").read_text())
+        data.update(kind="pointwise_corollary", lagrangian={
+            "name": "linear_combination", "parameters": {"coefficients": [1.0, -5.0]},
+        })
+        with pytest.raises(ConfigError, match="field 'lagrangian': pointwise corollary"):
             replay_fixture(data)
 
     def test_convexity_lemma_fixture_records_and_replays(self, tmp_path, capsys):

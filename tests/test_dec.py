@@ -71,6 +71,32 @@ class TestWitness:
         with pytest.raises(ValueError, match="timelike"):
             dec_witness(geom.metric, np.eye(2), [0.0, 1.0])
 
+    @pytest.mark.parametrize("tensor, match", [
+        (np.full((3, 3), np.nan), "non-finite"),
+        (np.diag([np.inf, np.inf, np.inf]), "non-finite"),
+        (np.diag([1.0, -np.inf, 1.0]), "non-finite"),
+        (np.eye(2), "dimension 2, metric 3"),
+        (np.eye(4), "dimension 4, metric 3"),
+        (np.ones((3, 2)), "square"),
+        (np.ones(3), "square"),
+        ([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "not symmetric"),
+    ])
+    def test_rejects_a_tensor_it_cannot_judge(self, tensor, match):
+        # A non-finite or malformed tensor is an error, never a silent fail.
+        metric = LorentzianMetric(np.diag([-1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match=match):
+            dec_witness(metric, tensor, [1.0, 0.0, 0.0])
+
+    def test_accepts_symmetry_within_the_metric_rule(self):
+        # The metric's rule: off by at most SYMMETRY_RTOL relative to the largest entry.
+        metric = LorentzianMetric(np.diag([-1.0, 1.0, 1.0]))
+        t = np.eye(3)
+        t[0, 1], t[1, 0] = 0.5, 0.5 + 1e-13
+        assert dec_witness(metric, t, [1.0, 0.0, 0.0]).energy == 1.0
+        t[1, 0] = 0.5 + 1e-11
+        with pytest.raises(ValueError, match="not symmetric"):
+            dec_witness(metric, t, [1.0, 0.0, 0.0])
+
     def test_negative_energy_detected(self):
         geom = _identity_geometry()
         w = dec_witness(geom.metric, -np.eye(2), [1.0, 0.0])
@@ -106,7 +132,7 @@ class TestCheckDec:
         assert all(w.energy_ok and w.flux_ok for w in verdict.witnesses)
 
     def test_inverts_the_metric_once(self, monkeypatch):
-        # CheckStack.at hands the geometry's inverse to the stack.
+        # Each call's stack inverts g once, for the strain and the fluxes.
         calls = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
@@ -114,7 +140,7 @@ class TestCheckDec:
         check_dec(geom, skyrme(1.0, 1.0, 4), num_directions=16)
         assert calls == [(1, 4, 4)]
         check_dec(geom, skyrme(1.0, 1.0, 4), seed=1)
-        assert len(calls) == 1
+        assert calls == [(1, 4, 4)] * 2
 
     def test_zero_map_is_vacuous(self):
         verdict = check_dec(_zero_map_geometry(), wave_map(2))

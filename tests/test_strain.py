@@ -221,7 +221,7 @@ class TestRank:
         for r in (0, 1, 2):
             for _ in range(10):
                 geom = sample_geometry(4, 3, rank_override=r, rng=rng)
-                s = geom.stack[3][0]
+                s = CheckStack.at(geom).s[0]
                 dnorm = float(np.linalg.norm(strain(geom).matrix))
                 for j in range(r + 1, 5):
                     assert abs(s[j - 1]) <= 1e-9 * max(1.0, dnorm) ** j
@@ -231,9 +231,10 @@ class TestStrainInvariants:
     def test_wrapper_consistency(self, rng):
         # The invariants the batched kernels read are the charpoly route's.
         geom = sample_geometry(3, 2, rng=rng)
-        g, pull, d, s = geom.stack
+        stack = CheckStack.at(geom)
+        (pull, d), s = stack.strain, stack.s
         st = strain(geom)
         np.testing.assert_array_equal(pull[0], st.pullback)
         np.testing.assert_array_equal(d[0], st.matrix)
         np.testing.assert_array_equal(s[0], charpoly_coefficients(st.matrix))
-        np.testing.assert_array_equal(g[0], geom.metric.entries)
+        np.testing.assert_array_equal(stack.g[0], geom.metric.entries)
