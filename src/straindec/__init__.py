@@ -19,7 +19,6 @@ from .errors import (
 from .multilinear import (
     CausalClass,
     LorentzianMetric,
-    OrthonormalFrame,
     RiemannianMetric,
     canonical_frame,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "LagrangianFlags",
     "LagrangianSpec",
     "LorentzianMetric",
-    "OrthonormalFrame",
     "PointGeometry",
     "RiemannianMetric",
     "SamplerStarvationError",

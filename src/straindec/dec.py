@@ -174,16 +174,6 @@ class DECWitness:
     energy_ok: bool
     flux_ok: bool
 
-    @property
-    def energy_margin(self) -> float:
-        return self.energy / self.energy_scale if self.energy_scale > 0.0 else 0.0
-
-    @property
-    def flux_margin(self) -> float:
-        return (
-            self.flux_quadratic / self.flux_scale if self.flux_scale > 0.0 else 0.0
-        )
-
 
 def _witness(w: WitnessStack, k: int, i: int) -> DECWitness:
     return DECWitness(
@@ -395,17 +385,6 @@ class DECVerdict:
     witnesses: tuple[DECWitness, ...]
     tensor_norm: float
     tensor_scale: float
-
-    @property
-    def vacuous(self) -> bool:
-        return self.energy_positivity is CheckStatus.VACUOUS
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.energy_positivity is not CheckStatus.FAIL
-            and self.flux_causality is not CheckStatus.FAIL
-        )
 
 
 def dec_verdict(stack: CheckStack) -> DECVerdict:

@@ -157,8 +157,11 @@ def born_infeld(b: float, dim: int, delta: float = DOMAIN_DELTA) -> LagrangianSp
         raise ValueError("born_infeld scale b must be positive")
     if dim < 1:
         raise ValueError("invariant dimension must be at least 1")
+    try:
+        const = float(b**dim)
+    except OverflowError:
+        raise ValueError(f"born_infeld scale b = {b} overflows b**dim at dim {dim}") from None
     weights = b ** (dim - np.arange(1, dim + 1, dtype=float))
-    const = float(b**dim)
     root0 = float(np.sqrt(const))
 
     def arg(v):
@@ -382,10 +385,6 @@ class FlagAuditReport:
         raise KeyError(f"no audit check named {name!r}")
 
     @property
-    def failed_checks(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.passed)
-
-    @property
     def flag_mismatches(self) -> tuple[str, ...]:
         """Declared-true flags refuted by the samples."""
         out = []
@@ -402,10 +401,6 @@ class FlagAuditReport:
         names = ("f0_nonnegative", "concavity_midpoint", "subadditivity",
                  "supporting_hyperplane", "hessian_nsd")
         return tuple(n for n in names if not self.check(n).passed)
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failed_checks
 
 
 def _fd_hessian(spec: LagrangianSpec, v: np.ndarray) -> np.ndarray | None:

@@ -4,9 +4,12 @@ Everything here works on small dense matrices (dimension of order ten or
 less).  Conventions used throughout the package:
 
 * Lorentzian signature is (-, +, ..., +) and frame index 0 is the timelike leg.
+  ``lorentzian_tests`` is the one signature and conditioning rule, which
+  ``LorentzianMetric`` and the sampler's metric draws both apply.
 * Every frame comes from one batched, metric-aware Gram-Schmidt sweep,
   ``_gram_schmidt``, and one orthonormality test, ``_frame_errors``;
-  ``canonical_frame`` runs them on a batch of one.
+  ``canonical_frame`` runs them on a batch of one and returns the frame as
+  a (dim, dim) array of columns.
 * ``principal_minor_sums`` adds the minors det a[I, I] over strictly
   increasing index subsets I, which ``_multi_indices`` enumerates in
   lexicographic order.  Over every j-subset that sum is the trace of the
@@ -69,6 +72,21 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def lorentzian_tests(g: np.ndarray):
+    """Eigenvalues w of a (B, dim, dim) symmetric stack, and its two (B,) pass masks.
+
+    Signature (-, +, ..., +) is w_0 < 0 < w_1; conditioning is
+    max |w| <= DEFAULT_CONDITION_BOUND * min |w|.  A NaN eigenvalue fails both.
+    """
+    w = np.linalg.eigvalsh(g)
+    signature = w[:, 0] < 0.0
+    if g.shape[1] > 1:
+        signature &= w[:, 1] > 0.0
+    w_abs = np.abs(w)
+    conditioned = w_abs.max(axis=1) <= DEFAULT_CONDITION_BOUND * w_abs.min(axis=1)
+    return w, signature, conditioned
+
+
 @dataclass(frozen=True, eq=False)
 class LorentzianMetric:
     """Symmetric matrix of signature (-, +, ..., +) on the source tangent space.
@@ -83,12 +101,12 @@ class LorentzianMetric:
     def __post_init__(self):
         m = _check_symmetric(_as_square(self.entries, "metric"), "metric")
         object.__setattr__(self, "entries", m)
-        w = np.linalg.eigvalsh(m)
-        if w[0] >= 0.0 or (m.shape[0] > 1 and w[1] <= 0.0):
+        w, signature, conditioned = lorentzian_tests(m[None])
+        if not signature[0]:
             raise ValueError(
-                f"metric eigenvalues {w} do not have signature (-, +, ..., +)"
+                f"metric eigenvalues {w[0]} do not have signature (-, +, ..., +)"
             )
-        if np.max(np.abs(w)) > DEFAULT_CONDITION_BOUND * np.min(np.abs(w)):
+        if not conditioned[0]:
             raise ConditioningError(
                 f"metric condition number exceeds {DEFAULT_CONDITION_BOUND:.1e}"
             )
@@ -125,24 +143,6 @@ class RiemannianMetric:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OrthonormalFrame:
-    """Metric-orthonormal basis stored column-wise; column 0 is the timelike leg."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", _as_square(self.basis, "frame basis"))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def vector(self, a: int) -> np.ndarray:
-        return self.basis[:, a]
-
 
 
 @lru_cache(maxsize=None)
@@ -333,15 +333,15 @@ def canonical_frames(g: np.ndarray) -> tuple[np.ndarray, int]:
     return frames, len(redo)
 
 
-def canonical_frame(metric: LorentzianMetric) -> OrthonormalFrame:
-    """Deterministic orthonormal frame depending only on the metric entries.
+def canonical_frame(metric: LorentzianMetric) -> np.ndarray:
+    """Deterministic orthonormal frame, as (dim, dim) columns, of the metric entries.
 
-    ``canonical_frames`` on a batch of one: seeded with the first coordinate
-    direction when its frame is orthonormal, otherwise with the eigenvector of
-    the single negative eigenvalue, sign-fixed so its largest-magnitude
-    component is positive.
+    Column 0 is the timelike leg.  ``canonical_frames`` on a batch of one:
+    seeded with the first coordinate direction when its frame is orthonormal,
+    otherwise with the eigenvector of the single negative eigenvalue,
+    sign-fixed so its largest-magnitude component is positive.
     """
-    return OrthonormalFrame(canonical_frames(metric.entries[None])[0][0])
+    return canonical_frames(metric.entries[None])[0][0]
 
 
 class CausalClass(str, Enum):
@@ -353,19 +353,6 @@ class CausalClass(str, Enum):
     PAST_NULL = "past-null"
     SPACELIKE = "spacelike"
     ZERO = "zero"
-
-    @property
-    def is_past_causal(self) -> bool:
-        return self in (CausalClass.PAST_TIMELIKE, CausalClass.PAST_NULL)
-
-    @property
-    def is_causal(self) -> bool:
-        return self in (
-            CausalClass.FUTURE_TIMELIKE,
-            CausalClass.FUTURE_NULL,
-            CausalClass.PAST_TIMELIKE,
-            CausalClass.PAST_NULL,
-        )
 
 
 def causal_class(zero: bool, quadratic: float, band: float, past: bool) -> CausalClass:

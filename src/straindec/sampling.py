@@ -9,7 +9,8 @@ then direction parameters (rapidities, then sphere normals).
 
 Each draw formula is written once, as a kernel over a leading batch axis
 that maps uniforms on [0, 1) to values: ``_metric_candidates`` (g),
-``_metric_accepted`` (the signature and condition test) and
+``_metric_accepted`` (``LorentzianMetric``'s signature and condition
+test, ``multilinear.lorentzian_tests``) and
 ``_target_and_map`` (h and dphi).  A value uniform on [low, high) is
 low + (high - low) * random(), which is what ``Generator.uniform`` computes.
 ``draw_chunk_arrays`` runs the kernels on a whole chunk: each slot still
@@ -54,10 +55,10 @@ import numpy as np
 from .errors import ConditioningError, SamplerStarvationError
 from .lagrangians import LagrangianSpec, _always_inside
 from .multilinear import (
-    DEFAULT_CONDITION_BOUND,
     LorentzianMetric,
     RiemannianMetric,
     lane_sum,
+    lorentzian_tests,
 )
 from .strain import PointGeometry, batch_charpoly_coefficients, batch_strain
 
@@ -199,13 +200,9 @@ def _metric_candidates(u: np.ndarray, m_plus_1: int) -> np.ndarray:
 
 
 def _metric_accepted(g: np.ndarray) -> np.ndarray:
-    """Signature (-, +, ..., +) and max |eig| <= DEFAULT_CONDITION_BOUND * min |eig|."""
-    w = np.linalg.eigvalsh(g)
-    w_abs = np.abs(w)
-    ok = w[:, 0] < 0.0
-    if g.shape[1] > 1:
-        ok &= w[:, 1] > 0.0
-    return ok & (np.max(w_abs, axis=1) <= DEFAULT_CONDITION_BOUND * np.min(w_abs, axis=1))
+    """Rows of a (B, m+1, m+1) stack that ``LorentzianMetric`` accepts."""
+    _, signature, conditioned = lorentzian_tests(g)
+    return signature & conditioned
 
 
 def _target_and_map(u: np.ndarray, m_plus_1: int, n: int, entry_range, rank_override):

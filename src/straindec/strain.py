@@ -35,8 +35,8 @@ RANK_RTOL = 1e-10
 class PointGeometry:
     """A single evaluation point: source metric, target metric, differential.
 
-    ``dphi`` has shape (target_dim, dim), mapping source tangent vectors to
-    target tangent vectors.
+    ``dphi`` has shape (target_metric.dim, dim), mapping source tangent
+    vectors to target tangent vectors.
     """
 
     metric: LorentzianMetric
@@ -56,10 +56,6 @@ class PointGeometry:
     def dim(self) -> int:
         return self.metric.dim
 
-    @property
-    def target_dim(self) -> int:
-        return self.target_metric.dim
-
     def pullback(self) -> np.ndarray:
         """Pulled-back target metric dphi^T h dphi, symmetrized."""
         return batch_pullback(self.target_metric.entries[None], self.dphi[None])[0]
@@ -71,10 +67,6 @@ class StrainTensor:
 
     matrix: np.ndarray
     pullback: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +81,6 @@ class InvariantVector:
     s: np.ndarray
     power_sums: np.ndarray
     rank_estimate: int
-
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
 
 
 def batch_pullback(h: np.ndarray, dphi: np.ndarray) -> np.ndarray:

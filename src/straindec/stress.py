@@ -52,10 +52,6 @@ class StressEnergy:
     provenance: str
     lagrangian_name: str
 
-    @property
-    def dim(self) -> int:
-        return self.tensor.shape[0]
-
 
 def check_degree(degree: int, dim: int) -> None:
     if not 1 <= degree <= dim:

@@ -183,6 +183,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"lagrangian {name}"):
             _wave_config(m_plus_1=m1, lagrangian_name=name, lagrangian_parameters=params)
 
+    def test_born_infeld_scale_overflowing_its_power_rejected(self):
+        with pytest.raises(ConfigError, match=r"born_infeld: .*b = 1e\+300 .* dim 3"):
+            _wave_config(m_plus_1=3, lagrangian_name="born_infeld",
+                         lagrangian_parameters={"b": 1e300})
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ConfigError, match="seed"):
             _wave_config(seed=2**64)
@@ -682,7 +687,7 @@ class TestGeometryIO:
         )
         geom = load_geometry(path)
         assert geom.dim == 2
-        assert geom.target_dim == 2
+        assert geom.target_metric.dim == 2
 
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="target_metric"):
@@ -1519,6 +1524,30 @@ class TestCLI:
                      "--dim", "3", "--samples", "600"])
         assert code == 1
         assert "admissibility checks failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "stress", "audit-lagrangian"])
+    def test_born_infeld_scale_overflow_exits_two(self, tmp_path, capsys, command):
+        params = {"b": 1e300}
+        if command == "verify":
+            path = tmp_path / "config.json"
+            write_json(path, {"schema_version": 1, "m_plus_1": 3, "n": 2, "num_samples": 4,
+                              "lagrangian": {"name": "born_infeld", "parameters": params}})
+            argv = ["verify", "--config", str(path)]
+        else:
+            argv = [command, "--lagrangian", "born_infeld", "--params", json.dumps(params)]
+            if command == "stress":
+                path = tmp_path / "geom.json"
+                write_json(path, {"metric": np.diag([-1.0, 1.0, 1.0]).tolist(),
+                                  "target_metric": np.eye(2).tolist(),
+                                  "dphi": [[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]})
+                argv.insert(1, str(path))
+            else:
+                argv += ["--dim", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "overflows b**dim at dim 3" in line
 
     def test_audit_bad_dim_exit_two(self):
         assert main(["audit-lagrangian", "--lagrangian", "skyrme",

@@ -104,6 +104,11 @@ def _config(**overrides):
     return base
 
 
+def _margin(value, scale):
+    """A witness value relative to its scale, 0 when the scale is not positive."""
+    return value / scale if scale > 0.0 else 0.0
+
+
 def _route_residual_scalar(a, b):
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom))
@@ -159,7 +164,7 @@ def _scalar_reference(config, start, stop):
             metric=LorentzianMetric(g), target_metric=RiemannianMetric(h), dphi=dphi
         )
         frame = canonical_frame(geom.metric)
-        xs = batch_assemble_directions(frame.basis[None], rap[None], normals[None])[0]
+        xs = batch_assemble_directions(frame[None], rap[None], normals[None])[0]
 
         tensor = stress_general(geom, lagr).tensor
         scale = stress_scale_general(geom, lagr)
@@ -176,8 +181,8 @@ def _scalar_reference(config, start, stop):
             for w in witnesses:
                 counts["dec_energy"]["pass" if w.energy_ok else "fail"] += 1
                 counts["dec_flux"]["pass" if w.flux_ok else "fail"] += 1
-                e_margins.append(w.energy_margin)
-                q_margins.append(w.flux_margin)
+                e_margins.append(_margin(w.energy, w.energy_scale))
+                q_margins.append(_margin(w.flux_quadratic, w.flux_scale))
 
         x0 = xs[0] / np.sqrt(-float(xs[0] @ g @ xs[0]))
         view = CheckStack.at(geom, lagr, tol_dec).along(x0[None, None])
@@ -214,8 +219,8 @@ def _scalar_reference(config, start, stop):
         counts["invariant_routes"]["pass" if resid <= tol_alg else "fail"] += 1
         route_resids.append(resid)
 
-        e0 = frame.vector(0)
-        pf = congruence(frame.basis[None], geom.pullback()[None])
+        e0 = frame[:, 0]
+        pf = congruence(frame[None], geom.pullback()[None])
         for degree in range(1, m1 + 1):
             perp, par = (float(v[0]) for v in batch_wedge_split(pf, degree))
             tj = stress_elementary(geom, degree).tensor
@@ -226,7 +231,7 @@ def _scalar_reference(config, start, stop):
             counts["wedge_identity"]["pass" if w_resid <= tol_alg else "fail"] += 1
             wedge_resids.append(w_resid)
             momentum = np.array(
-                [float(e0 @ tj @ frame.vector(i)) for i in range(1, m1)]
+                [float(e0 @ tj @ frame[:, i]) for i in range(1, m1)]
             )
             excess = (float(np.sum(momentum**2)) - t00**2) / max(1.0, t00**2)
             counts["cauchy_schwarz"]["total"] += 1

@@ -34,6 +34,7 @@ from straindec.multilinear import (
     lane_sum,
     principal_minor_sums,
 )
+from straindec.sampling import _metric_accepted
 from straindec.stress import batch_wedge_split
 
 MINK2 = LorentzianMetric(np.diag([-1.0, 1.0]))
@@ -78,6 +79,34 @@ class TestMetricValidation:
     def test_rejects_ill_conditioned(self):
         with pytest.raises(ConditioningError):
             LorentzianMetric(np.diag([-1.0, 1e-9]))
+
+    def test_signature_failure_reported_before_conditioning(self):
+        with pytest.raises(ValueError, match="signature") as info:
+            LorentzianMetric(np.diag([-1.0, -1e-9, 1.0]))
+        assert type(info.value) is ValueError
+
+    def test_sampler_accepts_exactly_what_the_class_accepts(self):
+        cases = [
+            np.diag([-1.0, 1.0, 1.0]),
+            np.eye(3),
+            np.diag([-1.0, -1.0, 1.0]),
+            np.diag([-1.0, 1e-9, 1.0]),
+            np.diag([-1.0, -1e-9, 1.0]),
+            np.diag([-1.0, 1.0, 1e8]),
+            np.diag([-1.0, 1.0, 1e8 + 1e-4]),
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ]
+
+        def accepted(g):
+            try:
+                LorentzianMetric(g)
+            except (ValueError, ConditioningError):
+                return False
+            return True
+
+        want = [accepted(g) for g in cases]
+        assert want == [True, False, False, False, False, True, False, True]
+        assert _metric_accepted(np.array(cases)).tolist() == want
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -194,7 +223,7 @@ class TestOrthonormalize:
                 g = LorentzianMetric(random_metric_entries(rng, dim))
                 base = canonical_frame(g)
                 # tilt the timelike leg to exercise a non-coordinate seed
-                seed = base.vector(0) + 0.3 * base.vector(1)
+                seed = base[:, 0] + 0.3 * base[:, 1]
                 assert _frame(g, seed)[1] <= FRAME_ATOL
 
     def test_seed_whose_largest_component_is_spacelike(self):
@@ -218,7 +247,7 @@ class TestOrthonormalize:
 class TestCanonicalFrame:
     def test_coordinate_seed_when_timelike(self):
         frame = canonical_frame(LorentzianMetric(np.diag([-4.0, 1.0])))
-        np.testing.assert_allclose(frame.vector(0), [0.5, 0.0], atol=1e-14)
+        np.testing.assert_allclose(frame[:, 0], [0.5, 0.0], atol=1e-14)
 
     def test_eigenvector_seed_when_coordinate_spacelike(self):
         # Rotate Minkowski so the first coordinate direction is spacelike.
@@ -227,7 +256,7 @@ class TestCanonicalFrame:
         g = LorentzianMetric(r.T @ np.diag([-1.0, 1.0]) @ r)
         assert g.entries[0, 0] > 0.0
         frame = canonical_frame(g)
-        assert _frame_errors(frame.basis[None], g.entries[None])[0] <= FRAME_ATOL
+        assert _frame_errors(frame[None], g.entries[None])[0] <= FRAME_ATOL
 
     def test_stack_redoes_exactly_the_spacelike_e0_rows(self, rng):
         # Sampled metrics have a timelike e_0; rotating Minkowski space makes
@@ -254,7 +283,7 @@ class TestCanonicalFrame:
         g = LorentzianMetric(random_metric_entries(rng, 4))
         a = canonical_frame(g)
         b = canonical_frame(g)
-        np.testing.assert_array_equal(a.basis, b.basis)
+        np.testing.assert_array_equal(a, b)
 
     def test_frame_validate_rejects_bad_gram(self):
         frame = np.eye(2) * 2.0
@@ -319,14 +348,6 @@ class TestCausalClassify:
             CausalClass.ZERO: CausalClass.ZERO,
         }
         assert neg is swap[cls]
-
-    def test_past_causal_predicate(self):
-        assert CausalClass.PAST_NULL.is_past_causal
-        assert CausalClass.PAST_TIMELIKE.is_past_causal
-        assert not CausalClass.FUTURE_NULL.is_past_causal
-        assert not CausalClass.ZERO.is_past_causal
-        assert CausalClass.PAST_NULL.is_causal
-        assert not CausalClass.SPACELIKE.is_causal
 
 
 class TestBatchContract:

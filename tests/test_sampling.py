@@ -17,7 +17,7 @@ from straindec import (
     sample_geometry,
     sample_timelike_directions,
 )
-from straindec import sampling
+from straindec import multilinear, sampling
 from straindec.lagrangians import _always_inside
 from straindec.multilinear import CONTRACT_MAX_DEPTH, CONTRACT_MIN_ROWS
 from straindec.sampling import (
@@ -137,7 +137,7 @@ class TestGeometryDraws:
 
     def test_sample_geometry_wraps_arrays(self):
         geom = sample_geometry(3, 2, rng=derive_rng(5, 4))
-        assert geom.dim == 3 and geom.target_dim == 2
+        assert geom.dim == 3 and geom.target_metric.dim == 2
         g2, h2, d2, _ = draw_geometry_arrays(derive_rng(5, 4), 3, 2)
         np.testing.assert_array_equal(geom.metric.entries, g2)
         np.testing.assert_array_equal(geom.dphi, d2)
@@ -159,12 +159,12 @@ class TestDirections:
             from straindec import canonical_frame
 
             frame = canonical_frame(metric)
-            xs = sample_timelike_directions(frame.basis, rng, 16)
+            xs = sample_timelike_directions(frame, rng, 16)
             assert xs.shape == (16, 4)
             for x in xs:
                 assert metric.inner(x, x) == pytest.approx(-1.0, abs=1e-9)
                 # future-pointing: negative product with the frame's time leg
-                assert metric.inner(x, frame.vector(0)) < 0.0
+                assert metric.inner(x, frame[:, 0]) < 0.0
 
     def test_boost_cap_limits_gamma(self):
         basis = np.eye(3)
@@ -348,7 +348,7 @@ def _reference_geometry(rng, m_plus_1, n, entry_range, rank_override):
         cand = 0.5 * (cand + cand.T)
         w = np.linalg.eigvalsh(cand)
         ok_sig = w[0] < 0.0 and (m_plus_1 == 1 or w[1] > 0.0)
-        bound = sampling.DEFAULT_CONDITION_BOUND
+        bound = multilinear.DEFAULT_CONDITION_BOUND
         if ok_sig and np.max(np.abs(w)) <= bound * np.min(np.abs(w)):
             g = cand
             break
@@ -401,11 +401,11 @@ class TestScalarDrawReference:
 
     def test_metric_retries_match_reference(self, monkeypatch):
         # A bound this tight rejects many first metric candidates.
-        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 2.0)
+        monkeypatch.setattr(multilinear, "DEFAULT_CONDITION_BOUND", 2.0)
         assert _assert_draws_match_reference(72, 3, 2, 1.0, None, 5.0) > 0
 
     def test_conditioning_error_matches_reference(self, monkeypatch):
-        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 1.0)
+        monkeypatch.setattr(multilinear, "DEFAULT_CONDITION_BOUND", 1.0)
         with pytest.raises(ConditioningError):
             draw_geometry_arrays(derive_rng(73, 0), 3, 2)
         with pytest.raises(ConditioningError):
@@ -548,7 +548,7 @@ class TestChunkDraw:
 
     def test_metric_retries_replay_the_scalar_loop(self, monkeypatch, redrawn):
         # A bound this tight rejects many first metric candidates.
-        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 2.0)
+        monkeypatch.setattr(multilinear, "DEFAULT_CONDITION_BOUND", 2.0)
         counters = _assert_chunk_matches(66, 0, 60, 3, 2)
         assert counters["metric_retries"] > 0
         assert min(redrawn) < 7 <= max(redrawn)
@@ -571,7 +571,7 @@ class TestChunkDraw:
         assert state_sets[512:] == want
 
     def test_conditioning_error_matches_scalar_loop(self, monkeypatch):
-        monkeypatch.setattr(sampling, "DEFAULT_CONDITION_BOUND", 1.0)
+        monkeypatch.setattr(multilinear, "DEFAULT_CONDITION_BOUND", 1.0)
         with pytest.raises(ConditioningError):
             draw_chunk_arrays(66, 0, 4, 3, 2, 3, 2)
         with pytest.raises(ConditioningError):

@@ -271,7 +271,7 @@ class TestScales:
 
 def _frame_pullback(geom, frame):
     """Frame components e_a^T P e_b of the pullback, as a stack of one."""
-    return congruence(frame.basis[None], geom.pullback()[None])
+    return congruence(frame[None], geom.pullback()[None])
 
 
 def _mixed_minors(pf, degree, i):
@@ -327,12 +327,12 @@ class TestWedgeDecomposition:
                 for j in range(1, m_plus_1 + 1):
                     perp, parallel = batch_wedge_split(pf, j)
                     t = stress_elementary(geom, j).tensor
-                    e0 = frame.vector(0)
+                    e0 = frame[:, 0]
                     want_e = float(e0 @ t @ e0)
                     scale = max(1.0, abs(want_e))
                     assert abs(0.5 * (perp[0] + parallel[0]) - want_e) < 1e-9 * scale
                     for i in range(1, m_plus_1):
-                        want_m = float(e0 @ t @ frame.vector(i))
+                        want_m = float(e0 @ t @ frame[:, i])
                         got_m = sum(_mixed_minors(pf[0], j, i))
                         assert abs(got_m - want_m) < 1e-9 * max(1.0, abs(want_m))
 
